@@ -42,7 +42,9 @@ from .narrowing import (
 from .number import Number
 from .printfmt import format_render, render
 from .demos import DEMO_NAMES, run_demo
+from .rangealg import sort
 from .reflectlayout import layout_of, record_size, registered_record_names
+from .span import Span
 
 __all__ = ["main", "run_bench", "BenchRecord", "BENCH_SCENARIOS"]
 
@@ -177,11 +179,39 @@ def _loop_raw_arith(iters: int) -> None:
         x = p + q  # noqa: F841
 
 
+# 64 distinct values in a fixed scrambled order (37 is coprime to 64).
+_SPAN_DATA = [(i * 37) % 64 for i in range(64)]
+
+
+def _loop_span_index(iters: int) -> None:
+    s = Span(list(_SPAN_DATA))
+    for k in range(iters):
+        x = s[k & 63]  # noqa: F841
+
+
+def _loop_list_index(iters: int) -> None:
+    data = list(_SPAN_DATA)
+    for k in range(iters):
+        x = data[k & 63]  # noqa: F841
+
+
+def _loop_span_sort(iters: int) -> None:
+    for _ in range(iters):
+        sort(Span(list(_SPAN_DATA)))
+
+
+def _loop_list_sort(iters: int) -> None:
+    for _ in range(iters):
+        list(_SPAN_DATA).sort()
+
+
 _BENCHES: dict[str, tuple[Callable[[int], None], Optional[Callable[[int], None]]]] = {
     "convert-same": (_loop_convert_same, _loop_assign),
     "convert-narrowable": (_loop_convert_narrowable, _loop_assign),
     "number-arith": (_loop_number_arith, _loop_raw_arith),
     "raw-arith": (_loop_raw_arith, None),
+    "span-index": (_loop_span_index, _loop_list_index),
+    "span-sort": (_loop_span_sort, _loop_list_sort),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -4,11 +4,13 @@ Ranges have a traversal category: random access (indexed reads and writes
 plus a length) or forward (repeatable iteration plus an ordered write-back).
 A type can declare its category with a ``range_category`` class attribute,
 the way a container advertises an iterator tag; otherwise the category is
-inferred structurally.  ``sort`` picks the in-place random-access path
-whenever it applies, because that constraint set strictly contains the
-forward one, and reports which path ran.  Ranges satisfying neither
-category, and element types the predicate cannot order, are rejected with
-``ConstraintError`` before anything is touched.
+inferred structurally.  ``sort`` picks the random-access path whenever it
+applies, because that constraint set strictly contains the forward one, and
+reports which path ran.  Both paths sort a copy and write it back in one
+pass; the random-access one reads and writes a ``Span``'s backing store
+directly, since the span's bounds were proved when it was built.  Ranges
+satisfying neither category, and element types the predicate cannot order,
+are rejected with ``ConstraintError`` before anything is touched.
 
 Sorting mutates the caller's range; don't touch it concurrently during a
 sort.  The functions themselves keep no shared state.
@@ -24,7 +26,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .narrowing import ConstraintError
-from .span import Span, register_spanable
+from .span import Span, is_spanable, register_spanable
 
 __all__ = [
     "RangeCategory",
@@ -65,20 +67,14 @@ class SortDispatchReport:
     element_count: int
 
 
-_RANDOM_ACCESS_TYPES: list[type] = [list, bytearray, array, memoryview, Span]
-
 # Iterable but not sortable ranges: mappings and sets have no element order
 # to rewrite, the rest are immutable.
 _NOT_RANGES = (dict, set, frozenset, str, bytes, tuple, range)
 
 
-def register_random_access(cls: type) -> type:
-    """Declare ``cls`` as a random-access range."""
-    if not isinstance(cls, type):
-        raise ConstraintError("register_random_access expects a type")
-    if cls not in _RANDOM_ACCESS_TYPES:
-        _RANDOM_ACCESS_TYPES.append(cls)
-    return cls
+# Contiguous storage and random access are one registry: a registered type
+# can back a Span and is sorted through the random-access path.
+register_random_access = register_spanable
 
 
 def category_of(r) -> Optional[RangeCategory]:
@@ -94,7 +90,7 @@ def category_of(r) -> Optional[RangeCategory]:
         return declared
     if isinstance(r, _NOT_RANGES):
         return None
-    if isinstance(r, tuple(_RANDOM_ACCESS_TYPES)):
+    if is_spanable(r):
         return RangeCategory.RANDOM_ACCESS
     cls = type(r)
     if all(hasattr(cls, m) for m in ("__getitem__", "__setitem__", "__len__", "__iter__")):
@@ -104,14 +100,12 @@ def category_of(r) -> Optional[RangeCategory]:
     return None
 
 
-def _require_orderable(r, pred: Callable) -> None:
+def _require_orderable(buf: list, pred: Callable) -> None:
     # Probe one element against itself so an unorderable element type is
-    # rejected before the range is copied or mutated.
-    it = iter(r)
-    try:
-        first = next(it)
-    except StopIteration:
+    # named even when the range holds a single element.
+    if not buf:
         return
+    first = buf[0]
     try:
         pred(first, first)
     except TypeError as exc:
@@ -123,19 +117,68 @@ def _require_orderable(r, pred: Callable) -> None:
 
 
 def _host_sort(buf: list, pred: Callable) -> None:
-    if pred is less:
-        buf.sort()
-    elif pred is greater:
-        buf.sort(reverse=True)
-    else:
-        def cmp(x, y):
-            if pred(x, y):
-                return -1
-            if pred(y, x):
-                return 1
-            return 0
+    """Sort the copy ``buf``; elements ``pred`` cannot order raise ``ConstraintError``."""
+    _require_orderable(buf, pred)
+    try:
+        if pred is less:
+            buf.sort()
+        elif pred is greater:
+            buf.sort(reverse=True)
+        else:
+            def cmp(x, y):
+                if pred(x, y):
+                    return -1
+                if pred(y, x):
+                    return 1
+                return 0
 
-        buf.sort(key=functools.cmp_to_key(cmp))
+            buf.sort(key=functools.cmp_to_key(cmp))
+    except TypeError as exc:
+        raise ConstraintError(f"elements are not ordered by the sort predicate: {exc}") from exc
+
+
+def _sort_window(r, pred: Callable) -> int:
+    """Sort a random-access range through its backing store; returns its length.
+
+    A ``Span`` is read and written between its offset and its length, with
+    no per-element check: construction proved those bounds.  Stores that
+    take a list slice (``list``, ``bytearray``, ``Buffer``) are written back
+    in one slice assignment, the rest element by element on the raw store.
+    """
+    if isinstance(r, Span):
+        store, lo, n = r._storage, r._offset, r._length
+    else:
+        store, lo, n = r, 0, len(r)
+    if type(store) in _SLICE_READ:
+        buf = list(store[lo:lo + n])
+        # Short only under a Span.unchecked, or a store that shrank since.
+        if len(buf) != n:
+            raise IndexError(
+                f"{type(store).__name__} of length {len(store)} is too short "
+                f"for {n} elements at offset {lo}"
+            )
+    else:
+        buf = [store[i] for i in range(lo, lo + n)]
+    _host_sort(buf, pred)
+    if type(store) in _SLICE_WRITE:
+        store[lo:lo + n] = buf
+    else:
+        for i, v in enumerate(buf, lo):
+            store[i] = v
+    return n
+
+
+def _sort_copy(r, pred: Callable) -> int:
+    """Sort any forward range by copying out and writing back; returns its length."""
+    buf = list(r)
+    _host_sort(buf, pred)
+    write_back = getattr(r, "write_back", None)
+    if callable(write_back):
+        write_back(buf)
+    else:
+        for i, v in enumerate(buf):
+            r[i] = v
+    return len(buf)
 
 
 def sort_random_access(r, pred: Callable = less) -> None:
@@ -143,15 +186,12 @@ def sort_random_access(r, pred: Callable = less) -> None:
 
     The result is a permutation of the input; equal-element order is
     unspecified.  ``pred`` must be a strict weak ordering, that part of the
-    contract stays with the caller.
+    contract stays with the caller.  The range is sorted as a copy and
+    written back in one pass, so a failing comparison leaves it untouched.
     """
     if category_of(r) is not RangeCategory.RANDOM_ACCESS:
         raise ConstraintError("range does not provide random access")
-    _require_orderable(r, pred)
-    buf = list(r)
-    _host_sort(buf, pred)
-    for i, v in enumerate(buf):
-        r[i] = v
+    _sort_window(r, pred)
 
 
 def sort_forward(r, pred: Callable = less) -> None:
@@ -162,15 +202,7 @@ def sort_forward(r, pred: Callable = less) -> None:
     """
     if category_of(r) is None:
         raise ConstraintError("range is not forward-iterable with write-back")
-    _require_orderable(r, pred)
-    buf = list(r)
-    sort_random_access(buf, pred)
-    write_back = getattr(r, "write_back", None)
-    if callable(write_back):
-        write_back(buf)
-    else:
-        for i, v in enumerate(buf):
-            r[i] = v
+    _sort_copy(r, pred)
 
 
 def sort(r, pred: Callable = less) -> SortDispatchReport:
@@ -182,21 +214,12 @@ def sort(r, pred: Callable = less) -> SortDispatchReport:
     """
     category = category_of(r)
     if category is RangeCategory.RANDOM_ACCESS:
-        sort_random_access(r, pred)
-        return SortDispatchReport(SortPath.RANDOM_ACCESS, len(r))
+        return SortDispatchReport(SortPath.RANDOM_ACCESS, _sort_window(r, pred))
     if category is RangeCategory.FORWARD:
-        sort_forward(r, pred)
-        return SortDispatchReport(SortPath.FORWARD_COPY, _range_length(r))
+        return SortDispatchReport(SortPath.FORWARD_COPY, _sort_copy(r, pred))
     raise ConstraintError(
         f"{type(r).__name__} is neither a random-access nor a forward range"
     )
-
-
-def _range_length(r) -> int:
-    try:
-        return len(r)
-    except TypeError:
-        return sum(1 for _ in r)
 
 
 def is_power_of_two(n: int) -> bool:
@@ -247,6 +270,12 @@ class Buffer:
 
 
 register_spanable(Buffer)
+
+# Backing stores whose slices read out the elements, and those whose slice
+# assignment takes a list of them.  Exact types: a subclass may redefine
+# item access, so it goes element by element.
+_SLICE_READ = frozenset((list, bytearray, array, memoryview, Buffer))
+_SLICE_WRITE = frozenset((list, bytearray, Buffer))
 
 
 class _Node:

@@ -6,6 +6,10 @@ unsigned conversion first, so a negative or fractional index raises
 ``NarrowError`` before any range logic runs (there is no Python-style
 wrap-around), and an index outside ``[0, len)`` raises ``RangeError``.
 
+The bounds of a span are proved once, when it is built; algorithms that
+walk the whole window (the random-access sort) read and write the backing
+store directly, between ``_offset`` and ``_offset + _length``.
+
 The one deliberate hole is ``Span.unchecked``: the caller asserts the
 extent, nothing validates it, and the name exists to stand out in review.
 Indexing through such a span still checks against the claimed length.
@@ -34,22 +38,25 @@ class RangeError(IndexError):
         super().__init__(f"index {attempted} out of range for span of length {length}")
 
 
-# Contiguous, writable backing stores.  str/bytes/tuple are immutable and
-# deliberately absent; spans are read/write views.
-_SPANABLE_TYPES: list[type] = [list, bytearray, array, memoryview]
+# Contiguous, writable backing stores: the one registry of contiguous
+# ranges, which the sort dispatch also reads as "random access".
+# str/bytes/tuple are immutable and deliberately absent; spans are
+# read/write views.
+_SPANABLE_TYPES: tuple[type, ...] = (list, bytearray, array, memoryview)
 
 
 def register_spanable(cls: type) -> type:
     """Declare ``cls`` as contiguous element storage usable behind a Span."""
+    global _SPANABLE_TYPES
     if not isinstance(cls, type):
         raise ConstraintError("register_spanable expects a type")
     if cls not in _SPANABLE_TYPES:
-        _SPANABLE_TYPES.append(cls)
+        _SPANABLE_TYPES += (cls,)
     return cls
 
 
 def is_spanable(obj) -> bool:
-    return isinstance(obj, Span) or isinstance(obj, tuple(_SPANABLE_TYPES))
+    return isinstance(obj, Span) or isinstance(obj, _SPANABLE_TYPES)
 
 
 def _as_unsigned(value) -> int:
@@ -128,11 +135,21 @@ class Span:
             raise RangeError(i, self._length)
         return i
 
+    # The fast paths accept only what ``check`` would return unchanged:
+    # ``_length`` already passed the U32 check, so an exact int in
+    # ``[0, len)`` is a valid U32 index.  Every other index, bool included,
+    # goes through ``check`` and keeps its error.
+
     def __getitem__(self, index):
+        if type(index) is int and 0 <= index < self._length:
+            return self._storage[self._offset + index]
         return self._storage[self._offset + self.check(index)]
 
     def __setitem__(self, index, value) -> None:
-        self._storage[self._offset + self.check(index)] = value
+        if type(index) is int and 0 <= index < self._length:
+            self._storage[self._offset + index] = value
+        else:
+            self._storage[self._offset + self.check(index)] = value
 
     def __iter__(self):
         storage, base = self._storage, self._offset

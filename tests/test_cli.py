@@ -74,7 +74,8 @@ class TestBench:
         assert float(ns) > 0 and float(baseline) > 0
 
     def test_all_scenarios_run(self):
-        for scenario in ("convert-same", "convert-narrowable", "number-arith", "raw-arith"):
+        for scenario in ("convert-same", "convert-narrowable", "number-arith", "raw-arith",
+                         "span-index", "span-sort"):
             record = run_bench(scenario, 20000)
             assert record.iters == 20000
             assert record.ns_per_op >= 0 and record.baseline_ns_per_op > 0

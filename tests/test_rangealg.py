@@ -1,3 +1,4 @@
+import operator
 import random
 from array import array
 from collections import Counter
@@ -16,6 +17,9 @@ from checked import (
     draw_all,
     greater,
     is_power_of_two,
+    is_spanable,
+    less,
+    register_random_access,
     sort,
     sort_forward,
     sort_random_access,
@@ -135,6 +139,24 @@ class TestRejections:
         assert "complex" in str(info.value)
         assert data == [3j, 1j]  # probed, never mutated
 
+    @pytest.mark.parametrize(
+        "make,call",
+        [
+            (lambda: [1, "a", 2], sort),
+            (lambda: Span([3, "x", 1]), sort),
+            (lambda: LinkedList([1, "a"]), sort_forward),
+        ],
+        ids=["list", "Span", "LinkedList"],
+    )
+    def test_mixed_unorderable_elements(self, make, call):
+        # The self-probe passes on the first element; the mismatch only
+        # shows inside the sort, which runs on a copy.
+        r = make()
+        before = list(r)
+        with pytest.raises(ConstraintError):
+            call(r)
+        assert list(r) == before
+
     def test_unorderable_under_custom_predicate(self):
         with pytest.raises(ConstraintError):
             sort([1, 2], lambda a, b: a < str(b))
@@ -147,6 +169,90 @@ class TestRejections:
     def test_sort_forward_needs_a_range(self):
         with pytest.raises(ConstraintError):
             sort_forward((3, 1))
+
+
+class RawChunk:
+    """Registered store whose item access refuses slices."""
+
+    def __init__(self, items):
+        self._data = list(items)
+
+    def __len__(self):
+        return len(self._data)
+
+    def __getitem__(self, i):
+        return self._data[operator.index(i)]
+
+    def __setitem__(self, i, v):
+        self._data[operator.index(i)] = v
+
+
+register_random_access(RawChunk)
+
+
+def _buffer(items):
+    buf = Buffer(int, 1024)
+    for i, v in enumerate(items):
+        buf[i] = v
+    return buf
+
+
+# name -> (store over the given items, the items of that store as a list)
+STORES = {
+    "list": (list, list),
+    "array": (lambda d: array("i", d), list),
+    "bytearray": (bytearray, list),
+    "memoryview": (lambda d: memoryview(array("i", d)), lambda m: m.tolist()),
+    "Buffer": (_buffer, list),
+    "RawChunk": (RawChunk, lambda c: c._data),
+}
+
+
+class TestWindowSort:
+    """A Span window sort sorts exactly the window, over every store."""
+
+    DATA = [(i * 37 + 11) % 97 for i in range(40)]
+
+    @pytest.mark.parametrize("pred", [less, greater, lambda a, b: a > b],
+                             ids=["less", "greater", "custom"])
+    @pytest.mark.parametrize("kind", sorted(STORES) + ["nested"])
+    def test_sorts_the_window_only(self, kind, pred):
+        lo, hi = 7, 29
+        if kind == "nested":
+            base = list(self.DATA)
+            window = Span(Span(base, 3, 35), lo - 3, hi - 3)
+            contents = lambda: base  # noqa: E731
+        else:
+            make, contents_of = STORES[kind]
+            store = make(self.DATA)
+            window = Span(store, lo, hi)
+            contents = lambda: contents_of(store)  # noqa: E731
+        report = sort(window, pred)
+        assert report.chosen_path is SortPath.RANDOM_ACCESS
+        assert report.element_count == hi - lo
+        descending = pred is not less
+        expected = (self.DATA[:lo] + sorted(self.DATA[lo:hi], reverse=descending)
+                    + self.DATA[hi:])
+        got = contents()
+        assert got[:len(expected)] == expected
+        assert not any(got[len(expected):])  # a Buffer's zero-filled tail
+
+    def test_registered_store_is_spanable_and_random_access(self):
+        chunk = RawChunk([3, 1, 2])
+        assert is_spanable(chunk)
+        assert category_of(chunk) is RangeCategory.RANDOM_ACCESS
+        sort(chunk)
+        assert chunk._data == [1, 2, 3]
+
+    @pytest.mark.parametrize("kind", sorted(STORES))
+    def test_unchecked_span_past_the_store(self, kind):
+        make, contents_of = STORES[kind]
+        store = make([5, 3, 1])
+        before = contents_of(store)
+        with pytest.raises(IndexError) as info:
+            sort(Span.unchecked(store, len(store) + 2))
+        assert type(info.value) is IndexError
+        assert contents_of(store) == before
 
 
 class TestSortProperties:

@@ -169,6 +169,52 @@ class TestIndexing:
             sa[Span([0.5] * 4)[2]]
 
 
+# index -> the element it reads (its own value here), or the error it raises
+INDEX_TABLE = [
+    (10, 10),
+    (-1, NarrowError),
+    (100, RangeError),
+    (True, ConstraintError),
+    (1.0, 1),
+    (Number(3, U32), 3),
+    (2**40, NarrowError),
+]
+
+
+class TestIndexTable:
+    """Reads and writes agree index for index, results and errors alike."""
+
+    @pytest.mark.parametrize("index,expected", INDEX_TABLE, ids=repr)
+    def test_read(self, index, expected):
+        s = Span(hundred())
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                s[index]
+        else:
+            assert type(s[index]) is int and s[index] == expected
+
+    @pytest.mark.parametrize("index,expected", INDEX_TABLE, ids=repr)
+    def test_write(self, index, expected):
+        data = hundred()
+        s = Span(data)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                s[index] = -7
+            assert data == hundred()
+        else:
+            s[index] = -7
+            assert data[expected] == -7 and data.count(-7) == 1
+
+    def test_subrange_offsets_the_fast_path(self):
+        data = hundred()
+        s = Span(data, 40, 60)
+        assert s[0] == 40 and s[19] == 59
+        s[19] = -1
+        assert data[59] == -1
+        with pytest.raises(RangeError):
+            s[20]
+
+
 class TestIteration:
     def test_order(self):
         assert list(Span([1, 2, 3])) == [1, 2, 3]
