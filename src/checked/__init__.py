@@ -29,7 +29,6 @@ from .narrowing import (
     can_narrow,
     can_narrow_to,
     convert,
-    convert_explicit,
     convert_to,
     deduced_type,
     narrow_checker,
@@ -76,7 +75,7 @@ __all__ = [
     "NumericKind", "NumericTraits", "NumType", "NarrowError", "ConstraintError",
     "NARROWING_MATRIX", "numeric_type", "supported_types", "register_numeric_type",
     "deduced_type", "traits_of", "can_narrow_to", "can_narrow", "narrow_checker",
-    "will_narrow", "convert_to", "convert_explicit", "convert",
+    "will_narrow", "convert_to", "convert",
     "I8", "I16", "I32", "I64", "U8", "U16", "U32", "U64", "F32", "F64", "SF16",
     # number
     "CheckedOverflowError", "Number", "common_type", "compare_lt",

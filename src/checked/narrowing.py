@@ -50,7 +50,6 @@ __all__ = [
     "narrow_checker",
     "will_narrow",
     "convert_to",
-    "convert_explicit",
     "convert",
     "I8", "I16", "I32", "I64",
     "U8", "U16", "U32", "U64",
@@ -107,20 +106,17 @@ class NumType:
     ``convert_to`` and friends.
     """
 
-    __slots__ = ("name", "kind", "digits", "byte_size", "min", "max", "_cast")
+    __slots__ = ("name", "kind", "digits", "byte_size", "traits", "min", "max", "_cast")
 
     def __init__(self, name, kind, digits, byte_size, min_value, max_value, cast):
         self.name = name
         self.kind = kind
         self.digits = digits
         self.byte_size = byte_size
+        self.traits = NumericTraits(kind, digits, byte_size)
         self.min = min_value
         self.max = max_value
         self._cast = cast
-
-    @property
-    def traits(self) -> NumericTraits:
-        return NumericTraits(self.kind, self.digits, self.byte_size)
 
     def cast(self, value):
         return self._cast(value)
@@ -176,8 +172,8 @@ def _cast_sf16(value) -> float:
 
 _TYPES: dict[str, NumType] = {}
 _MATRIX: dict[tuple[str, str], bool] = {}
-_CHECKERS: dict[tuple[str, str], Optional[Callable]] = {}
-_REGISTRATION_HOOKS: list[Callable[[NumType], None]] = []
+_CHECKERS: dict[tuple[NumType, NumType], Optional[Callable]] = {}
+_COMMON: dict[tuple[NumType, NumType], NumType] = {}
 
 #: Read-only view of the per-pair classification, keyed by (source name,
 #: target name).  Filled when types are registered (import time for the
@@ -241,15 +237,12 @@ def can_narrow(source: TypeSpec, target: TypeSpec) -> bool:
     return _MATRIX[(numeric_type(source).name, numeric_type(target).name)]
 
 
-def _make_checker(src: NumType, dst: NumType) -> Optional[Callable]:
-    """Per-value narrowing test for one type pair, or None when impossible.
+def _make_checker(src: NumType, dst: NumType) -> Callable:
+    """Per-value narrowing test for a pair whose classification allows narrowing.
 
-    Built once per pair at registration time.  The returned callable never
-    inspects the source value unless the pair classification allows
-    narrowing (in which case this function returned a real test).
+    Built once per pair at registration time; pairs that can never narrow
+    get no test at all.
     """
-    if not _MATRIX[(src.name, dst.name)]:
-        return None
     if src.kind is not NumericKind.FLOAT and dst.kind is not NumericKind.FLOAT:
         # Integer to integer: a sign flip or truncation is exactly an
         # out-of-range value; in-range integers always convert exactly.
@@ -281,13 +274,30 @@ def _make_checker(src: NumType, dst: NumType) -> Optional[Callable]:
     return check_to_float
 
 
+def _common_of(a: NumType, b: NumType) -> NumType:
+    """The common type of the lattice: floats beat integers, more digits beat
+    fewer, and the unsigned type wins between equal-size integers."""
+    if a is b:
+        return a
+    a_float = a.kind is NumericKind.FLOAT
+    b_float = b.kind is NumericKind.FLOAT
+    if a_float != b_float:
+        return a if a_float else b
+    if a_float:
+        return a if a.digits >= b.digits else b
+    if a.byte_size == b.byte_size:
+        # widths equal but types distinct, so signedness differs
+        return a if a.kind is NumericKind.UNSIGNED_INT else b
+    return a if a.digits > b.digits else b
+
+
 def narrow_checker(source: TypeSpec, target: TypeSpec) -> Optional[Callable]:
     """Per-value narrowing test for the pair, or ``None`` if never needed.
 
     The ``None`` case is the zero-overhead path: once the pair is known,
     callers can drop the test from their hot loop entirely.
     """
-    return _CHECKERS[(numeric_type(source).name, numeric_type(target).name)]
+    return _CHECKERS[(numeric_type(source), numeric_type(target))]
 
 
 def will_narrow(value, source: TypeSpec, target: TypeSpec) -> bool:
@@ -296,7 +306,7 @@ def will_narrow(value, source: TypeSpec, target: TypeSpec) -> bool:
     Returns ``False`` without inspecting the value at all when the pair
     classification rules narrowing out.
     """
-    chk = _CHECKERS[(numeric_type(source).name, numeric_type(target).name)]
+    chk = _CHECKERS[(numeric_type(source), numeric_type(target))]
     return False if chk is None else bool(chk(value))
 
 
@@ -308,20 +318,10 @@ def convert_to(value, source: TypeSpec, target: TypeSpec):
     """
     src = numeric_type(source)
     dst = numeric_type(target)
-    chk = _CHECKERS[(src.name, dst.name)]
+    chk = _CHECKERS[(src, dst)]
     if chk is not None and chk(value):
         raise NarrowError(value, src, dst)
     return dst._cast(value)
-
-
-def convert_explicit(value, target):
-    """Value-preserving explicit construction for non-numeric targets.
-
-    ``target`` is any callable type; pairs the host cannot construct fail
-    with the constructor's own error.  Used by ``convert`` when the checked
-    numeric overload does not apply.
-    """
-    return target(value)
 
 
 def convert(value, target):
@@ -329,7 +329,8 @@ def convert(value, target):
 
     The stricter overload wins whenever it applies: a numeric value headed
     for a registered numeric type goes through ``convert_to`` and can raise
-    ``NarrowError``; everything else is built with ``target(value)``.
+    ``NarrowError``; everything else is built with ``target(value)``, so a
+    pair the host cannot construct fails with the constructor's own error.
     """
     if isinstance(target, NumType) or (isinstance(target, str) and target in _TYPES):
         dst = numeric_type(target)
@@ -337,7 +338,7 @@ def convert(value, target):
         if isinstance(numtype, NumType):
             return convert_to(value.value, numtype, dst)
         return convert_to(value, deduced_type(value), dst)
-    return convert_explicit(value, target)
+    return target(value)
 
 
 def deduced_type(value) -> NumType:
@@ -378,8 +379,8 @@ def register_numeric_type(
 
     Integer kinds derive their range and wrap-around cast from the width;
     float kinds must supply a ``cast`` that rounds an exact value into the
-    type.  The classification tables are extended in place for every pair
-    involving the new type.
+    type.  Every per-pair table (classification, checker, common type) is
+    extended in place for each pair involving the new type.
     """
     if not isinstance(name, str) or not name.isidentifier():
         raise ConstraintError(f"type name {name!r} is not an identifier")
@@ -408,11 +409,10 @@ def register_numeric_type(
     _TYPES[name] = nt
     for other in _TYPES.values():
         for a, b in ((nt, other), (other, nt)):
-            key = (a.name, b.name)
-            _MATRIX[key] = can_narrow_to(a.traits, b.traits, a is b)
-            _CHECKERS[key] = _make_checker(a, b)
-    for hook in _REGISTRATION_HOOKS:
-        hook(nt)
+            narrows = can_narrow_to(a.traits, b.traits, a is b)
+            _MATRIX[(a.name, b.name)] = narrows
+            _CHECKERS[(a, b)] = _make_checker(a, b) if narrows else None
+            _COMMON[(a, b)] = _common_of(a, b)
     return nt
 
 

@@ -13,7 +13,9 @@ wrapping or saturating.
 Comparisons are mathematically correct for integer operands of any
 signedness mix, so ``Number(-1) < Number(2, "u32")`` is True.  Mixed
 float/integer comparisons happen in the float common type with its usual
-rounding, and float comparisons keep the host partial order for NaN.
+rounding, and float comparisons keep the host partial order for NaN.  The
+lattice itself is one per-pair table in ``narrowing``, filled when each type
+is registered.
 
 Numbers are immutable values; all operations are pure and thread-safe.
 """
@@ -21,6 +23,7 @@ Numbers are immutable values; all operations are pure and thread-safe.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional, Union
 
 from .narrowing import (
@@ -29,7 +32,7 @@ from .narrowing import (
     NumericTraits,
     NumType,
     TypeSpec,
-    _REGISTRATION_HOOKS,
+    _COMMON,
     convert_to,
     deduced_type,
     numeric_type,
@@ -51,43 +54,13 @@ class CheckedOverflowError(OverflowError):
 
 # --- common-type lattice -----------------------------------------------------
 
-_COMMON: dict[tuple[str, str], NumType] = {}
-
-
-def _common_of(a: NumType, b: NumType) -> NumType:
-    if a is b:
-        return a
-    a_float = a.kind is NumericKind.FLOAT
-    b_float = b.kind is NumericKind.FLOAT
-    if a_float != b_float:
-        return a if a_float else b
-    if a_float:
-        return a if a.digits >= b.digits else b
-    if a.byte_size == b.byte_size:
-        # widths equal but types distinct, so signedness differs
-        return a if a.kind is NumericKind.UNSIGNED_INT else b
-    return a if a.digits > b.digits else b
-
-
-def _extend_common_table(new: NumType) -> None:
-    for other in supported_types():
-        common = _common_of(new, other)
-        _COMMON[(new.name, other.name)] = common
-        _COMMON[(other.name, new.name)] = common
-
-
-_REGISTRATION_HOOKS.append(_extend_common_table)
-for _t in supported_types():
-    _extend_common_table(_t)
-
-
 def common_type(a: Union[TypeSpec, NumericTraits], b: Union[TypeSpec, NumericTraits]) -> NumType:
     """The type mixed arithmetic on the two given types executes in.
 
-    Deterministic, commutative, and frozen in a table keyed by type names.
-    Accepts types, names, or traits.
+    Deterministic, commutative, and frozen in a per-pair table when the
+    types are registered.  Accepts types, names, or traits.
     """
-    return _COMMON[(_resolve(a).name, _resolve(b).name)]
+    return _COMMON[(_resolve(a), _resolve(b))]
 
 
 def _resolve(spec) -> NumType:
@@ -195,27 +168,23 @@ class Number:
 
     def __lt__(self, other):
         rhs = _as_number(other)
-        return NotImplemented if rhs is None else _lt(self, rhs)
+        return NotImplemented if rhs is None else _compare(operator.lt, self, rhs)
 
     def __gt__(self, other):
         rhs = _as_number(other)
-        return NotImplemented if rhs is None else _lt(rhs, self)
+        return NotImplemented if rhs is None else _compare(operator.gt, self, rhs)
 
     def __le__(self, other):
         rhs = _as_number(other)
-        if rhs is None:
-            return NotImplemented
-        return _lt(self, rhs) or _eq(self, rhs)
+        return NotImplemented if rhs is None else _compare(operator.le, self, rhs)
 
     def __ge__(self, other):
         rhs = _as_number(other)
-        if rhs is None:
-            return NotImplemented
-        return _lt(rhs, self) or _eq(self, rhs)
+        return NotImplemented if rhs is None else _compare(operator.ge, self, rhs)
 
     def __eq__(self, other):
         rhs = _as_number(other)
-        return NotImplemented if rhs is None else _eq(self, rhs)
+        return NotImplemented if rhs is None else _compare(operator.eq, self, rhs)
 
 
 _BASIC_OPS = {
@@ -237,7 +206,7 @@ def _arith(name: str, lhs: Number, other, reflected: bool = False) -> Number:
     if rhs is None:
         return NotImplemented
     a, b = (rhs, lhs) if reflected else (lhs, rhs)
-    common = _COMMON[(a._type.name, b._type.name)]
+    common = _COMMON[(a._type, b._type)]
     x = convert_to(a._value, a._type, common)
     y = convert_to(b._value, b._type, common)
     if common.kind is NumericKind.FLOAT:
@@ -261,35 +230,24 @@ def _arith(name: str, lhs: Number, other, reflected: bool = False) -> Number:
     return _wrap(common, result)
 
 
-def _lt(a: Number, b: Number) -> bool:
-    ka, kb = a._type.kind, b._type.kind
-    if ka is NumericKind.SIGNED_INT and kb is NumericKind.UNSIGNED_INT and a._value < 0:
-        return True
-    if ka is NumericKind.UNSIGNED_INT and kb is NumericKind.SIGNED_INT and b._value < 0:
-        return False
-    common = _COMMON[(a._type.name, b._type.name)]
-    return common.cast(a._value) < common.cast(b._value)
-
-
-def _eq(a: Number, b: Number) -> bool:
-    ka, kb = a._type.kind, b._type.kind
-    if ka is NumericKind.SIGNED_INT and kb is NumericKind.UNSIGNED_INT and a._value < 0:
-        return False
-    if ka is NumericKind.UNSIGNED_INT and kb is NumericKind.SIGNED_INT and b._value < 0:
-        return False
-    common = _COMMON[(a._type.name, b._type.name)]
-    return common.cast(a._value) == common.cast(b._value)
+def _compare(op, a: Number, b: Number) -> bool:
+    # Python compares integers exactly whatever their signs, so only a float
+    # common type changes the operands: both are rounded into it first.
+    common = _COMMON[(a._type, b._type)]
+    if common.kind is NumericKind.FLOAT:
+        return op(common._cast(a._value), common._cast(b._value))
+    return op(a._value, b._value)
 
 
 def compare_lt(x, y) -> bool:
     """Mathematically correct less-than across any integer signedness mix.
 
-    Accepts Numbers or bare numeric values.  A negative signed operand
-    compares below any unsigned operand before any conversion happens,
-    which is exactly where the host rules go wrong.
+    Accepts Numbers or bare numeric values.  Integer operands are compared
+    as exact values, never converted, so a negative signed operand is below
+    any unsigned one, which is exactly where the host rules go wrong.
     """
     a = _as_number(x)
     b = _as_number(y)
     if a is None or b is None:
         raise ConstraintError("compare_lt needs numeric operands")
-    return _lt(a, b)
+    return _compare(operator.lt, a, b)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .narrowing import ConstraintError
+from .narrowing import ConstraintError, supported_types
 
 __all__ = [
     "MemberDescriptor",
@@ -38,19 +38,10 @@ class MemberDescriptor:
 
 
 #: (size, alignment) per primitive field type on the 64-bit reference
-#: platform.  "text" models an owned string: three 8-byte words.
+#: platform: every numeric type is naturally aligned.  "text" models an owned
+#: string: three 8-byte words.
 PRIMITIVE_LAYOUTS: dict[str, tuple[int, int]] = {
-    "i8": (1, 1),
-    "u8": (1, 1),
-    "i16": (2, 2),
-    "u16": (2, 2),
-    "i32": (4, 4),
-    "u32": (4, 4),
-    "i64": (8, 8),
-    "u64": (8, 8),
-    "f32": (4, 4),
-    "f64": (8, 8),
-    "sf16": (2, 2),
+    **{t.name: (t.byte_size, t.byte_size) for t in supported_types()},
     "text": (24, 8),
 }
 

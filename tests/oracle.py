@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from fractions import Fraction
 
 # --- exact numeric representability ------------------------------------------
 
@@ -66,6 +67,45 @@ def representable(value, type_name: str) -> bool:
 def roundtrip_preserves(value, type_name: str) -> bool:
     """Whether converting into the type and back preserves the exact value."""
     return representable(value, type_name)
+
+
+def round_to_float_type(value, type_name: str) -> float:
+    """``value`` rounded to nearest, ties to even, into the named float type.
+
+    Exact rational arithmetic decides the rounding in one step, so no host
+    float conversion is involved.  Rounding past the largest finite value
+    gives an infinity of the value's sign; the sign of a zero is dropped,
+    which no comparison observes.
+    """
+    digits, min_lsb_exp, max_finite = FLOAT_SPECS[type_name]
+    x = Fraction(value)
+    if x == 0:
+        return 0.0
+    magnitude = abs(x)
+    exponent = magnitude.numerator.bit_length() - magnitude.denominator.bit_length()
+    if Fraction(2) ** exponent > magnitude:
+        exponent -= 1  # now 2**exponent <= magnitude < 2**(exponent + 1)
+    quantum = Fraction(2) ** max(exponent - digits + 1, min_lsb_exp)
+    rounded = round(magnitude / quantum) * quantum  # Fraction rounds half to even
+    if rounded > max_finite:
+        return math.copysign(math.inf, x)
+    return float(rounded if x > 0 else -rounded)
+
+
+def compare(op, a, a_type: str, b, b_type: str) -> bool:
+    """Expected ``Number(a, a_type) <op> Number(b, b_type)``.
+
+    Two integers, or two floats, compare as their exact values (NaN keeps
+    the host partial order).  An integer meets a float in the float's type:
+    it is rounded there once, to nearest with ties to even, and the rounded
+    value is compared.
+    """
+    a_float, b_float = a_type in FLOAT_SPECS, b_type in FLOAT_SPECS
+    if a_float and not b_float:
+        b = round_to_float_type(b, a_type)
+    elif b_float and not a_float:
+        a = round_to_float_type(a, b_type)
+    return op(a, b)
 
 
 # --- record layout via the host C layout engine ------------------------------

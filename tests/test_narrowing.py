@@ -22,12 +22,13 @@ from checked import (
     NARROWING_MATRIX,
     ConstraintError,
     NarrowError,
+    Number,
     NumericKind,
     NumericTraits,
     can_narrow,
     can_narrow_to,
+    common_type,
     convert,
-    convert_explicit,
     convert_to,
     deduced_type,
     narrow_checker,
@@ -255,7 +256,6 @@ def _convert_pair(pair, first_target, second_target):
 
 class TestConvertDispatch:
     def test_explicit_restores_text(self):
-        assert convert_explicit("abc", str) == "abc"
         assert convert("abc", str) == "abc"
 
     def test_enum_identity(self):
@@ -274,7 +274,7 @@ class TestConvertDispatch:
 
     def test_inconvertible_pair_rejected_by_constructor(self):
         with pytest.raises(ValueError):
-            convert_explicit("abc", int)
+            convert("abc", int)
 
     def test_bool_is_outside_the_numeric_set(self):
         with pytest.raises(ConstraintError):
@@ -306,6 +306,10 @@ class TestDeducedType:
 
 class TestRegistration:
     def test_new_integer_type_integrates(self):
+        from checked import narrowing as _n
+
+        tables = (_n._TYPES, _n._MATRIX, _n._CHECKERS, _n._COMMON)
+        saved = [dict(table) for table in tables]
         i128 = register_numeric_type("i128_test", NumericKind.SIGNED_INT, 127, 16)
         try:
             assert can_narrow(i128, I64) is True
@@ -313,10 +317,14 @@ class TestRegistration:
             assert will_narrow(2**100, i128, I64) is True
             assert convert_to(5, i128, I8) == 5
             assert narrow_checker(I64, i128) is None
+            # The common-type rows of a type registered after import.
+            assert common_type(i128, I64) is i128
+            assert (Number(5, i128) + Number(1, I64)).numtype is i128
         finally:
-            from checked import narrowing as _n
-
-            del _n._TYPES["i128_test"]
+            for table, snapshot in zip(tables, saved):
+                table.clear()
+                table.update(snapshot)
+        assert len(NARROWING_MATRIX) == len(ALL_TYPES) ** 2 == 121
 
     def test_invalid_registrations_rejected(self):
         with pytest.raises(ConstraintError):
