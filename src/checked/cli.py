@@ -29,10 +29,12 @@ from typing import Callable, Optional
 from .narrowing import (
     I16,
     I32,
+    U16,
     ConstraintError,
     NarrowError,
     NumericKind,
     can_narrow,
+    convert,
     convert_to,
     narrow_checker,
     numeric_type,
@@ -166,6 +168,20 @@ def _loop_convert_narrowable(iters: int) -> None:
         x = v  # noqa: F841
 
 
+def _loop_convert_checked(iters: int) -> None:
+    v = 123
+    for _ in range(iters):
+        x = convert(v, U16)  # noqa: F841
+
+
+def _loop_inline_check(iters: int) -> None:
+    v = 123
+    for _ in range(iters):
+        if not 0 <= v <= 65535:
+            raise NarrowError(v, I32, U16)
+        x = v  # noqa: F841
+
+
 def _loop_number_arith(iters: int) -> None:
     a = Number(3)
     b = Number(4)
@@ -205,6 +221,20 @@ def _loop_list_sort(iters: int) -> None:
         list(_SPAN_DATA).sort()
 
 
+_ROW = "{} key={} count={} delta={} price={} weight={} sum_count={} sum_delta={} sum_price={}"
+_ROW_ARGS = (17, 4242, 9, -3, 1.25, 0.5, 118, -41, 96.75)
+
+
+def _loop_format_render(iters: int) -> None:
+    for _ in range(iters):
+        format_render(_ROW, *_ROW_ARGS)
+
+
+def _loop_str_format(iters: int) -> None:
+    for _ in range(iters):
+        _ROW.format(*_ROW_ARGS)
+
+
 _BENCHES: dict[str, tuple[Callable[[int], None], Optional[Callable[[int], None]]]] = {
     "convert-same": (_loop_convert_same, _loop_assign),
     "convert-narrowable": (_loop_convert_narrowable, _loop_assign),
@@ -212,6 +242,8 @@ _BENCHES: dict[str, tuple[Callable[[int], None], Optional[Callable[[int], None]]
     "raw-arith": (_loop_raw_arith, None),
     "span-index": (_loop_span_index, _loop_list_index),
     "span-sort": (_loop_span_sort, _loop_list_sort),
+    "convert-checked": (_loop_convert_checked, _loop_inline_check),
+    "format-render": (_loop_format_render, _loop_str_format),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -3,15 +3,20 @@
 The central question is always "can converting this value lose information
 or change its meaning?".  It is answered in two stages:
 
-* a per-type-pair classification, computed once at import time, says whether
-  a conversion between two types can narrow at all;
+* a per-type-pair classification, computed once when the types are
+  registered, says whether a conversion between two types can narrow at all;
 * a per-value test runs only for pairs where the classification says
   narrowing is possible.
 
-``narrow_checker`` exposes the staged form directly: it returns ``None`` for
-pairs that can never narrow, so hot paths can skip per-value work entirely.
-``convert_to`` raises ``NarrowError`` instead of ever returning a changed
-value.
+Registration turns each pair into one converter with the check and the cast
+fused: a pair that can never narrow gets the builtin ``int`` or ``float``,
+which is the exact cast for any value of its source type; a pair that can
+narrow gets one closure with its bounds or its cast bound in, which returns
+the converted value or raises ``NarrowError``.  A checked conversion is then
+one table lookup plus one call.  ``narrow_checker`` exposes the staged form
+directly: it returns ``None`` for pairs that can never narrow, so hot paths
+can skip per-value work entirely.  ``convert_to`` raises ``NarrowError``
+instead of ever returning a changed value.
 
 The supported set is the 8/16/32/64-bit signed and unsigned integers, the
 32/64-bit binary floats, and ``sf16``, a software-emulated bfloat16-style
@@ -148,10 +153,14 @@ def _cast_f64(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+_F32 = struct.Struct("<f")
+_U32 = struct.Struct("<I")
+
+
 def _cast_f32(value) -> float:
     d = _cast_f64(value)
     try:
-        return struct.unpack("<f", struct.pack("<f", d))[0]
+        return _F32.unpack(_F32.pack(d))[0]
     except OverflowError:  # rounds past the largest finite f32
         return math.copysign(math.inf, d)
 
@@ -163,9 +172,9 @@ def _cast_sf16(value) -> float:
     # bfloat16 shares f32's exponent layout; round the low 16 mantissa bits
     # to nearest, ties to even.  Carry into the exponent (up to infinity) is
     # handled by the integer addition itself.
-    bits = struct.unpack("<I", struct.pack("<f", f))[0]
+    bits = _U32.unpack(_F32.pack(f))[0]
     rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
-    return struct.unpack("<f", struct.pack("<I", (rounded << 16) & 0xFFFFFFFF))[0]
+    return _F32.unpack(_U32.pack((rounded << 16) & 0xFFFFFFFF))[0]
 
 
 # --- registry and classification tables -------------------------------------
@@ -173,7 +182,10 @@ def _cast_sf16(value) -> float:
 _TYPES: dict[str, NumType] = {}
 _MATRIX: dict[tuple[str, str], bool] = {}
 _CHECKERS: dict[tuple[NumType, NumType], Optional[Callable]] = {}
-_COMMON: dict[tuple[NumType, NumType], NumType] = {}
+_CONVERT: dict[tuple[NumType, NumType], Callable] = {}
+# Per pair: the arithmetic plan ``(common, convert_a, convert_b, min, max,
+# is_float)`` of mixed arithmetic and comparison (``number.py``).
+_ARITH: dict[tuple[NumType, NumType], tuple] = {}
 
 #: Read-only view of the per-pair classification, keyed by (source name,
 #: target name).  Filled when types are registered (import time for the
@@ -237,41 +249,62 @@ def can_narrow(source: TypeSpec, target: TypeSpec) -> bool:
     return _MATRIX[(numeric_type(source).name, numeric_type(target).name)]
 
 
-def _make_checker(src: NumType, dst: NumType) -> Callable:
-    """Per-value narrowing test for a pair whose classification allows narrowing.
+def _make_converter(src: NumType, dst: NumType) -> Callable:
+    """Fused check and cast for a pair whose classification allows narrowing.
 
-    Built once per pair at registration time; pairs that can never narrow
-    get no test at all.
+    Built once per pair at registration time, and the one place the
+    per-value rules are written.  For a value of ``src`` it returns what
+    ``dst.cast`` returns, or raises ``NarrowError`` when that would change
+    the value.
     """
-    if src.kind is not NumericKind.FLOAT and dst.kind is not NumericKind.FLOAT:
-        # Integer to integer: a sign flip or truncation is exactly an
-        # out-of-range value; in-range integers always convert exactly.
-        lo, hi = dst.min, dst.max
-
-        def check_int(value, _lo=lo, _hi=hi):
-            return value < _lo or value > _hi
-
-        return check_int
     if dst.kind is not NumericKind.FLOAT:
-        # Float to integer: the value must be integral and in range.
+        # Into an integer: an in-range integer converts exactly, and a sign
+        # flip or truncation is exactly an out-of-range value.  A float must
+        # also be integral; NaN and the infinities fail the range test.
         lo, hi = dst.min, dst.max
 
-        def check_float_to_int(value, _lo=lo, _hi=hi):
-            if not math.isfinite(value):
-                return True
-            return not float(value).is_integer() or value < _lo or value > _hi
+        if src.kind is not NumericKind.FLOAT:
+            def to_int(value):
+                if lo <= value <= hi:
+                    return int(value)
+                raise NarrowError(value, src, dst)
 
-        return check_float_to_int
+            return to_int
 
-    # Anything to float: convert, convert back, compare exactly.  Python
-    # compares int and float values exactly, so equality holds iff the
-    # target represents the value.  NaN never round-trips by this rule.
+        def float_to_int(value):
+            if lo <= value <= hi:
+                i = int(value)
+                if i == value:
+                    return i
+            raise NarrowError(value, src, dst)
+
+        return float_to_int
+
+    # Into a float: cast, then compare exactly.  Python compares int and
+    # float values exactly, so equality holds iff the target represents the
+    # value.  NaN never compares equal, so it never passes this rule.
     cast = dst._cast
 
-    def check_to_float(value, _cast=cast):
-        return _cast(value) != value
+    def to_float(value):
+        result = cast(value)
+        if result == value:
+            return result
+        raise NarrowError(value, src, dst)
 
-    return check_to_float
+    return to_float
+
+
+def _make_checker(convert: Callable) -> Callable:
+    """Per-value narrowing test: does the pair's converter refuse ``value``?"""
+
+    def check(value):
+        try:
+            convert(value)
+        except NarrowError:
+            return True
+        return False
+
+    return check
 
 
 def _common_of(a: NumType, b: NumType) -> NumType:
@@ -295,7 +328,9 @@ def narrow_checker(source: TypeSpec, target: TypeSpec) -> Optional[Callable]:
     """Per-value narrowing test for the pair, or ``None`` if never needed.
 
     The ``None`` case is the zero-overhead path: once the pair is known,
-    callers can drop the test from their hot loop entirely.
+    callers can drop the test from their hot loop entirely.  The test takes
+    its argument to be a value of ``source`` and does not check that;
+    ``convert_to`` does.
     """
     return _CHECKERS[(numeric_type(source), numeric_type(target))]
 
@@ -304,41 +339,66 @@ def will_narrow(value, source: TypeSpec, target: TypeSpec) -> bool:
     """Would converting ``value`` from ``source`` to ``target`` change it?
 
     Returns ``False`` without inspecting the value at all when the pair
-    classification rules narrowing out.
+    classification rules narrowing out.  Like ``narrow_checker``, it takes
+    ``value`` to be a value of ``source`` and does not check that.
     """
     chk = _CHECKERS[(numeric_type(source), numeric_type(target))]
-    return False if chk is None else bool(chk(value))
+    return False if chk is None else chk(value)
+
+
+def _inhabits(value, t: NumType) -> bool:
+    """Is ``value`` a value of ``t``?  A non-number raises ``ConstraintError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConstraintError(
+            f"{type(value).__name__} is outside the supported numeric set"
+        )
+    if t.min is None:  # a float type; NaN is a value of every float type
+        return value != value or t._cast(value) == value
+    return isinstance(value, int) and t.min <= value <= t.max
 
 
 def convert_to(value, source: TypeSpec, target: TypeSpec):
     """Convert ``value`` between supported types without changing it.
 
     The result compares mathematically equal to the input; if no such result
-    exists in the target type, ``NarrowError`` is raised instead.
+    exists in the target type, ``NarrowError`` is raised instead.  ``value``
+    must be a value of ``source``: an integer type holds the ``int`` values
+    in its range, a float type the values its cast leaves unchanged, and
+    NaN.  Any other number raises ``NarrowError``; ``bool`` and non-numeric
+    values raise ``ConstraintError``.
     """
     src = numeric_type(source)
     dst = numeric_type(target)
-    chk = _CHECKERS[(src, dst)]
-    if chk is not None and chk(value):
+    if not _inhabits(value, src):
         raise NarrowError(value, src, dst)
-    return dst._cast(value)
+    return _CONVERT[(src, dst)](value)
 
 
 def convert(value, target):
     """Checked conversion when both sides are numeric, explicit otherwise.
 
     The stricter overload wins whenever it applies: a numeric value headed
-    for a registered numeric type goes through ``convert_to`` and can raise
-    ``NarrowError``; everything else is built with ``target(value)``, so a
-    pair the host cannot construct fails with the constructor's own error.
+    for a registered numeric type is converted with the pair's checked
+    converter and can raise ``NarrowError``; everything else is built with
+    ``target(value)``, so a pair the host cannot construct fails with the
+    constructor's own error.
     """
-    if isinstance(target, NumType) or (isinstance(target, str) and target in _TYPES):
-        dst = numeric_type(target)
+    dst = _TYPES.get(target) if isinstance(target, str) else target
+    if not isinstance(dst, NumType):
+        return target(value)
+    # The source type of a bare int on the i32 rung or a float, decided
+    # before the ``numtype`` probe that every bare value would miss.
+    if type(value) is int and -(1 << 31) <= value < (1 << 31):
+        src = I32
+    elif type(value) is float:
+        src = F64
+    else:
         numtype = getattr(value, "numtype", None)
         if isinstance(numtype, NumType):
-            return convert_to(value.value, numtype, dst)
-        return convert_to(value, deduced_type(value), dst)
-    return target(value)
+            src, value = numtype, value.value
+        else:
+            src = deduced_type(value)
+    return _CONVERT[(src, dst)](value)
 
 
 def deduced_type(value) -> NumType:
@@ -379,8 +439,9 @@ def register_numeric_type(
 
     Integer kinds derive their range and wrap-around cast from the width;
     float kinds must supply a ``cast`` that rounds an exact value into the
-    type.  Every per-pair table (classification, checker, common type) is
-    extended in place for each pair involving the new type.
+    type.  Every per-pair table (classification, checker, converter,
+    arithmetic plan) is extended in place for each pair involving the new
+    type, before this returns.
     """
     if not isinstance(name, str) or not name.isidentifier():
         raise ConstraintError(f"type name {name!r} is not an identifier")
@@ -407,12 +468,21 @@ def register_numeric_type(
         lo = hi = None
     nt = NumType(name, kind, digits, byte_size, lo, hi, cast)
     _TYPES[name] = nt
-    for other in _TYPES.values():
-        for a, b in ((nt, other), (other, nt)):
-            narrows = can_narrow_to(a.traits, b.traits, a is b)
-            _MATRIX[(a.name, b.name)] = narrows
-            _CHECKERS[(a, b)] = _make_checker(a, b) if narrows else None
-            _COMMON[(a, b)] = _common_of(a, b)
+    pairs = [p for other in _TYPES.values() for p in ((nt, other), (other, nt))]
+    for a, b in pairs:
+        narrows = can_narrow_to(a.traits, b.traits, a is b)
+        _MATRIX[(a.name, b.name)] = narrows
+        if narrows:
+            _CONVERT[(a, b)] = _make_converter(a, b)
+            _CHECKERS[(a, b)] = _make_checker(_CONVERT[(a, b)])
+        else:
+            # For a value of ``a``, the builtin is the exact cast into ``b``.
+            _CONVERT[(a, b)] = float if b.kind is NumericKind.FLOAT else int
+            _CHECKERS[(a, b)] = None
+    for a, b in pairs:  # every converter the plans take is now in place
+        c = _common_of(a, b)
+        _ARITH[(a, b)] = (c, _CONVERT[(a, c)], _CONVERT[(b, c)], c.min, c.max,
+                          c.kind is NumericKind.FLOAT)
     return nt
 
 

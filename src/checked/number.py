@@ -1,21 +1,24 @@
 """A numeric wrapper that makes narrowing checks implicit.
 
-Every way of getting a value into a ``Number`` goes through ``convert_to``,
-so a value that would not survive the conversion raises ``NarrowError``
-instead of silently changing.  Mixed-type arithmetic promotes both operands
-into a common type chosen by a fixed lattice: floats beat integers, more
-digits beat fewer, and between equal-size integers of differing signedness
-the unsigned type wins (mirroring the usual host arithmetic rules; safety
-comes from check-converting the operands, not from the lattice).  Results
-that do not fit the common type raise ``CheckedOverflowError`` rather than
-wrapping or saturating.
+Every way of getting a value into a ``Number`` goes through the checked
+converter of its type pair, so a value that would not survive the
+conversion raises ``NarrowError`` instead of silently changing.  Mixed-type
+arithmetic promotes both operands into a common type chosen by a fixed
+lattice: floats beat integers, more digits beat fewer, and between
+equal-size integers of differing signedness the unsigned type wins
+(mirroring the usual host arithmetic rules; safety comes from
+check-converting the operands, not from the lattice).  Results that do not
+fit the common type raise ``CheckedOverflowError`` rather than wrapping or
+saturating.
 
 Comparisons are mathematically correct for integer operands of any
 signedness mix, so ``Number(-1) < Number(2, "u32")`` is True.  Mixed
 float/integer comparisons happen in the float common type with its usual
 rounding, and float comparisons keep the host partial order for NaN.  The
 lattice itself is one per-pair table in ``narrowing``, filled when each type
-is registered.
+is registered: each entry is the pair's arithmetic plan (common type, the
+two operand converters into it, its bounds, whether it is a float), so an
+operation does one lookup and applies its operator inline.
 
 Numbers are immutable values; all operations are pure and thread-safe.
 """
@@ -28,12 +31,11 @@ from typing import Optional, Union
 
 from .narrowing import (
     ConstraintError,
-    NumericKind,
     NumericTraits,
     NumType,
     TypeSpec,
-    _COMMON,
-    convert_to,
+    _ARITH,
+    _CONVERT,
     deduced_type,
     numeric_type,
     supported_types,
@@ -60,7 +62,7 @@ def common_type(a: Union[TypeSpec, NumericTraits], b: Union[TypeSpec, NumericTra
     Deterministic, commutative, and frozen in a per-pair table when the
     types are registered.  Accepts types, names, or traits.
     """
-    return _COMMON[(_resolve(a), _resolve(b))]
+    return _ARITH[(_resolve(a), _resolve(b))][0]
 
 
 def _resolve(spec) -> NumType:
@@ -114,7 +116,7 @@ class Number:
             raw = value
         target = source if of is None else numeric_type(of)
         self._type = target
-        self._value = convert_to(raw, source, target)
+        self._value = _CONVERT[(source, target)](raw)
 
     @property
     def value(self):
@@ -187,13 +189,6 @@ class Number:
         return NotImplemented if rhs is None else _compare(operator.eq, self, rhs)
 
 
-_BASIC_OPS = {
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "mul": lambda x, y: x * y,
-}
-
-
 def _trunc_div(x: int, y: int) -> int:
     q = x // y
     if (x % y) and ((x < 0) != (y < 0)):
@@ -206,35 +201,33 @@ def _arith(name: str, lhs: Number, other, reflected: bool = False) -> Number:
     if rhs is None:
         return NotImplemented
     a, b = (rhs, lhs) if reflected else (lhs, rhs)
-    common = _COMMON[(a._type, b._type)]
-    x = convert_to(a._value, a._type, common)
-    y = convert_to(b._value, b._type, common)
-    if common.kind is NumericKind.FLOAT:
-        if name == "div":
-            if y == 0.0:
-                raise CheckedOverflowError("div", (x, y), "divide-by-zero")
-            result = common.cast(x / y)
-        else:
-            result = common.cast(_BASIC_OPS[name](x, y))
+    common, convert_a, convert_b, lo, hi, is_float = _ARITH[(a._type, b._type)]
+    x = convert_a(a._value)
+    y = convert_b(b._value)
+    if name == "add":
+        result = x + y
+    elif name == "sub":
+        result = x - y
+    elif name == "mul":
+        result = x * y
+    elif y == 0:
+        raise CheckedOverflowError("div", (x, y), "divide-by-zero")
+    else:
+        result = x / y if is_float else _trunc_div(x, y)
+    if is_float:
+        result = common._cast(result)
         if not math.isfinite(result) and math.isfinite(x) and math.isfinite(y):
             raise CheckedOverflowError(name, (x, y))
-    else:
-        if name == "div":
-            if y == 0:
-                raise CheckedOverflowError("div", (x, y), "divide-by-zero")
-            result = _trunc_div(x, y)
-        else:
-            result = _BASIC_OPS[name](x, y)
-        if result < common.min or result > common.max:
-            raise CheckedOverflowError(name, (x, y))
+    elif result < lo or result > hi:
+        raise CheckedOverflowError(name, (x, y))
     return _wrap(common, result)
 
 
 def _compare(op, a: Number, b: Number) -> bool:
     # Python compares integers exactly whatever their signs, so only a float
     # common type changes the operands: both are rounded into it first.
-    common = _COMMON[(a._type, b._type)]
-    if common.kind is NumericKind.FLOAT:
+    common, _, _, _, _, is_float = _ARITH[(a._type, b._type)]
+    if is_float:
         return op(common._cast(a._value), common._cast(b._value))
     return op(a._value, b._value)
 

@@ -1,11 +1,17 @@
 """Checked text assembly: plain concatenation and a placeholder formatter.
 
-``format_render`` scans its format text once, left to right.  ``{}``
-consumes the next argument; ``{`` followed by any other character (or by
-nothing, at the end of the text) is emitted literally together with that
-character.  A placeholder with no argument left fails with "argument
-missing"; arguments left over once the text is exhausted fail with "too
-many arguments".  There is no escape for a literal ``{}``.
+``format_render`` reads its format text left to right.  ``{}`` consumes the
+next argument; ``{`` followed by any other character (or by nothing, at the
+end of the text) is emitted literally together with that character.  A
+placeholder with no argument left fails with "argument missing"; arguments
+left over once the text is exhausted fail with "too many arguments".  There
+is no escape for a literal ``{}``.
+
+Each distinct format text is compiled once, by one tokenizing regex, into a
+host ``str.format`` text with every literal brace doubled plus the offsets
+of its placeholders; a bounded cache keeps the compiled form, so a repeated
+text costs one cache lookup.  A format text that is not a ``str`` (or None)
+is refused with ``ConstraintError``.
 
 Rendering is the host's default text form (``str``), which is deterministic
 for a given value; wrapped numbers render as their underlying value.  The
@@ -17,7 +23,11 @@ Everything here is a pure function and thread-safe.
 
 from __future__ import annotations
 
+import functools
+import re
 from enum import Enum
+
+from .narrowing import ConstraintError
 
 __all__ = ["FormatErrorKind", "FormatError", "render", "print_concat", "format_render"]
 
@@ -50,39 +60,44 @@ def print_concat(*args) -> str:
     return "".join(render(a) for a in args)
 
 
+# ``{`` always takes the next character with it, so ``{}`` is a placeholder
+# only where the scan reaches its brace; every other token is literal.
+_TOKEN = re.compile(r"\{.?", re.DOTALL)
+
+
+def _escape(literal: str) -> str:
+    return literal.replace("{", "{{").replace("}", "}}")
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(fmt: str) -> tuple[str, tuple[int, ...]]:
+    """The host ``str.format`` text of ``fmt`` and its placeholder offsets."""
+    host, slots, done = [], [], 0
+    for token in _TOKEN.finditer(fmt):
+        if token.group() == "{}":
+            host.append(_escape(fmt[done:token.start()]))
+            host.append("{}")
+            slots.append(token.start())
+            done = token.end()
+    host.append(_escape(fmt[done:]))
+    return "".join(host), tuple(slots)
+
+
 def format_render(fmt, *args) -> str:
     """Substitute ``args`` for ``{}`` placeholders in ``fmt``.
 
     ``fmt`` may be None, which renders as empty text (arguments supplied
-    alongside it are still too many).  Raises ``FormatError`` when the
-    placeholder count and argument count disagree; succeeds exactly when
-    they match.
+    alongside it are still too many); any other non-``str`` raises
+    ``ConstraintError``.  Raises ``FormatError`` when the placeholder count
+    and argument count disagree; succeeds exactly when they match.
     """
     if fmt is None:
         fmt = ""
-    out: list[str] = []
-    next_arg = 0
-    i = 0
-    n = len(fmt)
-    while i < n:
-        ch = fmt[i]
-        if ch == "{":
-            if i + 1 < n and fmt[i + 1] == "}":
-                if next_arg >= len(args):
-                    raise FormatError(FormatErrorKind.ARGUMENT_MISSING, i)
-                out.append(render(args[next_arg]))
-                next_arg += 1
-                i += 2
-                continue
-            out.append("{")
-            if i + 1 < n:
-                out.append(fmt[i + 1])
-                i += 2
-            else:
-                i += 1
-            continue
-        out.append(ch)
-        i += 1
-    if next_arg < len(args):
-        raise FormatError(FormatErrorKind.TOO_MANY_ARGUMENTS, n)
-    return "".join(out)
+    elif not isinstance(fmt, str):
+        raise ConstraintError(f"format text must be str, not {type(fmt).__name__}")
+    host, slots = _compile(fmt)
+    if len(args) != len(slots):
+        if len(args) < len(slots):
+            raise FormatError(FormatErrorKind.ARGUMENT_MISSING, slots[len(args)])
+        raise FormatError(FormatErrorKind.TOO_MANY_ARGUMENTS, len(fmt))
+    return host.format(*map(render, args))

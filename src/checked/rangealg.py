@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .narrowing import ConstraintError
-from .span import Span, is_spanable, register_spanable
+from .span import _SPANABLE_TYPES, Span, is_spanable, register_spanable
 
 __all__ = [
     "RangeCategory",
@@ -76,6 +76,10 @@ _NOT_RANGES = (dict, set, frozenset, str, bytes, tuple, range)
 # can back a Span and is sorted through the random-access path.
 register_random_access = register_spanable
 
+# The built-in spanable types and Span itself, answered before the
+# structural probes; subclasses and registered types take those probes.
+_RANDOM_ACCESS_EXACT = frozenset((Span, *_SPANABLE_TYPES))
+
 
 def category_of(r) -> Optional[RangeCategory]:
     """Traversal category of ``r``, or None when it is not a usable range.
@@ -85,6 +89,8 @@ def category_of(r) -> Optional[RangeCategory]:
     read/write plus a length means random access, repeatable iteration plus
     a write-back path means forward).
     """
+    if type(r) in _RANDOM_ACCESS_EXACT:
+        return RangeCategory.RANDOM_ACCESS
     declared = getattr(type(r), "range_category", None)
     if isinstance(declared, RangeCategory):
         return declared

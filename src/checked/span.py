@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 
-from .narrowing import U32, ConstraintError, convert_to, deduced_type
+from .narrowing import _CONVERT, U32, ConstraintError, deduced_type
 from .number import Number
 
 __all__ = ["RangeError", "Span", "register_spanable", "is_spanable"]
@@ -61,9 +61,11 @@ def is_spanable(obj) -> bool:
 
 def _as_unsigned(value) -> int:
     """Checked conversion of an index/count into the unsigned index type."""
+    if type(value) is int and 0 <= value <= 0xFFFFFFFF:  # already a U32 value
+        return value
     if isinstance(value, Number):
-        return convert_to(value.value, value.numtype, U32)
-    return convert_to(value, deduced_type(value), U32)
+        return _CONVERT[(value.numtype, U32)](value.value)
+    return _CONVERT[(deduced_type(value), U32)](value)
 
 
 def _view_of(storage):

@@ -164,6 +164,20 @@ def placeholder_count(fmt: str) -> int:
     return count
 
 
+def placeholder_offsets(fmt: str) -> list:
+    """Offset in ``fmt`` of each argument slot, in the order they are filled."""
+    offsets = []
+    i = 0
+    while i < len(fmt):
+        if fmt[i] == "{":
+            if fmt[i + 1:i + 2] == "}":
+                offsets.append(i)
+            i += 2
+        else:
+            i += 1
+    return offsets
+
+
 def substitute(fmt: str, args) -> str:
     """Expected output of a successful scan, built independently."""
     out = []

@@ -1,7 +1,7 @@
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from types import MappingProxyType
 
 import pytest
@@ -210,6 +210,28 @@ class TestConvertTo:
                 assert will_narrow(v, src, dst) is False
                 assert result == v
 
+    @pytest.mark.parametrize("value,src,dst", [
+        (-1, U8, U16),          # below its declared source
+        (300, U8, U8),          # above it, same-type pair
+        (1.5, I32, I64),        # a fraction in an integer source
+        (1.0, I32, I64),        # an integer type holds ints only
+        (2**24 + 1, F32, F64),  # not a value of f32
+        (1e300, F32, F64),
+    ])
+    def test_value_outside_its_declared_source_is_refused(self, value, src, dst):
+        with pytest.raises(NarrowError):
+            convert_to(value, src, dst)
+
+    @pytest.mark.parametrize("value", [True, False, "7", None, Number(3)])
+    def test_non_numbers_are_refused(self, value):
+        with pytest.raises(ConstraintError):
+            convert_to(value, I32, I64)
+
+    def test_nan_and_integers_are_values_of_a_float_source(self):
+        assert math.isnan(convert_to(math.nan, F32, F64))
+        assert convert_to(5, F64, I32) == 5
+        assert convert_to(2**24, F32, I64) == 2**24
+
     @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
     def test_success_preserves_exact_value(self, v):
         for dst in ALL_TYPES:
@@ -220,6 +242,113 @@ class TestConvertTo:
             else:
                 assert result == v
                 assert oracle.representable(v, dst.name)
+
+
+def _members(t):
+    """Boundary values of ``t``, as the oracle judges membership."""
+    pool = [0, -0.0, 0.5, math.inf, -math.inf, math.nan,
+            2**24 + 1, 2**53 + 1, float(2**24 + 1), 2.0**53]
+    for u in ALL_TYPES:
+        if u.min is not None:
+            pool += [u.min, u.max, float(u.min)]
+        else:
+            top = float(oracle.FLOAT_SPECS[u.name][2])
+            pool += [top, -top]
+    if t.min is not None:
+        return [v for v in pool if type(v) is int and t.min <= v <= t.max]
+    return [v for v in pool
+            if (isinstance(v, float) and not math.isfinite(v)) or oracle.representable(v, t.name)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is part of the outcome
+        return type(exc)
+
+
+def _same(got, want) -> bool:
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float):
+        if math.isnan(want):
+            return math.isnan(got)
+        return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    return got == want
+
+
+class TestFusedConverters:
+    """Each pair's converter against the staged checker plus ``NumType.cast``."""
+
+    @staticmethod
+    def _reference(value, src, dst):
+        chk = narrow_checker(src, dst)
+        if chk is not None and chk(value):
+            raise NarrowError(value, src, dst)
+        return dst.cast(value)
+
+    def test_all_pairs_on_boundary_values(self):
+        from checked.narrowing import _CONVERT
+
+        cases = 0
+        for src in ALL_TYPES:
+            for value in _members(src):
+                for dst in ALL_TYPES:
+                    got = _outcome(_CONVERT[(src, dst)], value)
+                    want = _outcome(self._reference, value, src, dst)
+                    assert _same(got, want), (value, src, dst, got, want)
+                    # The decision itself, against the exact oracle: a pair
+                    # that cannot narrow never refuses; otherwise a value is
+                    # refused iff the target cannot hold it (an infinity is a
+                    # value of every float type).
+                    refused = got is NarrowError
+                    if not can_narrow(src, dst):
+                        assert not refused, (value, src, dst)
+                    elif isinstance(value, float) and math.isinf(value):
+                        assert refused is (dst.min is not None), (value, src, dst)
+                    elif not (isinstance(value, float) and math.isnan(value)):
+                        assert refused is not oracle.representable(value, dst.name), (value, src, dst)
+                    cases += 1
+        assert len(_CONVERT) == 121 and cases > 121 * 10
+
+    def test_convert_to_agrees_with_the_converter(self):
+        from checked.narrowing import _CONVERT
+
+        for src in ALL_TYPES:
+            for value in _members(src):
+                for dst in ALL_TYPES:
+                    got = _outcome(convert_to, value, src, dst)
+                    assert _same(got, _outcome(_CONVERT[(src, dst)], value)), (value, src, dst)
+
+    def test_widening_converters_are_the_builtins(self):
+        from checked.narrowing import _CONVERT
+
+        assert _CONVERT[(I32, I32)] is int and _CONVERT[(U8, I64)] is int
+        assert _CONVERT[(I32, F64)] is float and _CONVERT[(SF16, F32)] is float
+
+
+class _Code(IntEnum):
+    BIG = 300
+
+
+class TestConvertDispatchFastPath:
+    @pytest.mark.parametrize("value", [
+        0, -(2**31), 2**31 - 1, 2**31, -(2**31) - 1, 2**63, 2**64 - 1,
+        1.5, -0.0, math.inf, math.nan, _Code.BIG, Number(7, U8), Number(-2.5, F32),
+    ])
+    def test_matches_the_deduced_source(self, value):
+        if isinstance(value, Number):
+            src, raw = value.numtype, value.value
+        else:
+            src, raw = deduced_type(value), value
+        for dst in ALL_TYPES:
+            got = _outcome(convert, value, dst)
+            assert _same(got, _outcome(TestFusedConverters._reference, raw, src, dst)), (value, dst)
+
+    def test_int_subclass_converts_to_a_plain_int(self):
+        assert type(convert(_Code.BIG, I16)) is int
+        with pytest.raises(NarrowError):
+            convert(_Code.BIG, U8)
 
 
 class TestSoftFloat16:
@@ -308,7 +437,7 @@ class TestRegistration:
     def test_new_integer_type_integrates(self):
         from checked import narrowing as _n
 
-        tables = (_n._TYPES, _n._MATRIX, _n._CHECKERS, _n._COMMON)
+        tables = (_n._TYPES, _n._MATRIX, _n._CHECKERS, _n._CONVERT, _n._ARITH)
         saved = [dict(table) for table in tables]
         i128 = register_numeric_type("i128_test", NumericKind.SIGNED_INT, 127, 16)
         try:
@@ -317,6 +446,11 @@ class TestRegistration:
             assert will_narrow(2**100, i128, I64) is True
             assert convert_to(5, i128, I8) == 5
             assert narrow_checker(I64, i128) is None
+            # Every per-pair table is complete when registration returns.
+            assert len(_n._CONVERT) == len(_n._ARITH) == len(_n._CHECKERS) == 12**2
+            assert _n._CONVERT[(I64, i128)] is int
+            with pytest.raises(NarrowError):
+                _n._CONVERT[(i128, I64)](2**100)
             # The common-type rows of a type registered after import.
             assert common_type(i128, I64) is i128
             assert (Number(5, i128) + Number(1, I64)).numtype is i128

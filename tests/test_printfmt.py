@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from checked import (
+    ConstraintError,
     FormatError,
     FormatErrorKind,
     Number,
@@ -77,6 +78,22 @@ class TestFormatRender:
         assert render(7.8) == "7.8"
         assert render("x") == "x"
 
+    @pytest.mark.parametrize("fmt", [b"{}", ["{", "}"], 7])
+    def test_non_str_format_is_refused(self, fmt):
+        with pytest.raises(ConstraintError):
+            format_render(fmt)
+
+    def test_more_distinct_texts_than_the_cache_holds(self):
+        from checked.printfmt import _compile
+
+        texts = [str(i) + "{}-{x{}" for i in range(_compile.cache_info().maxsize + 50)]
+        for _ in range(2):  # the second pass finds the first texts evicted
+            for i, fmt in enumerate(texts):
+                assert format_render(fmt, i, -i) == oracle.substitute(fmt, [i, -i])
+            with pytest.raises(FormatError) as info:
+                format_render(texts[0], 1)
+            assert info.value.position == 6
+
 
 _fragments = st.lists(
     st.sampled_from(["{}", "{", "}", "a", "bc", "{{", "}}", "{x", "end"]),
@@ -92,7 +109,9 @@ class TestProperties:
     @given(_fragments, st.integers(min_value=-2, max_value=2))
     def test_conservation(self, fragments, delta):
         fmt = "".join(fragments)
+        offsets = oracle.placeholder_offsets(fmt)
         slots = oracle.placeholder_count(fmt)
+        assert len(offsets) == slots
         arg_count = max(0, slots + delta)
         args = list(range(arg_count))
         if arg_count == slots:
@@ -100,12 +119,12 @@ class TestProperties:
         else:
             with pytest.raises(FormatError) as info:
                 format_render(fmt, *args)
-            expected = (
-                FormatErrorKind.ARGUMENT_MISSING
-                if arg_count < slots
-                else FormatErrorKind.TOO_MANY_ARGUMENTS
-            )
-            assert info.value.kind is expected
+            if arg_count < slots:
+                assert info.value.kind is FormatErrorKind.ARGUMENT_MISSING
+                assert info.value.position == offsets[arg_count]
+            else:
+                assert info.value.kind is FormatErrorKind.TOO_MANY_ARGUMENTS
+                assert info.value.position == len(fmt)
 
     @given(st.lists(st.integers(), max_size=8))
     def test_concat_equals_all_placeholder_format(self, values):

@@ -30,6 +30,8 @@ class TestCategories:
     def test_builtin_ranges(self):
         assert category_of([1]) is RangeCategory.RANDOM_ACCESS
         assert category_of(array("i", [1])) is RangeCategory.RANDOM_ACCESS
+        assert category_of(bytearray(b"a")) is RangeCategory.RANDOM_ACCESS
+        assert category_of(memoryview(bytearray(b"a"))) is RangeCategory.RANDOM_ACCESS
         assert category_of(Span([1])) is RangeCategory.RANDOM_ACCESS
         assert category_of(Buffer(int, 1024)) is RangeCategory.RANDOM_ACCESS
         assert category_of(LinkedList([1])) is RangeCategory.FORWARD

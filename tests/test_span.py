@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from checked import (
+    U8,
     U32,
     ConstraintError,
     LinkedList,
@@ -108,6 +109,44 @@ class TestConstruction:
         register_spanable(Chunk)
         assert is_spanable(Chunk())
         assert list(Span(Chunk())) == [1, 2, 3]
+
+
+class TestBoundTable:
+    """Every bound outside the plain in-range int keeps its checked outcome."""
+
+    @pytest.mark.parametrize("low,high,expected", [
+        (True, 5, ConstraintError),
+        (-1, 5, NarrowError),
+        (1.0, 5, [1, 2, 3, 4]),
+        (Number(3, U8), 5, [3, 4]),
+        (0, 2**32, NarrowError),
+        (20, 10, RangeError),
+        (0, 101, RangeError),
+        (2, Number(4.0), [2, 3]),
+    ])
+    def test_subrange(self, low, high, expected):
+        if isinstance(expected, list):
+            assert list(Span(hundred(), low, high)) == expected
+        else:
+            with pytest.raises(expected):
+                Span(hundred(), low, high)
+
+    @pytest.mark.parametrize("count,expected", [
+        (True, ConstraintError),
+        (-1, NarrowError),
+        (1.0, 1),
+        (Number(3, U8), 3),
+        (2**32, NarrowError),
+        (2**32 - 1, RangeError),
+        (101, RangeError),
+    ])
+    def test_prefix(self, count, expected):
+        if isinstance(expected, int):
+            s = Span(hundred(), count)
+            assert len(s) == expected and type(len(s)) is int
+        else:
+            with pytest.raises(expected):
+                Span(hundred(), count)
 
 
 class TestUnchecked:
