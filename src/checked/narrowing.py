@@ -18,6 +18,12 @@ directly: it returns ``None`` for pairs that can never narrow, so hot paths
 can skip per-value work entirely.  ``convert_to`` raises ``NarrowError``
 instead of ever returning a changed value.
 
+Registration also builds each pair's ``Number`` plan ``(common, add, sub,
+mul, div, round_a, round_b)``: four operations on the raw values, and the
+comparison roundings (``None`` where the identity).  No plan converts an
+operand that the common type holds exactly, nor casts a result into f64.
+The f32 and sf16 casts round once, from the exact value.
+
 The supported set is the 8/16/32/64-bit signed and unsigned integers, the
 32/64-bit binary floats, and ``sf16``, a software-emulated bfloat16-style
 float (8 mantissa digits in 2 bytes) included so the small-mantissa rules
@@ -32,7 +38,7 @@ start-up code.
 from __future__ import annotations
 
 import math
-import struct
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -97,6 +103,16 @@ class NarrowError(ValueError):
         )
 
 
+class CheckedOverflowError(OverflowError):
+    """An arithmetic result cannot be represented in the common type."""
+
+    def __init__(self, operation: str, operands, reason: str = "result not representable"):
+        self.operation = operation
+        self.operand_text = tuple(repr(v) for v in operands)
+        self.reason = reason
+        super().__init__(f"{operation}({', '.join(self.operand_text)}): {reason}")
+
+
 class ConstraintError(TypeError):
     """A type-level requirement failed; raised before any per-value work."""
 
@@ -153,28 +169,47 @@ def _cast_f64(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-_F32 = struct.Struct("<f")
-_U32 = struct.Struct("<I")
+def _round_int(value: int, digits: int) -> int:
+    """``value`` (beyond 2**digits) rounded to ``digits`` significant bits,
+    to nearest, ties to even."""
+    shift = abs(value).bit_length() - digits
+    q, rest = divmod(abs(value), 1 << shift)
+    half = 1 << (shift - 1)
+    q += rest > half or (rest == half and q & 1)
+    return q << shift if value > 0 else -(q << shift)
 
 
-def _cast_f32(value) -> float:
-    d = _cast_f64(value)
-    try:
-        return _F32.unpack(_F32.pack(d))[0]
-    except OverflowError:  # rounds past the largest finite f32
-        return math.copysign(math.inf, d)
+def _rounding_cast(digits: int, min_exp: int, max_exp: int):
+    """Cast into the binary float with ``digits`` significant bits and normal
+    exponents ``min_exp..max_exp``: one rounding, to nearest, ties to even.
 
+    A normal value is rounded by a Veltkamp split, a subnormal one by adding
+    and removing a constant whose ulp is the subnormal quantum.  An integer
+    beyond 2**53, which ``float()`` would round already, is rounded exactly.
+    """
+    split = 2.0 ** (53 - digits) + 1
+    tiny = 2.0 ** min_exp
+    bias = 1.5 * 2.0 ** (min_exp - digits + 53)
+    # the midpoint between the largest finite value and 2**(max_exp + 1); a
+    # tie there goes to the even neighbour, which is the infinity
+    huge = 2.0 ** (max_exp + 1) - 2.0 ** (max_exp - digits)
+    exact = 1 << 53
 
-def _cast_sf16(value) -> float:
-    f = _cast_f32(value)
-    if math.isnan(f) or math.isinf(f):
-        return f
-    # bfloat16 shares f32's exponent layout; round the low 16 mantissa bits
-    # to nearest, ties to even.  Carry into the exponent (up to infinity) is
-    # handled by the integer addition itself.
-    bits = _U32.unpack(_F32.pack(f))[0]
-    rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
-    return _F32.unpack(_U32.pack((rounded << 16) & 0xFFFFFFFF))[0]
+    def cast(value):
+        d = value
+        if type(d) is not float:
+            if isinstance(d, int) and not -exact <= d <= exact:
+                d = _round_int(d, digits)
+            d = _cast_f64(d)
+        m = abs(d)
+        if tiny <= m < huge:
+            c = d * split
+            return c - (c - d)
+        if m < tiny:
+            return math.copysign((m + bias) - bias, d)
+        return d if d != d else math.copysign(math.inf, d)
+
+    return cast
 
 
 # --- registry and classification tables -------------------------------------
@@ -183,8 +218,8 @@ _TYPES: dict[str, NumType] = {}
 _MATRIX: dict[tuple[str, str], bool] = {}
 _CHECKERS: dict[tuple[NumType, NumType], Optional[Callable]] = {}
 _CONVERT: dict[tuple[NumType, NumType], Callable] = {}
-# Per pair: the arithmetic plan ``(common, convert_a, convert_b, min, max,
-# is_float)`` of mixed arithmetic and comparison (``number.py``).
+# Per pair: the plan ``(common, add, sub, mul, div, round_a, round_b)`` of
+# mixed arithmetic and comparison (``number.py``, built by ``_make_plans``).
 _ARITH: dict[tuple[NumType, NumType], tuple] = {}
 
 #: Read-only view of the per-pair classification, keyed by (source name,
@@ -322,6 +357,93 @@ def _common_of(a: NumType, b: NumType) -> NumType:
         # widths equal but types distinct, so signedness differs
         return a if a.kind is NumericKind.UNSIGNED_INT else b
     return a if a.digits > b.digits else b
+
+
+def _trunc_div(x: int, y: int) -> int:
+    q = x // y
+    if (x % y) and ((x < 0) != (y < 0)):
+        q += 1
+    return q
+
+
+def _refuse(name: str, x, y):
+    """Raise the error of an operation on operands ``x`` and ``y`` converted
+    into the common type: a zero divisor, else an unrepresentable result."""
+    if name == "div" and y == 0:
+        raise CheckedOverflowError(name, (x, y), "divide-by-zero")
+    raise CheckedOverflowError(name, (x, y))
+
+
+# name, then the operator for an integer and for a float common type
+_OPERATIONS = (
+    ("add", operator.add, operator.add),
+    ("sub", operator.sub, operator.sub),
+    ("mul", operator.mul, operator.mul),
+    ("div", _trunc_div, operator.truediv),
+)
+
+
+def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float_op):
+    """One operation on a value of ``a`` and one of ``b``: the result in the
+    common type ``c``, or the errors, in order, of converting both operands
+    first (the slow path re-runs the converters), then of the operation."""
+    convert_a, convert_b = _CONVERT[(a, c)], _CONVERT[(b, c)]
+    if c.kind is not NumericKind.FLOAT:
+        lo, hi = c.min, c.max
+
+        def in_integers(x, y):
+            if lo <= x <= hi and lo <= y <= hi:
+                try:
+                    r = int_op(x, y)
+                except ZeroDivisionError:
+                    pass
+                else:
+                    if lo <= r <= hi:
+                        return r
+            _refuse(name, convert_a(x), convert_b(y))
+
+        return in_integers
+
+    # A pair that cannot narrow needs no operand conversion: Python mixes an
+    # exact int with a float exactly.  f64 arithmetic already rounds into f64.
+    check_a = None if _CHECKERS[(a, c)] is None else convert_a
+    check_b = None if _CHECKERS[(b, c)] is None else convert_b
+    cast = None if c._cast is _cast_f64 else c._cast
+    inf = math.inf
+
+    def in_floats(x, y):
+        u = x if check_a is None else check_a(x)
+        v = y if check_b is None else check_b(y)
+        try:
+            r = float_op(u, v)
+        except ZeroDivisionError:
+            pass
+        else:
+            if cast is not None:
+                r = cast(r)
+            # a non-finite result is an overflow only from finite operands
+            if -inf < r < inf or not (-inf < u < inf and -inf < v < inf):
+                return r
+        _refuse(name, convert_a(x), convert_b(y))
+
+    return in_floats
+
+
+def _make_plans(pairs) -> None:
+    """Fill ``_ARITH`` with each pair's ``(common, add, sub, mul, div, round_a,
+    round_b)``; an operand is rounded only into a float common type that can
+    change it.  Pairs with the same common type and operand converters share
+    their operations: a builtin converter never refuses, so the operations
+    cannot tell which type it converts from."""
+    shared = {}
+    for a, b in pairs:
+        c = _common_of(a, b)
+        key = (c, _CONVERT[(a, c)], _CONVERT[(b, c)])
+        if key not in shared:
+            shared[key] = [_make_operation(a, b, c, *op) for op in _OPERATIONS]
+        is_float = c.kind is NumericKind.FLOAT
+        rounds = [c._cast if is_float and _CHECKERS[(t, c)] is not None else None for t in (a, b)]
+        _ARITH[(a, b)] = (c, *shared[key], *rounds)
 
 
 def narrow_checker(source: TypeSpec, target: TypeSpec) -> Optional[Callable]:
@@ -468,7 +590,8 @@ def register_numeric_type(
         lo = hi = None
     nt = NumType(name, kind, digits, byte_size, lo, hi, cast)
     _TYPES[name] = nt
-    pairs = [p for other in _TYPES.values() for p in ((nt, other), (other, nt))]
+    pairs = [(nt, other) for other in _TYPES.values()]
+    pairs += [(other, nt) for other in _TYPES.values() if other is not nt]
     for a, b in pairs:
         narrows = can_narrow_to(a.traits, b.traits, a is b)
         _MATRIX[(a.name, b.name)] = narrows
@@ -479,10 +602,7 @@ def register_numeric_type(
             # For a value of ``a``, the builtin is the exact cast into ``b``.
             _CONVERT[(a, b)] = float if b.kind is NumericKind.FLOAT else int
             _CHECKERS[(a, b)] = None
-    for a, b in pairs:  # every converter the plans take is now in place
-        c = _common_of(a, b)
-        _ARITH[(a, b)] = (c, _CONVERT[(a, c)], _CONVERT[(b, c)], c.min, c.max,
-                          c.kind is NumericKind.FLOAT)
+    _make_plans(pairs)  # every converter the plans take is now in place
     return nt
 
 
@@ -494,6 +614,6 @@ I32 = register_numeric_type("i32", NumericKind.SIGNED_INT, 31, 4)
 U32 = register_numeric_type("u32", NumericKind.UNSIGNED_INT, 32, 4)
 I64 = register_numeric_type("i64", NumericKind.SIGNED_INT, 63, 8)
 U64 = register_numeric_type("u64", NumericKind.UNSIGNED_INT, 64, 8)
-F32 = register_numeric_type("f32", NumericKind.FLOAT, 24, 4, cast=_cast_f32)
+F32 = register_numeric_type("f32", NumericKind.FLOAT, 24, 4, cast=_rounding_cast(24, -126, 127))
 F64 = register_numeric_type("f64", NumericKind.FLOAT, 53, 8, cast=_cast_f64)
-SF16 = register_numeric_type("sf16", NumericKind.FLOAT, 8, 2, cast=_cast_sf16)
+SF16 = register_numeric_type("sf16", NumericKind.FLOAT, 8, 2, cast=_rounding_cast(8, -126, 127))

@@ -14,44 +14,36 @@ saturating.
 Comparisons are mathematically correct for integer operands of any
 signedness mix, so ``Number(-1) < Number(2, "u32")`` is True.  Mixed
 float/integer comparisons happen in the float common type with its usual
-rounding, and float comparisons keep the host partial order for NaN.  The
-lattice itself is one per-pair table in ``narrowing``, filled when each type
-is registered: each entry is the pair's arithmetic plan (common type, the
-two operand converters into it, its bounds, whether it is a float), so an
-operation does one lookup and applies its operator inline.
+rounding, and float comparisons keep the host partial order for NaN.
+
+The lattice is one per-pair table in ``narrowing``, filled when each type
+is registered, of plans ``(common, add, sub, mul, div, round_a, round_b)``.
+An operation is one lookup and one call on the raw values; an operand the
+common type holds exactly is neither converted nor rounded.
 
 Numbers are immutable values; all operations are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Optional, Union
 
 from .narrowing import (
+    CheckedOverflowError,
     ConstraintError,
     NumericTraits,
     NumType,
     TypeSpec,
     _ARITH,
     _CONVERT,
+    convert,
     deduced_type,
     numeric_type,
     supported_types,
 )
 
 __all__ = ["CheckedOverflowError", "Number", "common_type", "compare_lt"]
-
-
-class CheckedOverflowError(OverflowError):
-    """An arithmetic result cannot be represented in the common type."""
-
-    def __init__(self, operation: str, operands, reason: str = "result not representable"):
-        self.operation = operation
-        self.operand_text = tuple(repr(v) for v in operands)
-        self.reason = reason
-        super().__init__(f"{operation}({', '.join(self.operand_text)}): {reason}")
 
 
 # --- common-type lattice -----------------------------------------------------
@@ -76,12 +68,7 @@ def _resolve(spec) -> NumType:
 
 # --- the wrapper -------------------------------------------------------------
 
-def _wrap(numtype: NumType, value) -> "Number":
-    # Internal fast path for values already known to inhabit `numtype`.
-    n = object.__new__(Number)
-    n._type = numtype
-    n._value = value
-    return n
+_new = object.__new__
 
 
 def _as_number(value) -> Optional["Number"]:
@@ -89,7 +76,52 @@ def _as_number(value) -> Optional["Number"]:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    return _wrap(deduced_type(value), value)
+    n = _new(Number)  # a bare value inhabits its deduced type
+    n._type = deduced_type(value)
+    n._value = value
+    return n
+
+
+def _arithmetic(index: int):
+    """The forward and reflected operator for the plan's ``index``th op."""
+
+    def forward(self, other):
+        if type(other) is not Number:
+            other = _as_number(other)
+            if other is None:
+                return NotImplemented
+        plan = _ARITH[(self._type, other._type)]
+        result = _new(Number)
+        result._value = plan[index](self._value, other._value)
+        result._type = plan[0]
+        return result
+
+    def reflected(self, other):
+        other = _as_number(other)
+        return NotImplemented if other is None else forward(other, self)
+
+    return forward, reflected
+
+
+def _comparison(op):
+    """The comparison operator ``op``.  Python compares integers exactly
+    whatever their signs, so only an operand that a float common type
+    rounds changes first."""
+
+    def compare(self, other):
+        if type(other) is not Number:
+            other = _as_number(other)
+            if other is None:
+                return NotImplemented
+        _, _, _, _, _, round_a, round_b = _ARITH[(self._type, other._type)]
+        x, y = self._value, other._value
+        if round_a is not None:
+            x = round_a(x)
+        if round_b is not None:
+            y = round_b(y)
+        return op(x, y)
+
+    return compare
 
 
 class Number:
@@ -109,14 +141,17 @@ class Number:
     __slots__ = ("_type", "_value")
 
     def __init__(self, value, of: Optional[TypeSpec] = None):
+        target = of if of is None or type(of) is NumType else numeric_type(of)
         if isinstance(value, Number):
-            source, raw = value._type, value._value
+            if target is None:
+                target = value._type
+            self._value = _CONVERT[(value._type, target)](value._value)
+        elif target is None:
+            target = deduced_type(value)
+            self._value = _CONVERT[(target, target)](value)
         else:
-            source = deduced_type(value)
-            raw = value
-        target = source if of is None else numeric_type(of)
+            self._value = convert(value, target)
         self._type = target
-        self._value = _CONVERT[(source, target)](raw)
 
     @property
     def value(self):
@@ -129,7 +164,7 @@ class Number:
 
     def assign(self, value) -> "Number":
         """Check ``value`` into this Number's type; the original is untouched."""
-        return Number(value, of=self._type)
+        return Number(value, self._type)
 
     def __repr__(self) -> str:
         return f"Number({self._value!r}, {self._type.name})"
@@ -140,96 +175,16 @@ class Number:
     def __hash__(self):
         return hash(self._value)
 
-    # arithmetic ---------------------------------------------------------
+    __add__, __radd__ = _arithmetic(1)
+    __sub__, __rsub__ = _arithmetic(2)
+    __mul__, __rmul__ = _arithmetic(3)
+    __truediv__, __rtruediv__ = _arithmetic(4)
 
-    def __add__(self, other):
-        return _arith("add", self, other)
-
-    def __radd__(self, other):
-        return _arith("add", self, other, reflected=True)
-
-    def __sub__(self, other):
-        return _arith("sub", self, other)
-
-    def __rsub__(self, other):
-        return _arith("sub", self, other, reflected=True)
-
-    def __mul__(self, other):
-        return _arith("mul", self, other)
-
-    def __rmul__(self, other):
-        return _arith("mul", self, other, reflected=True)
-
-    def __truediv__(self, other):
-        return _arith("div", self, other)
-
-    def __rtruediv__(self, other):
-        return _arith("div", self, other, reflected=True)
-
-    # comparisons --------------------------------------------------------
-
-    def __lt__(self, other):
-        rhs = _as_number(other)
-        return NotImplemented if rhs is None else _compare(operator.lt, self, rhs)
-
-    def __gt__(self, other):
-        rhs = _as_number(other)
-        return NotImplemented if rhs is None else _compare(operator.gt, self, rhs)
-
-    def __le__(self, other):
-        rhs = _as_number(other)
-        return NotImplemented if rhs is None else _compare(operator.le, self, rhs)
-
-    def __ge__(self, other):
-        rhs = _as_number(other)
-        return NotImplemented if rhs is None else _compare(operator.ge, self, rhs)
-
-    def __eq__(self, other):
-        rhs = _as_number(other)
-        return NotImplemented if rhs is None else _compare(operator.eq, self, rhs)
-
-
-def _trunc_div(x: int, y: int) -> int:
-    q = x // y
-    if (x % y) and ((x < 0) != (y < 0)):
-        q += 1
-    return q
-
-
-def _arith(name: str, lhs: Number, other, reflected: bool = False) -> Number:
-    rhs = _as_number(other)
-    if rhs is None:
-        return NotImplemented
-    a, b = (rhs, lhs) if reflected else (lhs, rhs)
-    common, convert_a, convert_b, lo, hi, is_float = _ARITH[(a._type, b._type)]
-    x = convert_a(a._value)
-    y = convert_b(b._value)
-    if name == "add":
-        result = x + y
-    elif name == "sub":
-        result = x - y
-    elif name == "mul":
-        result = x * y
-    elif y == 0:
-        raise CheckedOverflowError("div", (x, y), "divide-by-zero")
-    else:
-        result = x / y if is_float else _trunc_div(x, y)
-    if is_float:
-        result = common._cast(result)
-        if not math.isfinite(result) and math.isfinite(x) and math.isfinite(y):
-            raise CheckedOverflowError(name, (x, y))
-    elif result < lo or result > hi:
-        raise CheckedOverflowError(name, (x, y))
-    return _wrap(common, result)
-
-
-def _compare(op, a: Number, b: Number) -> bool:
-    # Python compares integers exactly whatever their signs, so only a float
-    # common type changes the operands: both are rounded into it first.
-    common, _, _, _, _, is_float = _ARITH[(a._type, b._type)]
-    if is_float:
-        return op(common._cast(a._value), common._cast(b._value))
-    return op(a._value, b._value)
+    __lt__ = _comparison(operator.lt)
+    __gt__ = _comparison(operator.gt)
+    __le__ = _comparison(operator.le)
+    __ge__ = _comparison(operator.ge)
+    __eq__ = _comparison(operator.eq)
 
 
 def compare_lt(x, y) -> bool:
@@ -243,4 +198,4 @@ def compare_lt(x, y) -> bool:
     b = _as_number(y)
     if a is None or b is None:
         raise ConstraintError("compare_lt needs numeric operands")
-    return _compare(operator.lt, a, b)
+    return Number.__lt__(a, b)

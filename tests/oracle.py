@@ -2,8 +2,9 @@
 
 Nothing here calls into the library's conversion or layout paths: exact
 representability is decided structurally from an exact rational view of the
-value, record layouts come from ctypes (the host C layout engine), and the
-placeholder count is an independent re-walk of the format-scanning rules.
+value, arithmetic results are exact rationals rounded once, record layouts
+come from ctypes (the host C layout engine), and the placeholder count is an
+independent re-walk of the format-scanning rules.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def round_to_float_type(value, type_name: str) -> float:
     quantum = Fraction(2) ** max(exponent - digits + 1, min_lsb_exp)
     rounded = round(magnitude / quantum) * quantum  # Fraction rounds half to even
     if rounded > max_finite:
-        return math.copysign(math.inf, x)
+        return math.inf if x > 0 else -math.inf
     return float(rounded if x > 0 else -rounded)
 
 
@@ -106,6 +107,63 @@ def compare(op, a, a_type: str, b, b_type: str) -> bool:
     elif b_float and not a_float:
         a = round_to_float_type(a, b_type)
     return op(a, b)
+
+
+def common(a_type: str, b_type: str) -> str:
+    """The common type, re-derived from the tables above: floats beat
+    integers and more digits beat fewer.  An unsigned integer has one digit
+    more than the signed one of its size, so it wins between the two."""
+    def rank(name):
+        if name in FLOAT_SPECS:
+            return (1, FLOAT_SPECS[name][0])
+        return (0, INT_RANGES[name][1].bit_length())
+
+    return max(a_type, b_type, key=rank)
+
+
+def _trunc_div(x: int, y: int) -> int:
+    q = abs(x) // abs(y)
+    return q if (x < 0) == (y < 0) else -q
+
+
+_EXACT_OPS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+}
+
+
+def arith(op: str, a, a_type: str, b, b_type: str):
+    """Expected ``Number(a, a_type) <op> Number(b, b_type)``, ``op`` one of
+    add, sub, mul, div.
+
+    Returns ``("ok", type name, value)`` or ``("refused", error name,
+    reason)``.  An operand the common type cannot hold is refused first,
+    then a zero divisor, then a result the common type cannot hold.
+    Integer results are exact and division truncates toward zero.  A float
+    result is the exact rational result rounded once into the common type;
+    an operand that is NaN or an infinity follows IEEE arithmetic instead.
+    The sign of a zero result is not modelled.
+    """
+    c = common(a_type, b_type)
+    for v in (a, b):
+        if not (isinstance(v, float) and not math.isfinite(v)) and not representable(v, c):
+            return ("refused", "NarrowError", None)
+    if op == "div" and b == 0:
+        return ("refused", "CheckedOverflowError", "divide-by-zero")
+    if c in INT_RANGES:
+        r = _trunc_div(a, b) if op == "div" else _EXACT_OPS[op](a, b)
+        lo, hi = INT_RANGES[c]
+        if not lo <= r <= hi:
+            return ("refused", "CheckedOverflowError", "result not representable")
+        return ("ok", c, r)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return ("ok", c, _EXACT_OPS[op](float(a), float(b)))
+    r = round_to_float_type(_EXACT_OPS[op](Fraction(a), Fraction(b)), c)
+    if math.isinf(r):
+        return ("refused", "CheckedOverflowError", "result not representable")
+    return ("ok", c, r)
 
 
 # --- record layout via the host C layout engine ------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from types import MappingProxyType
@@ -20,6 +21,7 @@ from checked import (
     U32,
     U64,
     NARROWING_MATRIX,
+    CheckedOverflowError,
     ConstraintError,
     NarrowError,
     Number,
@@ -360,12 +362,148 @@ class TestSoftFloat16:
         assert SF16.cast(257.0) == 256.0
         assert SF16.cast(259.0) == 260.0
         assert SF16.cast(301.0) == 300.0
+        # once from f64: rounding through f32 would land on the tie 1 + 2**-8
+        assert SF16.cast(1 + 2**-8 + 2**-30) == 1.0078125
 
     def test_matches_oracle_on_random_floats(self):
         rng = random.Random(7)
         for _ in range(5000):
             v = rng.uniform(-1e5, 1e5)
             assert (SF16.cast(v) == v) is oracle.representable(v, "sf16")
+
+
+# name -> (digits, min_exp, max_exp) of the binary float types with a rounding cast
+_BINARY_FLOATS = {"f32": (24, -126, 127), "sf16": (8, -126, 127)}
+_F32_STRUCT = struct.Struct("<f")
+
+
+def _cast_probes(digits, min_exp, max_exp):
+    """Values where rounding into the type can go wrong, both signs."""
+    sub = 2.0 ** (min_exp - digits + 1)  # smallest subnormal, the subnormal quantum
+    tiny = 2.0 ** min_exp
+    top = (2 ** digits - 1) * 2.0 ** (max_exp + 1 - digits)
+    huge = 2.0 ** (max_exp + 1) - 2.0 ** (max_exp - digits)  # rounds up to infinity
+    values = [
+        0.0, sub, sub / 2, sub * 1.5, sub * 2.5, tiny - sub, tiny, tiny + sub,
+        tiny - sub / 2, top, huge, math.nextafter(huge, 0.0), math.nextafter(huge, math.inf),
+        2**53 - 1, 2**53, 2**53 + 1, 2**63 + 2**39, 2**63 + 2**39 + 1, 2**63 + 3 * 2**39,
+        2**64 - 1, 2**24 + 2**16, 2**24 + 2**16 + 1, 2**60 + 2**52, 2**60 + 3 * 2**52,
+        1 + 2.0**-8 + 2.0**-30, 1e39, 1.7976931348623157e308,
+    ]
+    for e in (min_exp - 4, min_exp, min_exp + 1, -20, -1, 0, 1, digits, 60, max_exp - 1, max_exp):
+        quantum = 2.0 ** max(e - digits + 1, min_exp - digits + 1)
+        for k in (0, 1, 2, 3):
+            tie = 2.0**e + k * quantum + quantum / 2
+            values += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
+    return values + [-v for v in values]
+
+
+def _random_doubles(rng, n):
+    """Seeded f64 bit patterns: half of them anywhere, half with an exponent
+    near the f32 range."""
+    out = []
+    for _ in range(n):
+        bits = rng.getrandbits(64)
+        if len(out) % 2:
+            bits = (bits & ~(0x7FF << 52)) | ((1023 + rng.randint(-160, 130)) << 52)
+        out.append(struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+    return out
+
+
+def _rounded(value, name):
+    """The oracle's rounding, with the sign of a zero and non-finite values."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return value
+    return math.copysign(oracle.round_to_float_type(value, name), value)
+
+
+class TestRoundingCasts:
+    """F32 and SF16 round once, to nearest, ties to even, from the exact value."""
+
+    @pytest.mark.parametrize("name", sorted(_BINARY_FLOATS))
+    def test_boundary_values_match_the_exact_oracle(self, name):
+        cast = numeric_type(name).cast
+        probes = _cast_probes(*_BINARY_FLOATS[name]) + [math.inf, -math.inf, math.nan]
+        for value in probes:
+            assert _same(cast(value), _rounded(value, name)), (value, name)
+
+    @pytest.mark.parametrize("name", sorted(_BINARY_FLOATS))
+    def test_random_doubles_match_the_exact_oracle(self, name):
+        cast = numeric_type(name).cast
+        for value in _random_doubles(random.Random(2024), 20000):
+            assert _same(cast(value), _rounded(value, name)), (value, name)
+
+    def test_f32_matches_a_struct_round_trip_on_floats(self):
+        def packed(d):
+            try:
+                return _F32_STRUCT.unpack(_F32_STRUCT.pack(d))[0]
+            except OverflowError:  # rounds past the largest finite f32
+                return math.copysign(math.inf, d)
+
+        values = _cast_probes(*_BINARY_FLOATS["f32"]) + _random_doubles(random.Random(11), 20000)
+        for value in values + [math.inf, -math.inf, math.nan]:
+            d = float(value)
+            assert _same(F32.cast(d), packed(d)), d
+
+    def test_sign_of_zero_is_kept(self):
+        for name in _BINARY_FLOATS:
+            cast = numeric_type(name).cast
+            sub = 2.0 ** (_BINARY_FLOATS[name][1] - _BINARY_FLOATS[name][0] + 1)
+            for zero in (0.0, -0.0, sub / 4, -sub / 4):
+                assert _same(cast(zero), math.copysign(0.0, zero)), (zero, name)
+            assert _same(cast(0), 0.0)
+
+
+@pytest.fixture
+def np():
+    """numpy as a second, independent oracle; the test skips without it."""
+    return pytest.importorskip("numpy")
+
+
+# this library's type name -> numpy dtype name (numpy has no bfloat16)
+_NUMPY_DTYPES = {
+    "i8": "int8", "u8": "uint8", "i16": "int16", "u16": "uint16", "i32": "int32",
+    "u32": "uint32", "i64": "int64", "u64": "uint64", "f32": "float32", "f64": "float64",
+}
+_NUMPY_PAIRS = [(a, b) for a in _NUMPY_DTYPES for b in _NUMPY_DTYPES]
+
+
+class TestNumpyOracle:
+    """numpy's casts, safe-cast table and promotion against this library's.
+
+    numpy rounds an int into float32 through float64 (twice), so only f64
+    inputs are compared with its casts.  Its casting and promotion rules
+    differ from this library's on purpose in a few places; those places are
+    pinned, so that any new disagreement fails.
+    """
+
+    def test_f32_cast_matches_numpy_on_doubles(self, np):
+        values = _cast_probes(*_BINARY_FLOATS["f32"]) + _random_doubles(random.Random(5), 20000)
+        with np.errstate(over="ignore"):
+            for value in values + [math.inf, -math.inf, math.nan]:
+                d = float(value)
+                assert _same(F32.cast(d), float(np.float32(d))), d
+
+    def test_safe_casts_are_the_pairs_that_cannot_narrow(self, np):
+        # numpy calls an int64 or uint64 into float64 safe; 2**53 + 1 disagrees.
+        differ = {(a, b) for a, b in _NUMPY_PAIRS
+                  if np.can_cast(_NUMPY_DTYPES[a], _NUMPY_DTYPES[b], "safe") == can_narrow(a, b)}
+        assert differ == {("i64", "f64"), ("u64", "f64")}
+
+    def test_promotion_differs_only_on_the_pinned_pairs(self, np):
+        # numpy (NEP 50) widens a mixed-sign pair to a signed type (or f64)
+        # that holds both, and a wide integer with f32 to f64; this lattice
+        # keeps an operand type and checks the operands instead.
+        differ = {(a, b) for a, b in _NUMPY_PAIRS
+                  if np.promote_types(_NUMPY_DTYPES[a], _NUMPY_DTYPES[b])
+                  != np.dtype(_NUMPY_DTYPES[common_type(a, b).name])}
+        pinned = [
+            ("i8", "u8"), ("i8", "u16"), ("i8", "u32"), ("i8", "u64"), ("i16", "u16"),
+            ("i16", "u32"), ("i16", "u64"), ("i32", "u32"), ("i32", "u64"), ("i64", "u64"),
+            ("i32", "f32"), ("u32", "f32"), ("i64", "f32"), ("u64", "f32"),
+        ]
+        assert differ == {p for a, b in pinned for p in ((a, b), (b, a))}
+        assert len(differ) == 28
 
 
 class _Color(Enum):
@@ -451,9 +589,14 @@ class TestRegistration:
             assert _n._CONVERT[(I64, i128)] is int
             with pytest.raises(NarrowError):
                 _n._CONVERT[(i128, I64)](2**100)
-            # The common-type rows of a type registered after import.
+            # The plan rows of a type registered after import.
             assert common_type(i128, I64) is i128
-            assert (Number(5, i128) + Number(1, I64)).numtype is i128
+            total = Number(5, i128) + Number(1, I64)
+            assert total.numtype is i128 and total.value == 6
+            assert Number(1, I64) < Number(5, i128) and Number(-5, i128) < Number(U64.max, U64)
+            with pytest.raises(CheckedOverflowError) as info:
+                Number(5, i128) / Number(0, I64)
+            assert info.value.reason == "divide-by-zero"
         finally:
             for table, snapshot in zip(tables, saved):
                 table.clear()

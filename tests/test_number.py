@@ -48,9 +48,22 @@ _FLOAT_PROBES = (
 ) + tuple(float(v) for v in _INT_PROBES)
 
 
-def _boundary_numbers(t):
+# A smaller set for the four arithmetic operations: the values their rules
+# turn on (signs, truncation, type limits, float overflow and underflow).
+_ARITH_INT_PROBES = (
+    0, 1, -1, 2, 3, -7, 127, -128, 255, 2**15 - 1, -(2**15), 2**16 - 1,
+    2**24 + 1, 2**31 - 1, -(2**31), 2**32 - 1, 2**53 + 1, 2**63 - 1, -(2**63), 2**64 - 1,
+)
+_ARITH_FLOAT_PROBES = (
+    0.0, -0.0, 0.5, -1.5, 3.0, 2.0**24 + 2, 2.0**-140, 5e-324,
+    3.4028234663852886e38, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+)
+ARITH_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def _boundary_numbers(t, int_probes=_INT_PROBES, float_probes=_FLOAT_PROBES):
     """Every probe the type holds, as Numbers of that type."""
-    probes = _FLOAT_PROBES if t.kind is NumericKind.FLOAT else _INT_PROBES
+    probes = float_probes if t.kind is NumericKind.FLOAT else int_probes
     numbers = []
     for v in probes:
         try:
@@ -58,6 +71,24 @@ def _boundary_numbers(t):
         except NarrowError:
             pass
     return numbers
+
+
+def _arith_outcome(fn, x, y):
+    """``fn(x, y)`` in the form of ``oracle.arith``."""
+    try:
+        r = fn(x, y)
+    except (NarrowError, CheckedOverflowError) as e:
+        return ("refused", type(e).__name__, getattr(e, "reason", None))
+    return ("ok", r.numtype.name, r.value)
+
+
+def _same_outcome(got, want) -> bool:
+    if got[:2] != want[:2]:
+        return False
+    g, w = got[2], want[2]
+    if want[0] == "refused" or type(g) is not type(w):
+        return g == w
+    return g == w or (isinstance(w, float) and math.isnan(w) and math.isnan(g))
 
 
 class TestConstruction:
@@ -234,6 +265,46 @@ class TestArithmetic:
         assert (Number(1, I8) + Number(1, U8)).numtype is U8
         assert (Number(1, I16) + Number(1, I64)).numtype is I64
 
+    def test_every_pair_matches_the_exact_oracle(self):
+        probes = {t: _boundary_numbers(t, _ARITH_INT_PROBES, _ARITH_FLOAT_PROBES) for t in ALL_TYPES}
+        cases = 0
+        for ta in ALL_TYPES:
+            for tb in ALL_TYPES:
+                for x in probes[ta]:
+                    for y in probes[tb]:
+                        for name, fn in ARITH_OPS.items():
+                            want = oracle.arith(name, x.value, ta.name, y.value, tb.name)
+                            got = _arith_outcome(fn, x, y)
+                            assert _same_outcome(got, want), (name, x, y, got, want)
+                            cases += 1
+        assert cases > 121 * 4 * 50
+
+    def test_bare_operands_match_the_exact_oracle(self):
+        bare = (0, -1, 3, 2**31, 2**63, 2**64 - 1, 0.5, -0.0, math.inf, math.nan)
+        for t in ALL_TYPES:
+            for x in _boundary_numbers(t, _ARITH_INT_PROBES, _ARITH_FLOAT_PROBES):
+                for v in bare:
+                    v_type = Number(v).numtype.name
+                    for name, fn in ARITH_OPS.items():
+                        want = oracle.arith(name, x.value, t.name, v, v_type)
+                        assert _same_outcome(_arith_outcome(fn, x, v), want), (name, x, v)
+                        want = oracle.arith(name, v, v_type, x.value, t.name)
+                        assert _same_outcome(_arith_outcome(fn, v, x), want), (name, v, x)
+
+    def test_an_unrepresentable_operand_is_refused_first(self):
+        # Each product or quotient would also overflow or divide by zero.
+        with pytest.raises(NarrowError):
+            Number(-1, I32) * Number(U32.max, U32)
+        with pytest.raises(NarrowError):
+            Number(U32.max, U32) * Number(-1, I32)
+        with pytest.raises(NarrowError):
+            Number(-1, I32) / Number(0, U32)
+        with pytest.raises(NarrowError):
+            Number(2**62 + 1, I64) / Number(0.0, F64)
+        with pytest.raises(CheckedOverflowError) as info:
+            Number(math.inf) / Number(0, I8)
+        assert info.value.reason == "divide-by-zero"
+
     def test_exactness_against_bigint_oracle(self):
         # Python integers are the arbitrary-precision oracle here.
         rng = random.Random(99)
@@ -350,15 +421,15 @@ class TestComparisons:
                 assert op(nan, other) is (op is operator.ne)
                 assert op(other, nan) is (op is operator.ne)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="integer casts into f32 and sf16 round twice (through f64, then f32)",
-    )
     def test_integer_rounds_once_into_a_narrow_float(self):
         # 2**24 + 2**16 + 1 lies just above the sf16 midpoint between 2**24
         # and 2**24 + 2**17, so one rounding to nearest gives the upper one.
         assert oracle.round_to_float_type(2**24 + 2**16 + 1, "sf16") == 2.0**24 + 2**17
         assert Number(2**24 + 2**16 + 1, I32) == Number(2.0**24 + 2**17, SF16)
+        # float() alone would round 2**39 + 1 down to the f32 midpoint 2**39.
+        assert oracle.round_to_float_type(2**63 + 2**39 + 1, "f32") == 2.0**63 + 2**40
+        assert F32.cast(2**63 + 2**39 + 1) == 2.0**63 + 2**40
+        assert Number(2**63 + 2**39 + 1, U64) == Number(2.0**63 + 2**40, F32)
 
     def test_non_numeric_comparison_falls_back(self):
         assert (Number(1) == "one") is False
