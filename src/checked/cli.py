@@ -23,8 +23,7 @@ import argparse
 import gc
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .narrowing import (
     I16,
@@ -53,8 +52,7 @@ __all__ = ["main", "run_bench", "BenchRecord", "BENCH_SCENARIOS"]
 BENCH_CSV_HEADER = "scenario,iters,ns_per_op,baseline_ns_per_op"
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One timing row: the measured path and its raw baseline."""
 
     scenario: str

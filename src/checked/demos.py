@@ -8,8 +8,7 @@ an executable record of the library's behavior on its canonical examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .narrowing import (
     F64,
@@ -42,15 +41,13 @@ from .span import RangeError, Span
 __all__ = ["DemoCase", "DemoResult", "DEMO_NAMES", "demo_cases", "run_demo"]
 
 
-@dataclass(frozen=True)
-class DemoCase:
+class DemoCase(NamedTuple):
     label: str
     run: Callable[[], object]
     expected: str
 
 
-@dataclass(frozen=True)
-class DemoResult:
+class DemoResult(NamedTuple):
     label: str
     expected: str
     actual: str

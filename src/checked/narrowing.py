@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 __all__ = [
     "NumericKind",
@@ -76,8 +75,7 @@ class NumericKind(Enum):
     FLOAT = "float"
 
 
-@dataclass(frozen=True)
-class NumericTraits:
+class NumericTraits(NamedTuple):
     """Shape of a numeric type, fixed per type and usable without any value.
 
     ``digits`` counts representable-value bits: width minus the sign bit for
@@ -120,14 +118,14 @@ class ConstraintError(TypeError):
 class NumType:
     """One member of the supported numeric set.
 
-    Instances are interned, compare them with ``is``.  ``cast`` applies the
-    host-style conversion into the type (two's-complement wrap for integers,
-    truncation toward zero for float-to-integer, round-to-nearest-even for
-    floats) and is intentionally unchecked; the checked entry points are
+    Instances are interned, compare them with ``is``.  ``cast`` is the
+    type's rounding or wrapping function (two's-complement wrap for
+    integers, truncation toward zero for float-to-integer, round to nearest
+    even for floats), intentionally unchecked; the checked entry points are
     ``convert_to`` and friends.
     """
 
-    __slots__ = ("name", "kind", "digits", "byte_size", "traits", "min", "max", "_cast")
+    __slots__ = ("name", "kind", "digits", "byte_size", "traits", "min", "max", "cast")
 
     def __init__(self, name, kind, digits, byte_size, min_value, max_value, cast):
         self.name = name
@@ -137,10 +135,7 @@ class NumType:
         self.traits = NumericTraits(kind, digits, byte_size)
         self.min = min_value
         self.max = max_value
-        self._cast = cast
-
-    def cast(self, value):
-        return self._cast(value)
+        self.cast = cast
 
     def __repr__(self) -> str:
         return self.name
@@ -318,7 +313,7 @@ def _make_converter(src: NumType, dst: NumType) -> Callable:
     # Into a float: cast, then compare exactly.  Python compares int and
     # float values exactly, so equality holds iff the target represents the
     # value.  NaN never compares equal, so it never passes this rule.
-    cast = dst._cast
+    cast = dst.cast
 
     def to_float(value):
         result = cast(value)
@@ -408,7 +403,7 @@ def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float
     # exact int with a float exactly.  f64 arithmetic already rounds into f64.
     check_a = None if _CHECKERS[(a, c)] is None else convert_a
     check_b = None if _CHECKERS[(b, c)] is None else convert_b
-    cast = None if c._cast is _cast_f64 else c._cast
+    cast = None if c.cast is _cast_f64 else c.cast
     inf = math.inf
 
     def in_floats(x, y):
@@ -442,7 +437,7 @@ def _make_plans(pairs) -> None:
         if key not in shared:
             shared[key] = [_make_operation(a, b, c, *op) for op in _OPERATIONS]
         is_float = c.kind is NumericKind.FLOAT
-        rounds = [c._cast if is_float and _CHECKERS[(t, c)] is not None else None for t in (a, b)]
+        rounds = [c.cast if is_float and _CHECKERS[(t, c)] is not None else None for t in (a, b)]
         _ARITH[(a, b)] = (c, *shared[key], *rounds)
 
 
@@ -475,7 +470,7 @@ def _inhabits(value, t: NumType) -> bool:
             f"{type(value).__name__} is outside the supported numeric set"
         )
     if t.min is None:  # a float type; NaN is a value of every float type
-        return value != value or t._cast(value) == value
+        return value != value or t.cast(value) == value
     return isinstance(value, int) and t.min <= value <= t.max
 
 
@@ -500,12 +495,13 @@ def convert(value, target):
     """Checked conversion when both sides are numeric, explicit otherwise.
 
     The stricter overload wins whenever it applies: a numeric value headed
-    for a registered numeric type is converted with the pair's checked
-    converter and can raise ``NarrowError``; everything else is built with
+    for a registered numeric type (or its name; an unknown name raises
+    ``ConstraintError``) is converted with the pair's checked converter and
+    can raise ``NarrowError``; everything else is built with
     ``target(value)``, so a pair the host cannot construct fails with the
     constructor's own error.
     """
-    dst = _TYPES.get(target) if isinstance(target, str) else target
+    dst = numeric_type(target) if isinstance(target, str) else target
     if not isinstance(dst, NumType):
         return target(value)
     # The source type of a bare int on the i32 rung or a float, decided

@@ -21,9 +21,8 @@ from __future__ import annotations
 import functools
 import operator
 from array import array
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .narrowing import ConstraintError
 from .span import _SPANABLE_TYPES, Span, is_spanable, register_spanable
@@ -59,8 +58,7 @@ class SortPath(Enum):
     FORWARD_COPY = "ForwardCopy"
 
 
-@dataclass(frozen=True)
-class SortDispatchReport:
+class SortDispatchReport(NamedTuple):
     """Which sort path ran, and over how many elements."""
 
     chosen_path: SortPath

@@ -13,7 +13,7 @@ rejected at registration, before a single descriptor exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .narrowing import ConstraintError, supported_types
 
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MemberDescriptor:
+class MemberDescriptor(NamedTuple):
     """Placement of one field: its name, byte offset, and byte size."""
 
     name: str
@@ -46,8 +45,7 @@ PRIMITIVE_LAYOUTS: dict[str, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class RecordType:
+class RecordType(NamedTuple):
     """A registered record: ordered fields plus the computed layout."""
 
     name: str

@@ -547,6 +547,15 @@ class TestConvertDispatch:
         with pytest.raises(ConstraintError):
             convert(True, I32)
 
+    def test_type_name_target_resolves_like_number(self):
+        assert convert(7, "i16") == 7
+        with pytest.raises(NarrowError):
+            convert(70000, "i16")
+        with pytest.raises(ConstraintError, match="unknown numeric type 'u99'"):
+            convert(5, "u99")
+        with pytest.raises(ConstraintError, match="unknown numeric type 'u99'"):
+            Number(5, "u99")
+
 
 class TestDeducedType:
     def test_ladder(self):
