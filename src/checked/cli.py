@@ -32,6 +32,7 @@ from .narrowing import (
     ConstraintError,
     NarrowError,
     NumericKind,
+    NumType,
     can_narrow,
     convert,
     convert_to,
@@ -68,17 +69,15 @@ def _usage_error(message: str) -> int:
 
 # --- narrow ------------------------------------------------------------------
 
-def _parse_value(text: str, type_name: str):
-    t = numeric_type(type_name)
-    if t.kind is NumericKind.FLOAT:
-        value = float(text)
-        if t.cast(value) != value:
-            raise ValueError(f"{text} is not an exact {t.name} value")
-        return value
-    value = int(text, 10)
-    if value < t.min or value > t.max:
-        raise ValueError(f"{text} is outside the {t.name} range")
-    return value
+def _parse_value(text: str, t: NumType):
+    """Parse ``text`` as a value of ``t``, by ``convert_to``'s source rule."""
+    floating = t.kind is NumericKind.FLOAT
+    value = float(text) if floating else int(text, 10)
+    try:
+        return convert_to(value, t, t)
+    except NarrowError:
+        problem = f"is not an exact {t.name} value" if floating else f"is outside the {t.name} range"
+        raise ValueError(f"{text} {problem}") from None
 
 
 def cmd_narrow_check(from_type: str, to_type: str, value_text: str) -> int:
@@ -88,7 +87,7 @@ def cmd_narrow_check(from_type: str, to_type: str, value_text: str) -> int:
     except ConstraintError as exc:
         return _usage_error(str(exc))
     try:
-        value = _parse_value(value_text, from_type)
+        value = _parse_value(value_text, src)
     except ValueError as exc:
         return _usage_error(str(exc))
     classification = can_narrow(src, dst)

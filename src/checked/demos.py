@@ -32,6 +32,7 @@ from .rangealg import (
     draw_all,
     greater,
     is_power_of_two,
+    less,
     sort,
     sort_random_access,
 )
@@ -73,42 +74,25 @@ def _outcome(thunk: Callable[[], object]) -> str:
     return result if isinstance(result, str) else repr(result)
 
 
-def _sorted_in_place(make: Callable[[], object], pred=None) -> list:
+def _sorted_in_place(make: Callable[[], object], pred=less) -> list:
     r = make()
-    if pred is None:
-        sort(r)
-    else:
-        sort(r, pred)
+    sort(r, pred)
     return list(r)
 
 
-class _Circle:
-    def __init__(self, log):
+class _Shape:
+    def __init__(self, name: str, log: list):
+        self._name = name
         self._log = log
 
     def draw(self):
-        self._log.append("circle")
-
-
-class _Square:
-    def __init__(self, log):
-        self._log = log
-
-    def draw(self):
-        self._log.append("square")
-
-
-class _Label:
-    def __init__(self, log):
-        self._log = log
-
-    def draw(self):
-        self._log.append("label")
+        self._log.append(self._name)
 
 
 def _draw_log(into_range: Callable[[list], object]) -> list:
+    """Draw a circle, a square and a label held in ``into_range(shapes)``; the order drawn."""
     log: list = []
-    draw_all(into_range(log))
+    draw_all(into_range([_Shape(name, log) for name in ("circle", "square", "label")]))
     return log
 
 
@@ -217,12 +201,12 @@ def _sort_cases() -> tuple[DemoCase, ...]:
         DemoCase("10000 is not a power of two", lambda: is_power_of_two(10000), "False"),
         DemoCase("0 is not a power of two", lambda: is_power_of_two(0), "False"),
         DemoCase("draw all shapes in a vector, in order",
-                 lambda: _draw_log(lambda log: [_Circle(log), _Square(log), _Label(log)]),
+                 lambda: _draw_log(list),
                  "['circle', 'square', 'label']"),
         DemoCase("draw all shapes held by a linked list",
-                 lambda: _draw_log(lambda log: LinkedList([_Circle(log), _Square(log), _Label(log)])),
+                 lambda: _draw_log(LinkedList),
                  "['circle', 'square', 'label']"),
-        DemoCase("drawing an empty range does nothing", lambda: _draw_log(lambda log: []), "[]"),
+        DemoCase("drawing an empty range does nothing", lambda: _draw_log(lambda shapes: []), "[]"),
     )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import operator
 from array import array
+from collections import deque
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -282,62 +283,40 @@ _SLICE_READ = frozenset((list, bytearray, array, memoryview, Buffer))
 _SLICE_WRITE = frozenset((list, bytearray, Buffer))
 
 
-class _Node:
-    __slots__ = ("value", "next")
-
-    def __init__(self, value):
-        self.value = value
-        self.next = None
-
-
 class LinkedList:
-    """Singly linked sequence; the canonical forward-only range here.
+    """Linked sequence; the canonical forward-only range here.
 
-    Iteration yields values front to back; ``write_back`` rewrites them in
-    the same order, which is all the forward sort path needs.
+    The values live in a ``collections.deque`` and offer appends, a length
+    and front-to-back iteration, but no indexing.  ``write_back`` rewrites
+    them in the same order, which is all the forward sort path needs.
     """
 
     range_category = RangeCategory.FORWARD
 
-    __slots__ = ("_head", "_tail", "_count")
+    __slots__ = ("_items",)
 
     def __init__(self, items=()):
-        self._head = None
-        self._tail = None
-        self._count = 0
-        for item in items:
-            self.append(item)
+        self._items = deque(items)
 
     def append(self, value) -> None:
-        node = _Node(value)
-        if self._tail is None:
-            self._head = node
-        else:
-            self._tail.next = node
-        self._tail = node
-        self._count += 1
+        self._items.append(value)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._items)
 
     def __iter__(self):
-        node = self._head
-        while node is not None:
-            yield node.value
-            node = node.next
+        return iter(self._items)
 
     def write_back(self, values) -> None:
-        """Overwrite the stored values in traversal order."""
-        node = self._head
-        count = 0
-        for value in values:
-            if node is None:
-                raise ValueError("more values than nodes")
-            node.value = value
-            node = node.next
-            count += 1
-        if node is not None:
-            raise ValueError(f"expected {self._count} values, got {count}")
+        """Replace the values in traversal order; a count mismatch writes none.
+
+        A live iterator raises ``RuntimeError`` afterwards, as after ``append``.
+        """
+        values = list(values)
+        if len(values) != len(self._items):
+            raise ValueError(f"expected {len(self._items)} values, got {len(values)}")
+        self._items.clear()
+        self._items.extend(values)
 
     def __repr__(self) -> str:
         return f"LinkedList({list(self)!r})"

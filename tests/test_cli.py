@@ -31,6 +31,16 @@ class TestNarrowCheck:
         assert status == 0
         assert out.strip() == "can_narrow=true will_narrow=false convert=7"
 
+    def test_nan_is_an_f64_value(self, capsys):
+        status, out, _ = run(capsys, "narrow", "check", "f64", "f64", "nan")
+        assert status == 0
+        assert out.strip() == "can_narrow=false will_narrow=false convert=nan"
+
+    def test_nan_does_not_narrow_to_f32(self, capsys):
+        status, out, _ = run(capsys, "narrow", "check", "f64", "f32", "nan")
+        assert status == 1
+        assert out.strip() == "can_narrow=true will_narrow=true convert=ERROR"
+
     def test_unknown_type_is_a_usage_error(self, capsys):
         status, _, err = run(capsys, "narrow", "check", "i128", "i32", "7")
         assert status == 2 and "i128" in err

@@ -361,9 +361,17 @@ class TestLinkedList:
     def test_write_back_count_mismatch(self):
         ll = LinkedList([1, 2, 3])
         with pytest.raises(ValueError):
-            ll.write_back([1, 2])
+            ll.write_back([9, 8])
+        assert list(ll) == [1, 2, 3]
         with pytest.raises(ValueError):
-            ll.write_back([1, 2, 3, 4])
+            ll.write_back([9, 8, 7, 6])
+        assert list(ll) == [1, 2, 3] and len(ll) == 3
+        ll.write_back(x * 10 for x in (3, 2, 1))
+        assert list(ll) == [30, 20, 10]
+        assert repr(LinkedList([1, "a"])) == "LinkedList([1, 'a'])"
+        with pytest.raises(RuntimeError):
+            for x in ll:
+                ll.append(x)
 
 
 class _Shape:
