@@ -179,6 +179,12 @@ def _loop_inline_check(iters: int) -> None:
         x = v  # noqa: F841
 
 
+def _loop_number_construct(iters: int) -> None:
+    v = 123
+    for _ in range(iters):
+        x = Number(v, U16)  # noqa: F841
+
+
 def _loop_number_arith(iters: int) -> None:
     a = Number(3)
     b = Number(4)
@@ -241,6 +247,7 @@ _BENCHES: dict[str, tuple[Callable[[int], None], Optional[Callable[[int], None]]
     "span-sort": (_loop_span_sort, _loop_list_sort),
     "convert-checked": (_loop_convert_checked, _loop_inline_check),
     "format-render": (_loop_format_render, _loop_str_format),
+    "number-construct": (_loop_number_construct, _loop_inline_check),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

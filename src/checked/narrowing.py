@@ -13,7 +13,8 @@ fused: a pair that can never narrow gets the builtin ``int`` or ``float``,
 which is the exact cast for any value of its source type; a pair that can
 narrow gets one closure with its bounds or its cast bound in, which returns
 the converted value or raises ``NarrowError``.  A checked conversion is then
-one table lookup plus one call.  ``narrow_checker`` exposes the staged form
+one table lookup plus one call; an exact int in an integer target's range
+needs only a range test.  ``narrow_checker`` exposes the staged form
 directly: it returns ``None`` for pairs that can never narrow, so hot paths
 can skip per-value work entirely.  ``convert_to`` raises ``NarrowError``
 instead of ever returning a changed value.
@@ -501,8 +502,16 @@ def convert(value, target):
     ``target(value)``, so a pair the host cannot construct fails with the
     constructor's own error.
     """
-    dst = numeric_type(target) if isinstance(target, str) else target
-    if not isinstance(dst, NumType):
+    if isinstance(target, str):
+        target = numeric_type(target)
+    # Into an integer type every converter (``_make_converter``'s ``to_int``,
+    # or the builtin ``int``) returns an exact in-range int unchanged, so this
+    # and ``Number`` skip it.  Any other value, bool included, keeps its path.
+    if type(value) is int and type(target) is NumType:
+        lo = target.min
+        if lo is not None and lo <= value <= target.max:
+            return value
+    if not isinstance(target, NumType):
         return target(value)
     # The source type of a bare int on the i32 rung or a float, decided
     # before the ``numtype`` probe that every bare value would miss.
@@ -516,7 +525,7 @@ def convert(value, target):
             src, value = numtype, value.value
         else:
             src = deduced_type(value)
-    return _CONVERT[(src, dst)](value)
+    return _CONVERT[(src, target)](value)
 
 
 def deduced_type(value) -> NumType:

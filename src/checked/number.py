@@ -1,7 +1,7 @@
 """A numeric wrapper that makes narrowing checks implicit.
 
-Every way of getting a value into a ``Number`` goes through the checked
-converter of its type pair, so a value that would not survive the
+Every way of getting a value into a ``Number`` is checked as its type
+pair's converter checks it, so a value that would not survive the
 conversion raises ``NarrowError`` instead of silently changing.  Mixed-type
 arithmetic promotes both operands into a common type chosen by a fixed
 lattice: floats beat integers, more digits beat fewer, and between
@@ -32,6 +32,7 @@ from typing import Optional, Union
 from .narrowing import (
     CheckedOverflowError,
     ConstraintError,
+    F64,
     NumericTraits,
     NumType,
     TypeSpec,
@@ -142,13 +143,18 @@ class Number:
 
     def __init__(self, value, of: Optional[TypeSpec] = None):
         target = of if of is None or type(of) is NumType else numeric_type(of)
-        if isinstance(value, Number):
-            if target is None:
-                target = value._type
-            self._value = _CONVERT[(value._type, target)](value._value)
-        elif target is None:
-            target = deduced_type(value)
+        if target is None:
+            if isinstance(value, Number):
+                target, value = value._type, value._value
+            else:
+                target = deduced_type(value)
             self._value = _CONVERT[(target, target)](value)
+        elif type(value) is int and target.min is not None and target.min <= value <= target.max:
+            self._value = value
+        elif type(value) is float:
+            self._value = _CONVERT[(F64, target)](value)
+        elif isinstance(value, Number):
+            self._value = _CONVERT[(value._type, target)](value._value)
         else:
             self._value = convert(value, target)
         self._type = target

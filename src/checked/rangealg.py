@@ -147,8 +147,8 @@ def _sort_window(r, pred: Callable) -> int:
 
     A ``Span`` is read and written between its offset and its length, with
     no per-element check: construction proved those bounds.  Stores that
-    take a list slice (``list``, ``bytearray``, ``Buffer``) are written back
-    in one slice assignment, the rest element by element on the raw store.
+    take a list slice (``list``, ``bytearray``, ``Buffer``) or are exactly an
+    ``array`` are written back in one slice, the rest element by element.
     """
     if isinstance(r, Span):
         store, lo, n = r._storage, r._offset, r._length
@@ -167,6 +167,8 @@ def _sort_window(r, pred: Callable) -> int:
     _host_sort(buf, pred)
     if type(store) in _SLICE_WRITE:
         store[lo:lo + n] = buf
+    elif type(store) is array:
+        store[lo:lo + n] = array(store.typecode, buf)
     else:
         for i, v in enumerate(buf, lo):
             store[i] = v

@@ -154,9 +154,9 @@ class Span:
             self._storage[self._offset + self.check(index)] = value
 
     def __iter__(self):
-        storage, base = self._storage, self._offset
-        for i in range(self._length):
-            yield storage[base + i]
+        # each element is read when it is reached, so writes are seen
+        base = self._offset
+        return map(self._storage.__getitem__, range(base, base + self._length))
 
     def __repr__(self) -> str:
         return (

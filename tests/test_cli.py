@@ -85,7 +85,8 @@ class TestBench:
 
     def test_all_scenarios_run(self):
         for scenario in ("convert-same", "convert-narrowable", "number-arith", "raw-arith",
-                         "span-index", "span-sort", "convert-checked", "format-render"):
+                         "span-index", "span-sort", "convert-checked", "format-render",
+                         "number-construct"):
             record = run_bench(scenario, 20000)
             assert record.iters == 20000
             assert record.ns_per_op >= 0 and record.baseline_ns_per_op > 0

@@ -333,19 +333,57 @@ class _Code(IntEnum):
     BIG = 300
 
 
+_DISPATCH_VALUES = [
+    0, -(2**31), 2**31 - 1, 2**31, -(2**31) - 1, 2**63, 2**64 - 1,
+    1.5, -0.0, math.inf, math.nan, _Code.BIG, Number(7, U8), Number(-2.5, F32), True,
+]
+# Each integer type's limits and their outer neighbours.
+_DISPATCH_VALUES += sorted(
+    {v for t in INT_TYPES for v in (t.min - 1, t.min, t.max, t.max + 1)}
+    - {v for v in _DISPATCH_VALUES if type(v) is int}
+)
+
+
 class TestConvertDispatchFastPath:
-    @pytest.mark.parametrize("value", [
-        0, -(2**31), 2**31 - 1, 2**31, -(2**31) - 1, 2**63, 2**64 - 1,
-        1.5, -0.0, math.inf, math.nan, _Code.BIG, Number(7, U8), Number(-2.5, F32),
-    ])
+    @pytest.mark.parametrize("value", _DISPATCH_VALUES)
     def test_matches_the_deduced_source(self, value):
         if isinstance(value, Number):
             src, raw = value.numtype, value.value
         else:
-            src, raw = deduced_type(value), value
+            src, raw = _outcome(deduced_type, value), value
         for dst in ALL_TYPES:
             got = _outcome(convert, value, dst)
+            if src is ConstraintError:  # no source type: refused before any pair
+                assert got is ConstraintError, (value, dst)
+                continue
             assert _same(got, _outcome(TestFusedConverters._reference, raw, src, dst)), (value, dst)
+
+    @pytest.mark.parametrize("value", _DISPATCH_VALUES)
+    def test_number_construction_matches_convert(self, value):
+        for dst in ALL_TYPES:
+            for spec in (dst, dst.name):
+                want = _outcome(convert, value, spec)
+                got = _outcome(Number, value, spec)
+                if isinstance(want, type):
+                    assert got is want, (value, spec)
+                else:
+                    assert type(got) is Number and got.numtype is dst, (value, spec)
+                    assert _same(got.value, want), (value, spec)
+
+    def test_an_exact_in_range_int_needs_no_converter(self, monkeypatch):
+        from checked import narrowing, number
+
+        # With no table and no ``convert`` to fall back on, only the fast
+        # path can answer, and it must answer at both limits of every type.
+        for module in (narrowing, number):
+            monkeypatch.setattr(module, "_CONVERT", {})
+        monkeypatch.setattr(number, "convert", None)
+        for t in INT_TYPES:
+            for v in (t.min, t.max):
+                assert convert(v, t) == v and Number(v, t).value == v, (v, t)
+                assert Number(0, t).assign(v).value == v, (v, t)
+        with pytest.raises(KeyError):  # every other input still reads the table
+            convert(_Code.BIG, I16)
 
     def test_int_subclass_converts_to_a_plain_int(self):
         assert type(convert(_Code.BIG, I16)) is int
@@ -592,6 +630,11 @@ class TestRegistration:
             assert can_narrow(I64, i128) is False
             assert will_narrow(2**100, i128, I64) is True
             assert convert_to(5, i128, I8) == 5
+            # in the wide type's range, though no built-in type holds it
+            assert Number(2**100, i128).value == convert(2**100, i128) == 2**100
+            assert Number(2**100, "i128_test").value == convert(2**100, "i128_test") == 2**100
+            for v in (i128.min, i128.max):
+                assert Number(v, i128).value == convert(v, i128) == v
             assert narrow_checker(I64, i128) is None
             # Every per-pair table is complete when registration returns.
             assert len(_n._CONVERT) == len(_n._ARITH) == len(_n._CHECKERS) == 12**2

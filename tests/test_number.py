@@ -291,6 +291,17 @@ class TestArithmetic:
                         want = oracle.arith(name, v, v_type, x.value, t.name)
                         assert _same_outcome(_arith_outcome(fn, v, x), want), (name, v, x)
 
+    def test_bare_operand_edges(self):
+        # the i32 rung's limits and their neighbours deduce as a bare value does
+        for v in (-(2**31) - 1, -(2**31), 2**31 - 1, 2**31):
+            assert (Number(0, I8) + v).numtype is Number(v).numtype
+            assert (v + Number(0, I8)).numtype is Number(v).numtype
+        for bad, error in ((True, TypeError), (2**70, ConstraintError), ("x", TypeError)):
+            with pytest.raises(error):
+                Number(3) + bad
+            with pytest.raises(error):
+                bad + Number(3)
+
     def test_an_unrepresentable_operand_is_refused_first(self):
         # Each product or quotient would also overflow or divide by zero.
         with pytest.raises(NarrowError):

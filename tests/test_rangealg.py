@@ -239,6 +239,17 @@ class TestWindowSort:
         assert got[:len(expected)] == expected
         assert not any(got[len(expected):])  # a Buffer's zero-filled tail
 
+    def test_array_subclass_is_written_element_by_element(self):
+        class Logged(array):
+            def __setitem__(self, index, value):
+                writes.append(index)
+                super().__setitem__(index, value)
+
+        writes = []
+        store = Logged("i", [9, 5, 7, 1])
+        sort(Span(store, 1, 4))
+        assert list(store) == [9, 1, 5, 7] and writes == [1, 2, 3]
+
     def test_registered_store_is_spanable_and_random_access(self):
         chunk = RawChunk([3, 1, 2])
         assert is_spanable(chunk)

@@ -265,6 +265,16 @@ class TestIteration:
         data = [float(i) for i in range(10)]
         assert sum(Span(data)) == sum(data)
 
+    def test_a_write_during_iteration_is_seen(self):
+        data = [1, 2, 3, 4]
+        s = Span(data, 1, 3)
+        seen = []
+        for v in s:
+            seen.append(v)
+            if len(seen) == 1:
+                s[1] = 30
+        assert seen == [2, 30]
+
 
 class TestProperties:
     @given(
