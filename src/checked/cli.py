@@ -13,17 +13,17 @@ Verbs:
 Exit status: 0 on success, 1 when a contract violation was demonstrated
 (a failed conversion, a demo deviation), 2 for usage errors.  All output is
 plain UTF-8 text; bench output is CSV with a fixed header.  Commands are
-single-threaded; bench loops run on whatever core the host gives us, with
-the collector paused while timing.
+single-threaded.  Bench times each statement with ``timeit`` on whatever core
+the host gives us: the set-up runs once, outside the timed loop, and the
+collector is paused while timing.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
-import time
-from typing import Callable, NamedTuple, Optional
+import timeit
+from typing import NamedTuple, Optional
 
 from .narrowing import (
     I16,
@@ -122,132 +122,42 @@ def cmd_narrow_table() -> int:
 
 # --- bench -------------------------------------------------------------------
 
-def _timed(loop: Callable[[int], None], iters: int) -> float:
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter_ns()
-        loop(iters)
-        return (time.perf_counter_ns() - start) / iters
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _loop_assign(iters: int) -> None:
-    v = 123
-    for _ in range(iters):
-        x = v  # noqa: F841
-
-
-def _loop_convert_same(iters: int) -> None:
-    # The staged pattern: classify the pair once, outside the loop.  For a
-    # pair that can never narrow the checker is None and the per-value work
-    # is the assignment itself.
-    chk = narrow_checker(I32, I32)
-    v = 123
-    if chk is None:
-        for _ in range(iters):
-            x = v  # noqa: F841
-    else:
-        for _ in range(iters):
-            if chk(v):
-                raise NarrowError(v, I32, I32)
-            x = v  # noqa: F841
-
-
-def _loop_convert_narrowable(iters: int) -> None:
-    chk = narrow_checker(I32, I16)
-    v = 123  # in range, so the test runs and passes every time
-    for _ in range(iters):
-        if chk(v):
-            raise NarrowError(v, I32, I16)
-        x = v  # noqa: F841
-
-
-def _loop_convert_checked(iters: int) -> None:
-    v = 123
-    for _ in range(iters):
-        x = convert(v, U16)  # noqa: F841
-
-
-def _loop_inline_check(iters: int) -> None:
-    v = 123
-    for _ in range(iters):
-        if not 0 <= v <= 65535:
-            raise NarrowError(v, I32, U16)
-        x = v  # noqa: F841
-
-
-def _loop_number_construct(iters: int) -> None:
-    v = 123
-    for _ in range(iters):
-        x = Number(v, U16)  # noqa: F841
-
-
-def _loop_number_arith(iters: int) -> None:
-    a = Number(3)
-    b = Number(4)
-    for _ in range(iters):
-        x = a + b  # noqa: F841
-
-
-def _loop_raw_arith(iters: int) -> None:
-    p, q = 3, 4
-    for _ in range(iters):
-        x = p + q  # noqa: F841
-
-
-# 64 distinct values in a fixed scrambled order (37 is coprime to 64).
-_SPAN_DATA = [(i * 37) % 64 for i in range(64)]
-
-
-def _loop_span_index(iters: int) -> None:
-    s = Span(list(_SPAN_DATA))
-    for k in range(iters):
-        x = s[k & 63]  # noqa: F841
-
-
-def _loop_list_index(iters: int) -> None:
-    data = list(_SPAN_DATA)
-    for k in range(iters):
-        x = data[k & 63]  # noqa: F841
-
-
-def _loop_span_sort(iters: int) -> None:
-    for _ in range(iters):
-        sort(Span(list(_SPAN_DATA)))
-
-
-def _loop_list_sort(iters: int) -> None:
-    for _ in range(iters):
-        list(_SPAN_DATA).sort()
-
-
 _ROW = "{} key={} count={} delta={} price={} weight={} sum_count={} sum_delta={} sum_price={}"
 _ROW_ARGS = (17, 4242, 9, -3, 1.25, 0.5, 118, -41, 96.75)
+_INLINE_U16_TEST = "if not 0 <= v <= 65535:\n    raise NarrowError(v, I32, U16)\nx = v"
 
-
-def _loop_format_render(iters: int) -> None:
-    for _ in range(iters):
-        format_render(_ROW, *_ROW_ARGS)
-
-
-def _loop_str_format(iters: int) -> None:
-    for _ in range(iters):
-        _ROW.format(*_ROW_ARGS)
-
-
-_BENCHES: dict[str, tuple[Callable[[int], None], Optional[Callable[[int], None]]]] = {
-    "convert-same": (_loop_convert_same, _loop_assign),
-    "convert-narrowable": (_loop_convert_narrowable, _loop_assign),
-    "number-arith": (_loop_number_arith, _loop_raw_arith),
-    "raw-arith": (_loop_raw_arith, None),
-    "span-index": (_loop_span_index, _loop_list_index),
-    "span-sort": (_loop_span_sort, _loop_list_sort),
-    "convert-checked": (_loop_convert_checked, _loop_inline_check),
-    "format-render": (_loop_format_render, _loop_str_format),
-    "number-construct": (_loop_number_construct, _loop_inline_check),
+# Per scenario: the set-up, the measured statement and the baseline statement
+# (None: the measured time is its own baseline), run in this module's globals.
+# The span data is 64 distinct values in a fixed scrambled order (37 is
+# coprime to 64).
+_BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
+    # The staged pattern: the set-up classifies the pair once.  A pair that
+    # can never narrow has no checker, so the per-value work is the
+    # assignment itself.
+    "convert-same": (
+        "if narrow_checker(I32, I32) is not None:\n"
+        "    raise RuntimeError('i32 -> i32 has a per-value test')\n"
+        "v = 123",
+        "x = v",
+        "x = v",
+    ),
+    # 123 is in range, so the test runs and passes every time.
+    "convert-narrowable": (
+        "chk = narrow_checker(I32, I16)\nv = 123",
+        "if chk(v):\n    raise NarrowError(v, I32, I16)\nx = v",
+        "x = v",
+    ),
+    "number-arith": ("a, b = Number(3), Number(4)\np, q = 3, 4", "x = a + b", "x = p + q"),
+    "raw-arith": ("p, q = 3, 4", "x = p + q", None),
+    "span-index": (
+        "data = [(i * 37) % 64 for i in range(64)]\ns = Span(list(data))",
+        "x = s[41]",
+        "x = data[41]",
+    ),
+    "span-sort": ("data = [(i * 37) % 64 for i in range(64)]", "sort(Span(list(data)))", "list(data).sort()"),
+    "convert-checked": ("v = 123", "x = convert(v, U16)", _INLINE_U16_TEST),
+    "format-render": ("", "format_render(_ROW, *_ROW_ARGS)", "_ROW.format(*_ROW_ARGS)"),
+    "number-construct": ("v = 123", "x = Number(v, U16)", _INLINE_U16_TEST),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)
@@ -257,10 +167,13 @@ def run_bench(scenario: str, iters: int) -> BenchRecord:
     """Time one scenario and its baseline; usable directly from tests."""
     if iters <= 0:
         raise ValueError("iters must be positive")
-    measured_loop, baseline_loop = _BENCHES[scenario]
-    measured = _timed(measured_loop, iters)
-    baseline = measured if baseline_loop is None else _timed(baseline_loop, iters)
-    return BenchRecord(scenario, iters, measured, baseline)
+    setup, statement, baseline = _BENCHES[scenario]
+
+    def ns_per_op(stmt: str) -> float:
+        return timeit.Timer(stmt, setup, globals=globals()).timeit(iters) * 1e9 / iters
+
+    measured = ns_per_op(statement)
+    return BenchRecord(scenario, iters, measured, measured if baseline is None else ns_per_op(baseline))
 
 
 def cmd_bench(scenario: str, iters: int) -> int:

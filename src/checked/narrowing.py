@@ -532,9 +532,11 @@ def deduced_type(value) -> NumType:
     """Numeric type a bare Python value stands for.
 
     Integers follow the i32-then-i64 literal ladder, floats are f64.  A
-    positive integer beyond the i64 range deduces to u64, the one supported
-    type that holds it exactly.  bool is rejected outright, its arithmetic
-    quirks are out of scope here.
+    positive integer beyond the i64 range deduces to u64, the one built-in
+    type that holds it exactly.  Past the ladder, an integer deduces to the
+    narrowest registered integer type wider than u64 that holds it, the
+    signed one first at equal width; with none, it is refused.  bool is
+    rejected outright, its arithmetic quirks are out of scope here.
     """
     if isinstance(value, bool):
         raise ConstraintError("bool is outside the supported numeric set")
@@ -545,6 +547,10 @@ def deduced_type(value) -> NumType:
             return I64
         if 0 <= value <= U64.max:
             return U64
+        wider = [t for t in _TYPES.values()
+                 if t.byte_size > U64.byte_size and t.min is not None and t.min <= value <= t.max]
+        if wider:
+            return min(wider, key=lambda t: (t.byte_size, t.kind is NumericKind.UNSIGNED_INT))
         raise ConstraintError(
             f"integer {value} does not fit any supported type; "
             "register a wider one or pass an explicit type"

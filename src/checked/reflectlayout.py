@@ -7,8 +7,9 @@ the reference 64-bit C rules: scalars are naturally aligned, the record is
 padded to its strictest member alignment, and owned text occupies a 24-byte
 block aligned to 8 (pointer, length, capacity).
 
-Only flat records of known primitives are supported; anything else is
-rejected at registration, before a single descriptor exists.
+Only flat records of known primitives and registered numeric types are
+supported; anything else is rejected at registration, before the record
+exists.
 """
 
 from __future__ import annotations
@@ -75,21 +76,24 @@ def register_record(name: str, fields) -> RecordType:
         raise ConstraintError(f"record {name!r} already registered")
     normalized: list[tuple[str, str]] = []
     seen: set[str] = set()
+    descriptors: list[MemberDescriptor] = []
+    offset = 0
+    alignment = 1
     for field_name, primitive in fields:
         if not isinstance(field_name, str) or not field_name.isidentifier():
             raise ConstraintError(f"field name {field_name!r} is not an identifier")
         if field_name in seen:
             raise ConstraintError(f"duplicate field name {field_name!r}")
-        if primitive not in PRIMITIVE_LAYOUTS:
-            raise ConstraintError(f"unknown field type {primitive!r}")
+        placement = PRIMITIVE_LAYOUTS.get(primitive)
+        if placement is None:
+            # a numeric type registered after import, naturally aligned
+            size = next((t.byte_size for t in supported_types() if t.name == primitive), None)
+            if size is None:
+                raise ConstraintError(f"unknown field type {primitive!r}")
+            placement = (size, size)
         seen.add(field_name)
         normalized.append((field_name, primitive))
-
-    offset = 0
-    alignment = 1
-    descriptors: list[MemberDescriptor] = []
-    for field_name, primitive in normalized:
-        size, align = PRIMITIVE_LAYOUTS[primitive]
+        size, align = placement
         offset = _align_up(offset, align)
         descriptors.append(MemberDescriptor(field_name, offset, size))
         offset += size

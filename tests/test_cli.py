@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 
-from checked.cli import BENCH_CSV_HEADER, main, run_bench
+from checked.cli import BENCH_CSV_HEADER, BENCH_SCENARIOS, main, run_bench
 from checked.demos import DEMO_NAMES, run_demo
+from checked.narrowing import _CHECKERS, I32
 
 
 def run(capsys, *argv):
@@ -84,12 +87,37 @@ class TestBench:
         assert float(ns) > 0 and float(baseline) > 0
 
     def test_all_scenarios_run(self):
-        for scenario in ("convert-same", "convert-narrowable", "number-arith", "raw-arith",
-                         "span-index", "span-sort", "convert-checked", "format-render",
-                         "number-construct"):
+        scenarios = ("convert-same", "convert-narrowable", "number-arith", "raw-arith",
+                     "span-index", "span-sort", "convert-checked", "format-render",
+                     "number-construct")
+        assert BENCH_SCENARIOS == scenarios
+        for scenario in scenarios:
             record = run_bench(scenario, 20000)
             assert record.iters == 20000
             assert record.ns_per_op >= 0 and record.baseline_ns_per_op > 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_kept(self, enabled):
+        was_enabled = gc.isenabled()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        try:
+            run_bench("raw-arith", 1000)
+            assert gc.isenabled() is enabled
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
+
+    def test_convert_same_refuses_a_pair_with_a_checker(self, monkeypatch):
+        # The staged pattern times a bare assignment only for a pair that
+        # never narrows; a checker for i32 -> i32 must stop the run.
+        monkeypatch.setitem(_CHECKERS, (I32, I32), lambda value: False)
+        with pytest.raises(RuntimeError, match="per-value test"):
+            run_bench("convert-same", 1000)
 
     def test_bad_iters(self, capsys):
         status, _, err = run(capsys, "bench", "raw-arith", "--iters", "0")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -33,9 +34,12 @@ from checked import (
     convert,
     convert_to,
     deduced_type,
+    layout_of,
     narrow_checker,
     numeric_type,
+    record_size,
     register_numeric_type,
+    register_record,
     supported_types,
     traits_of,
     will_narrow,
@@ -621,8 +625,9 @@ class TestDeducedType:
 class TestRegistration:
     def test_new_integer_type_integrates(self):
         from checked import narrowing as _n
+        from checked import reflectlayout as _r
 
-        tables = (_n._TYPES, _n._MATRIX, _n._CHECKERS, _n._CONVERT, _n._ARITH)
+        tables = (_n._TYPES, _n._MATRIX, _n._CHECKERS, _n._CONVERT, _n._ARITH, _r._RECORDS)
         saved = [dict(table) for table in tables]
         i128 = register_numeric_type("i128_test", NumericKind.SIGNED_INT, 127, 16)
         try:
@@ -635,6 +640,9 @@ class TestRegistration:
             assert Number(2**100, "i128_test").value == convert(2**100, "i128_test") == 2**100
             for v in (i128.min, i128.max):
                 assert Number(v, i128).value == convert(v, i128) == v
+            # decided: a bare int that no registered type holds stays refused
+            with pytest.raises(ConstraintError, match="register a wider one"):
+                convert(i128.max + 1, i128)
             assert narrow_checker(I64, i128) is None
             # Every per-pair table is complete when registration returns.
             assert len(_n._CONVERT) == len(_n._ARITH) == len(_n._CHECKERS) == 12**2
@@ -649,11 +657,27 @@ class TestRegistration:
             with pytest.raises(CheckedOverflowError) as info:
                 Number(5, i128) / Number(0, I64)
             assert info.value.reason == "divide-by-zero"
+            # A bare int past the built-in ladder deduces to the narrowest
+            # wider registered type, the signed one first at equal width.
+            u128 = register_numeric_type("u128_test", NumericKind.UNSIGNED_INT, 128, 16)
+            assert Number(2**100).numtype is i128
+            assert Number(-(2**100)).numtype is i128
+            assert Number(2**127).numtype is u128
+            assert Number(2**63).numtype is U64
+            total = Number(5, i128) + 2**100
+            assert total == Number(2**100 + 5, i128) and total.numtype is i128
+            # A registered type is a record field, naturally aligned.
+            wide = register_record("WideTest", [("a", "i128_test"), ("b", "i8")])
+            assert [(m.name, m.offset, m.size) for m in layout_of(wide)] == [("a", 0, 16), ("b", 16, 1)]
+            assert record_size(wide) == 32
         finally:
             for table, snapshot in zip(tables, saved):
                 table.clear()
                 table.update(snapshot)
         assert len(NARROWING_MATRIX) == len(ALL_TYPES) ** 2 == 121
+        message = f"integer {2**64} does not fit any supported type; register a wider one or pass an explicit type"
+        with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
+            Number(2**64)
 
     def test_invalid_registrations_rejected(self):
         with pytest.raises(ConstraintError):
