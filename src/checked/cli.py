@@ -4,8 +4,9 @@ Verbs:
 
 * ``narrow check FROM TO VALUE``: classify and attempt one conversion.
 * ``narrow table``: the full can-narrow matrix for the supported types.
-* ``bench SCENARIO --iters N``: CSV timing of a checked path against its
-  raw baseline.
+* ``bench SCENARIO --iters N [--repeat K] [--json PATH]``: CSV timing of a
+  checked path against its raw baseline (``all`` runs every scenario); each
+  row is the fastest of K loops, and ``--json`` also writes the medians.
 * ``demo WHICH``: run a scripted transcript against its recorded
   expectations.
 * ``layout NAME``: print a registered record's member descriptors.
@@ -21,8 +22,12 @@ collector is paused while timing.
 from __future__ import annotations
 
 import argparse
+import json
+import platform
+import statistics
 import sys
 import timeit
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .narrowing import (
@@ -163,29 +168,54 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
 BENCH_SCENARIOS = tuple(_BENCHES)
 
 
-def run_bench(scenario: str, iters: int) -> BenchRecord:
-    """Time one scenario and its baseline; usable directly from tests."""
-    if iters <= 0:
-        raise ValueError("iters must be positive")
+def _bench_times(scenario: str, iters: int, repeat: int) -> tuple[list[float], list[float]]:
+    """ns per operation of the measured and the baseline statement, one per loop."""
+    if iters <= 0 or repeat <= 0:
+        raise ValueError("iters and repeat must be positive")
     setup, statement, baseline = _BENCHES[scenario]
 
-    def ns_per_op(stmt: str) -> float:
-        return timeit.Timer(stmt, setup, globals=globals()).timeit(iters) * 1e9 / iters
+    def ns_per_op(stmt: str) -> list[float]:
+        loops = timeit.Timer(stmt, setup, globals=globals()).repeat(repeat, iters)
+        return [seconds * 1e9 / iters for seconds in loops]
 
     measured = ns_per_op(statement)
-    return BenchRecord(scenario, iters, measured, measured if baseline is None else ns_per_op(baseline))
+    return measured, measured if baseline is None else ns_per_op(baseline)
 
 
-def cmd_bench(scenario: str, iters: int) -> int:
-    record = run_bench(scenario, iters)
+def run_bench(scenario: str, iters: int) -> BenchRecord:
+    """Time one scenario and its baseline; usable directly from tests."""
+    (measured,), (baseline,) = _bench_times(scenario, iters, 1)
+    return BenchRecord(scenario, iters, measured, baseline)
+
+
+def _source_commit() -> Optional[str]:
+    """The commit checked out where this package's source lives, if readable."""
+    git = Path(__file__).resolve().parents[2] / ".git"
+    try:
+        head = (git / "HEAD").read_text(encoding="ascii").strip()
+        return (git / head[5:]).read_text(encoding="ascii").strip() if head.startswith("ref: ") else head
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
+def cmd_bench(scenario: str, iters: int, repeat: int, json_path: Optional[str]) -> int:
     print(BENCH_CSV_HEADER)
-    print(format_render(
-        "{},{},{},{}",
-        record.scenario,
-        record.iters,
-        f"{record.ns_per_op:.3f}",
-        f"{record.baseline_ns_per_op:.3f}",
-    ))
+    results = {}
+    for name in BENCH_SCENARIOS if scenario == "all" else (scenario,):
+        measured, baseline = _bench_times(name, iters, repeat)
+        print(format_render("{},{},{},{}", name, iters, f"{min(measured):.3f}", f"{min(baseline):.3f}"))
+        results[name] = {
+            "iters": iters, "repeat": repeat,
+            "ns_min": min(measured), "ns_median": statistics.median(measured),
+            "baseline_ns_min": min(baseline), "baseline_ns_median": statistics.median(baseline),
+            "ratio": min(measured) / min(baseline),
+        }
+    if json_path is not None:
+        report = {"python": platform.python_version(), "platform": platform.platform(),
+                  "commit": _source_commit(), "scenarios": results}
+        with open(json_path, "w", encoding="utf-8") as out:
+            json.dump(report, out, indent=2)
+            out.write("\n")
     return 0
 
 
@@ -238,8 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
     narrow_sub.add_parser("table", help="print the can-narrow matrix")
 
     bench = sub.add_parser("bench", help="time a checked path against its baseline")
-    bench.add_argument("scenario", choices=BENCH_SCENARIOS)
+    bench.add_argument("scenario", choices=BENCH_SCENARIOS + ("all",))
     bench.add_argument("--iters", type=int, default=1_000_000)
+    bench.add_argument("--repeat", type=int, default=1, help="loops per statement; rows report the fastest")
+    bench.add_argument("--json", metavar="PATH", help="also write each statement's min and median ns here")
 
     demo = sub.add_parser("demo", help="run a scripted transcript")
     demo.add_argument("which", choices=DEMO_NAMES + ("all",))
@@ -259,7 +291,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "bench":
         if args.iters <= 0:
             return _usage_error("--iters must be positive")
-        return cmd_bench(args.scenario, args.iters)
+        if args.repeat <= 0:
+            return _usage_error("--repeat must be positive")
+        return cmd_bench(args.scenario, args.iters, args.repeat, args.json)
     if args.command == "demo":
         return cmd_demo(args.which)
     return cmd_layout(args.name)

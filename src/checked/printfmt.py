@@ -8,17 +8,17 @@ left over once the text is exhausted fail with "too many arguments".  There
 is no escape for a literal ``{}``.
 
 Each distinct format text is compiled once, by one tokenizing regex, into a
-host ``str.format`` text with every literal brace doubled plus the offsets
-of its placeholders; a bounded cache keeps the compiled form, so a repeated
-text costs one cache lookup.  A format text that is not a ``str`` (or None)
-is refused with ``ConstraintError``.
+host ``str.format`` text, with every literal brace doubled and every
+placeholder written as ``{!s}``, plus the offsets of its placeholders; a
+bounded cache keeps the compiled form.  A format text that is not a ``str``
+(or None) is refused with ``ConstraintError``.
 
-Rendering is the host's default text form (``str``), which is deterministic
-for a given value; wrapped numbers render as their underlying value.  The
-functions build and return text, they never touch an output device, so
-errors can be reported without a partial-output contract.
-
-Everything here is a pure function and thread-safe.
+Rendering is the host's default text form (``str``), which ``render``
+defines; wrapped numbers render as their underlying value.  The ``!s``
+conversion makes ``str.format`` call ``str()`` on each argument in C, so
+``format_render`` does not call ``render`` and patching it changes nothing
+there.  The functions build and return text and never touch an output
+device; each is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _compile(fmt: str) -> tuple[str, tuple[int, ...]]:
     for token in _TOKEN.finditer(fmt):
         if token.group() == "{}":
             host.append(_escape(fmt[done:token.start()]))
-            host.append("{}")
+            host.append("{!s}")
             slots.append(token.start())
             done = token.end()
     host.append(_escape(fmt[done:]))
@@ -100,4 +100,4 @@ def format_render(fmt, *args) -> str:
         if len(args) < len(slots):
             raise FormatError(FormatErrorKind.ARGUMENT_MISSING, slots[len(args)])
         raise FormatError(FormatErrorKind.TOO_MANY_ARGUMENTS, len(fmt))
-    return host.format(*map(render, args))
+    return host.format(*args)

@@ -1,7 +1,10 @@
 import gc
+import json
+import platform
 
 import pytest
 
+from checked import cli
 from checked.cli import BENCH_CSV_HEADER, BENCH_SCENARIOS, main, run_bench
 from checked.demos import DEMO_NAMES, run_demo
 from checked.narrowing import _CHECKERS, I32
@@ -122,6 +125,72 @@ class TestBench:
     def test_bad_iters(self, capsys):
         status, _, err = run(capsys, "bench", "raw-arith", "--iters", "0")
         assert status == 2 and "iters" in err
+
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_bad_repeat(self, capsys, repeat):
+        status, out, err = run(capsys, "bench", "raw-arith", "--iters", "10", "--repeat", repeat)
+        assert status == 2 and "repeat" in err and out == ""
+
+    def test_all_prints_one_header_and_every_scenario(self, capsys):
+        status, out, _ = run(capsys, "bench", "all", "--iters", "200")
+        assert status == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == BENCH_CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == list(BENCH_SCENARIOS)
+
+    def test_repeat_rows_are_the_fastest_loop_and_json_adds_the_median(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        class ScriptedTimer:
+            """Each statement's loops take these ns per operation, the measured one twice as long."""
+
+            def __init__(self, stmt, setup, globals):
+                self.scale = 2 if stmt == "x = a + b" else 1
+                self.stmt = stmt
+
+            def repeat(self, repeat, number):
+                calls.append((self.stmt, repeat, number))
+                return [self.scale * ns * number / 1e9 for ns in (300, 100, 200)[:repeat]]
+
+        monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
+        path = tmp_path / "bench.json"
+        status, out, _ = run(capsys, "bench", "number-arith", "--iters", "1000",
+                             "--repeat", "3", "--json", str(path))
+        assert status == 0
+        assert out == BENCH_CSV_HEADER + "\nnumber-arith,1000,200.000,100.000\n"
+        assert calls == [("x = a + b", 3, 1000), ("x = p + q", 3, 1000)]
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert report["python"] == platform.python_version()
+        assert report["platform"] == platform.platform()
+        assert report["commit"] == cli._source_commit()
+        assert list(report["scenarios"]) == ["number-arith"]
+        row = report["scenarios"]["number-arith"]
+        assert row["iters"] == 1000 and row["repeat"] == 3
+        assert row["ns_min"] == pytest.approx(200) and row["ns_median"] == pytest.approx(400)
+        assert row["baseline_ns_min"] == pytest.approx(100) and row["baseline_ns_median"] == pytest.approx(200)
+        assert row["ratio"] == pytest.approx(2)
+
+    def test_json_of_all_holds_every_scenario(self, capsys, tmp_path):
+        path = tmp_path / "bench.json"
+        status, _, _ = run(capsys, "bench", "all", "--iters", "200", "--repeat", "2", "--json", str(path))
+        assert status == 0
+        scenarios = json.loads(path.read_text(encoding="utf-8"))["scenarios"]
+        assert list(scenarios) == list(BENCH_SCENARIOS)
+        for row in scenarios.values():
+            assert row["repeat"] == 2 and 0 <= row["ns_min"] <= row["ns_median"]
+            assert row["ratio"] == row["ns_min"] / row["baseline_ns_min"]
+
+    def test_source_commit_reads_git_head(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "checked" / "cli.py"))
+        assert cli._source_commit() is None  # no checkout
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/main\n", encoding="ascii")
+        assert cli._source_commit() is None  # a ref with no commit yet
+        (git / "refs" / "heads" / "main").write_text("ab" * 20 + "\n", encoding="ascii")
+        assert cli._source_commit() == "ab" * 20
+        (git / "HEAD").write_text("cd" * 20 + "\n", encoding="ascii")  # detached
+        assert cli._source_commit() == "cd" * 20
 
 
 class TestDemo:

@@ -1,3 +1,6 @@
+import enum
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,10 +8,12 @@ from checked import (
     ConstraintError,
     FormatError,
     FormatErrorKind,
+    NumericKind,
     Number,
     format_render,
     print_concat,
     render,
+    supported_types,
 )
 
 import oracle
@@ -93,6 +98,55 @@ class TestFormatRender:
             with pytest.raises(FormatError) as info:
                 format_render(texts[0], 1)
             assert info.value.position == 6
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Fancy(float):
+    def __format__(self, spec):
+        return "fancy"
+
+
+class _NoFormat:
+    def __repr__(self):
+        return "_NoFormat()"
+
+    def __str__(self):
+        return "no-format"
+
+    def __format__(self, spec):
+        raise TypeError("__format__ must not be called")
+
+
+class _Loud(str):
+    def __str__(self):
+        return "LOUD"
+
+
+# Values whose str() the host format text must reproduce.  On 3.10 an
+# IntEnum member formats as its int but str()s as "_Level.HIGH"; _Fancy and
+# _NoFormat separate str() from format() on every version.
+RENDER_VALUES = [
+    _Level.HIGH, _Fancy(1.5), _NoFormat(), _Loud("quiet"),
+    True, -0.0, math.nan, math.inf, -math.inf, 10**30, None, b"x",
+] + [
+    Number(-2.5 if t.kind is NumericKind.FLOAT else t.max, t) for t in supported_types()
+]
+
+
+class TestRendersWithStr:
+    """Every argument renders as str() of it, never as format() of it."""
+
+    def test_one_row_of_every_value(self):
+        fmt = "|".join(["{}"] * len(RENDER_VALUES))
+        assert format_render(fmt, *RENDER_VALUES) == oracle.substitute(fmt, RENDER_VALUES)
+
+    @pytest.mark.parametrize("value", RENDER_VALUES, ids=repr)
+    def test_first_and_later_placeholders(self, value):
+        fmt = "<{}> {x {}"
+        assert format_render(fmt, value, value) == oracle.substitute(fmt, [value, value])
 
 
 _fragments = st.lists(

@@ -9,10 +9,12 @@ from checked import (
     ConstraintError,
     LinkedList,
     NarrowError,
+    NumericKind,
     Number,
     RangeError,
     Span,
     is_spanable,
+    register_numeric_type,
     register_spanable,
 )
 
@@ -217,6 +219,7 @@ INDEX_TABLE = [
     (1.0, 1),
     (Number(3, U32), 3),
     (2**40, NarrowError),
+    (2**64, ConstraintError),  # no registered type holds it, as in convert
 ]
 
 
@@ -243,6 +246,24 @@ class TestIndexTable:
         else:
             s[index] = -7
             assert data[expected] == -7 and data.count(-7) == 1
+
+    def test_a_registered_wider_type_makes_a_huge_index_narrow(self):
+        from checked import narrowing as _n
+
+        tables = (_n._TYPES, _n._MATRIX, _n._CHECKERS, _n._CONVERT, _n._ARITH)
+        saved = [dict(table) for table in tables]
+        register_numeric_type("i128_span_test", NumericKind.SIGNED_INT, 127, 16)
+        try:
+            with pytest.raises(NarrowError):
+                Span(hundred())[2**64]
+            with pytest.raises(NarrowError):
+                Span(hundred(), 0, 2**64)
+        finally:
+            for table, snapshot in zip(tables, saved):
+                table.clear()
+                table.update(snapshot)
+        with pytest.raises(ConstraintError):
+            Span(hundred())[2**64]
 
     def test_subrange_offsets_the_fast_path(self):
         data = hundred()
