@@ -213,9 +213,12 @@ def cmd_bench(scenario: str, iters: int, repeat: int, json_path: Optional[str]) 
     if json_path is not None:
         report = {"python": platform.python_version(), "platform": platform.platform(),
                   "commit": _source_commit(), "scenarios": results}
-        with open(json_path, "w", encoding="utf-8") as out:
-            json.dump(report, out, indent=2)
-            out.write("\n")
+        try:
+            with open(json_path, "w", encoding="utf-8") as out:
+                json.dump(report, out, indent=2)
+                out.write("\n")
+        except OSError as exc:
+            return _usage_error(f"cannot write {json_path}: {exc.strerror}")
     return 0
 
 

@@ -6,9 +6,8 @@ unsigned conversion first, so a negative or fractional index raises
 ``NarrowError`` before any range logic runs (there is no Python-style
 wrap-around), and an index outside ``[0, len)`` raises ``RangeError``.
 A bare int index or bound follows ``convert``'s rule: one that no registered
-type holds raises ``ConstraintError`` (``Span(r)[2**64]``), and once a wider
-type such as an ``i128`` is registered the same value raises ``NarrowError``
-on its way into the unsigned index type.
+type holds raises ``ConstraintError`` (``Span(r)[2**64]``); with an ``i128``
+registered, the same index raises ``NarrowError``.
 
 The bounds of a span are proved once, when it is built; algorithms that
 walk the whole window (the random-access sort) read and write the backing

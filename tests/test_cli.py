@@ -131,13 +131,6 @@ class TestBench:
         status, out, err = run(capsys, "bench", "raw-arith", "--iters", "10", "--repeat", repeat)
         assert status == 2 and "repeat" in err and out == ""
 
-    def test_all_prints_one_header_and_every_scenario(self, capsys):
-        status, out, _ = run(capsys, "bench", "all", "--iters", "200")
-        assert status == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == BENCH_CSV_HEADER
-        assert [line.split(",")[0] for line in lines[1:]] == list(BENCH_SCENARIOS)
-
     def test_repeat_rows_are_the_fastest_loop_and_json_adds_the_median(self, capsys, monkeypatch, tmp_path):
         calls = []
 
@@ -170,15 +163,23 @@ class TestBench:
         assert row["baseline_ns_min"] == pytest.approx(100) and row["baseline_ns_median"] == pytest.approx(200)
         assert row["ratio"] == pytest.approx(2)
 
-    def test_json_of_all_holds_every_scenario(self, capsys, tmp_path):
+    def test_all_runs_every_scenario_under_one_header(self, capsys, tmp_path):
         path = tmp_path / "bench.json"
-        status, _, _ = run(capsys, "bench", "all", "--iters", "200", "--repeat", "2", "--json", str(path))
+        status, out, _ = run(capsys, "bench", "all", "--iters", "200", "--repeat", "2", "--json", str(path))
         assert status == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == BENCH_CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == list(BENCH_SCENARIOS)
         scenarios = json.loads(path.read_text(encoding="utf-8"))["scenarios"]
         assert list(scenarios) == list(BENCH_SCENARIOS)
         for row in scenarios.values():
             assert row["repeat"] == 2 and 0 <= row["ns_min"] <= row["ns_median"]
             assert row["ratio"] == row["ns_min"] / row["baseline_ns_min"]
+
+    def test_unwritable_json_path_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "bench.json"
+        status, _, err = run(capsys, "bench", "raw-arith", "--iters", "10", "--json", str(path))
+        assert status == 2 and "cannot write" in err and not path.exists()
 
     def test_source_commit_reads_git_head(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "checked" / "cli.py"))
