@@ -163,6 +163,7 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     "convert-checked": ("v = 123", "x = convert(v, U16)", _INLINE_U16_TEST),
     "format-render": ("", "format_render(_ROW, *_ROW_ARGS)", "_ROW.format(*_ROW_ARGS)"),
     "number-construct": ("v = 123", "x = Number(v, U16)", _INLINE_U16_TEST),
+    "number-compare": ("a, b = Number(3), Number(4)\np, q = 3, 4", "x = a < b", "x = p < q"),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -12,9 +12,11 @@ Registration turns each pair into one converter with the check and the cast
 fused: a pair that can never narrow gets the builtin ``int`` or ``float``,
 which is the exact cast for any value of its source type; a pair that can
 narrow gets one closure with its bounds or its cast bound in, which returns
-the converted value or raises ``NarrowError``.  A checked conversion is then
-one table lookup plus one call; an exact int in an integer target's range
-needs only a range test.  ``narrow_checker`` exposes the staged form
+the converted value or raises ``NarrowError``.  Each ``NumType`` holds its
+pair decisions in rows keyed by the other ``NumType`` (``to``, ``checks``,
+``plans``); there is no tuple-keyed pair table.  A checked conversion is
+then one row lookup plus one call; an exact int in an integer target's
+range needs only a range test.  ``narrow_checker`` exposes the staged form
 directly: it returns ``None`` for pairs that can never narrow, so hot paths
 can skip per-value work entirely.  ``convert_to`` raises ``NarrowError``
 instead of ever returning a changed value.
@@ -124,9 +126,15 @@ class NumType:
     integers, truncation toward zero for float-to-integer, round to nearest
     even for floats), intentionally unchecked; the checked entry points are
     ``convert_to`` and friends.
+
+    ``to``, ``checks`` and ``plans`` are this type's rows of the pair
+    decisions, keyed by the other ``NumType``: the converter into it, the
+    checker into it (``None`` where it cannot narrow) and the ``Number``
+    plan with it.  ``register_numeric_type`` fills them.
     """
 
-    __slots__ = ("name", "kind", "digits", "byte_size", "traits", "min", "max", "cast")
+    __slots__ = ("name", "kind", "digits", "byte_size", "traits", "min", "max", "cast",
+                 "to", "checks", "plans")
 
     def __init__(self, name, kind, digits, byte_size, min_value, max_value, cast):
         self.name = name
@@ -137,6 +145,7 @@ class NumType:
         self.min = min_value
         self.max = max_value
         self.cast = cast
+        self.to, self.checks, self.plans = {}, {}, {}
 
     def __repr__(self) -> str:
         return self.name
@@ -208,15 +217,10 @@ def _rounding_cast(digits: int, min_exp: int, max_exp: int):
     return cast
 
 
-# --- registry and classification tables -------------------------------------
+# --- registry and classification table --------------------------------------
 
 _TYPES: dict[str, NumType] = {}
 _MATRIX: dict[tuple[str, str], bool] = {}
-_CHECKERS: dict[tuple[NumType, NumType], Optional[Callable]] = {}
-_CONVERT: dict[tuple[NumType, NumType], Callable] = {}
-# Per pair: the plan ``(common, add, sub, mul, div, round_a, round_b)`` of
-# mixed arithmetic and comparison (``number.py``, built by ``_make_plans``).
-_ARITH: dict[tuple[NumType, NumType], tuple] = {}
 
 #: Read-only view of the per-pair classification, keyed by (source name,
 #: target name).  Filled when types are registered (import time for the
@@ -383,7 +387,7 @@ def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float
     """One operation on a value of ``a`` and one of ``b``: the result in the
     common type ``c``, or the errors, in order, of converting both operands
     first (the slow path re-runs the converters), then of the operation."""
-    convert_a, convert_b = _CONVERT[(a, c)], _CONVERT[(b, c)]
+    convert_a, convert_b = a.to[c], b.to[c]
     if c.kind is not NumericKind.FLOAT:
         lo, hi = c.min, c.max
 
@@ -402,8 +406,8 @@ def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float
 
     # A pair that cannot narrow needs no operand conversion: Python mixes an
     # exact int with a float exactly.  f64 arithmetic already rounds into f64.
-    check_a = None if _CHECKERS[(a, c)] is None else convert_a
-    check_b = None if _CHECKERS[(b, c)] is None else convert_b
+    check_a = None if a.checks[c] is None else convert_a
+    check_b = None if b.checks[c] is None else convert_b
     cast = None if c.cast is _cast_f64 else c.cast
     inf = math.inf
 
@@ -426,20 +430,20 @@ def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float
 
 
 def _make_plans(pairs) -> None:
-    """Fill ``_ARITH`` with each pair's ``(common, add, sub, mul, div, round_a,
-    round_b)``; an operand is rounded only into a float common type that can
-    change it.  Pairs with the same common type and operand converters share
-    their operations: a builtin converter never refuses, so the operations
-    cannot tell which type it converts from."""
+    """Fill ``a.plans[b]`` with each pair's ``(common, add, sub, mul, div,
+    round_a, round_b)``; an operand is rounded only into a float common type
+    that can change it.  Pairs with the same common type and operand
+    converters share their operations: a builtin converter never refuses,
+    so the operations cannot tell which type it converts from."""
     shared = {}
     for a, b in pairs:
         c = _common_of(a, b)
-        key = (c, _CONVERT[(a, c)], _CONVERT[(b, c)])
+        key = (c, a.to[c], b.to[c])
         if key not in shared:
             shared[key] = [_make_operation(a, b, c, *op) for op in _OPERATIONS]
         is_float = c.kind is NumericKind.FLOAT
-        rounds = [c.cast if is_float and _CHECKERS[(t, c)] is not None else None for t in (a, b)]
-        _ARITH[(a, b)] = (c, *shared[key], *rounds)
+        rounds = [c.cast if is_float and t.checks[c] is not None else None for t in (a, b)]
+        a.plans[b] = (c, *shared[key], *rounds)
 
 
 def narrow_checker(source: TypeSpec, target: TypeSpec) -> Optional[Callable]:
@@ -450,7 +454,7 @@ def narrow_checker(source: TypeSpec, target: TypeSpec) -> Optional[Callable]:
     its argument to be a value of ``source`` and does not check that;
     ``convert_to`` does.
     """
-    return _CHECKERS[(numeric_type(source), numeric_type(target))]
+    return numeric_type(source).checks[numeric_type(target)]
 
 
 def will_narrow(value, source: TypeSpec, target: TypeSpec) -> bool:
@@ -460,7 +464,7 @@ def will_narrow(value, source: TypeSpec, target: TypeSpec) -> bool:
     classification rules narrowing out.  Like ``narrow_checker``, it takes
     ``value`` to be a value of ``source`` and does not check that.
     """
-    chk = _CHECKERS[(numeric_type(source), numeric_type(target))]
+    chk = numeric_type(source).checks[numeric_type(target)]
     return False if chk is None else chk(value)
 
 
@@ -489,7 +493,7 @@ def convert_to(value, source: TypeSpec, target: TypeSpec):
     dst = numeric_type(target)
     if not _inhabits(value, src):
         raise NarrowError(value, src, dst)
-    return _CONVERT[(src, dst)](value)
+    return src.to[dst](value)
 
 
 def convert(value, target):
@@ -525,7 +529,7 @@ def convert(value, target):
             src, value = numtype, value.value
         else:
             src = deduced_type(value)
-    return _CONVERT[(src, target)](value)
+    return src.to[target](value)
 
 
 def deduced_type(value) -> NumType:
@@ -572,9 +576,9 @@ def register_numeric_type(
 
     Integer kinds derive their range and wrap-around cast from the width;
     float kinds must supply a ``cast`` that rounds an exact value into the
-    type.  Every per-pair table (classification, checker, converter,
-    arithmetic plan) is extended in place for each pair involving the new
-    type, before this returns.
+    type.  The classification and the rows (converter, checker, arithmetic
+    plan) are filled for each pair involving the new type, so every row of
+    every type has the new type's column before this returns.
     """
     if not isinstance(name, str) or not name.isidentifier():
         raise ConstraintError(f"type name {name!r} is not an identifier")
@@ -607,12 +611,12 @@ def register_numeric_type(
         narrows = can_narrow_to(a.traits, b.traits, a is b)
         _MATRIX[(a.name, b.name)] = narrows
         if narrows:
-            _CONVERT[(a, b)] = _make_converter(a, b)
-            _CHECKERS[(a, b)] = _make_checker(_CONVERT[(a, b)])
+            a.to[b] = _make_converter(a, b)
+            a.checks[b] = _make_checker(a.to[b])
         else:
             # For a value of ``a``, the builtin is the exact cast into ``b``.
-            _CONVERT[(a, b)] = float if b.kind is NumericKind.FLOAT else int
-            _CHECKERS[(a, b)] = None
+            a.to[b] = float if b.kind is NumericKind.FLOAT else int
+            a.checks[b] = None
     _make_plans(pairs)  # every converter the plans take is now in place
     return nt
 

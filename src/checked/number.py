@@ -16,10 +16,12 @@ signedness mix, so ``Number(-1) < Number(2, "u32")`` is True.  Mixed
 float/integer comparisons happen in the float common type with its usual
 rounding, and float comparisons keep the host partial order for NaN.
 
-The lattice is one per-pair table in ``narrowing``, filled when each type
-is registered, of plans ``(common, add, sub, mul, div, round_a, round_b)``.
-An operation is one lookup and one call on the raw values; an operand the
-common type holds exactly is neither converted nor rounded.
+The lattice lives on the types: each ``NumType`` has a ``plans`` row, keyed
+by the other operand's type and filled when each type is registered, of
+plans ``(common, add, sub, mul, div, round_a, round_b)``; no tuple-keyed
+pair table is left.  An operation is one row lookup and one call on the raw
+values; an operand the common type holds exactly is neither converted nor
+rounded.  ``value`` and ``numtype`` read their slot in C.
 
 Numbers are immutable values; all operations are pure and thread-safe.
 """
@@ -36,8 +38,6 @@ from .narrowing import (
     NumericTraits,
     NumType,
     TypeSpec,
-    _ARITH,
-    _CONVERT,
     convert,
     deduced_type,
     numeric_type,
@@ -52,10 +52,10 @@ __all__ = ["CheckedOverflowError", "Number", "common_type", "compare_lt"]
 def common_type(a: Union[TypeSpec, NumericTraits], b: Union[TypeSpec, NumericTraits]) -> NumType:
     """The type mixed arithmetic on the two given types executes in.
 
-    Deterministic, commutative, and frozen in a per-pair table when the
-    types are registered.  Accepts types, names, or traits.
+    Deterministic, commutative, and frozen in each type's ``plans`` row when
+    the types are registered.  Accepts types, names, or traits.
     """
-    return _ARITH[(_resolve(a), _resolve(b))][0]
+    return _resolve(a).plans[_resolve(b)][0]
 
 
 def _resolve(spec) -> NumType:
@@ -91,7 +91,7 @@ def _arithmetic(index: int):
             other = _as_number(other)
             if other is None:
                 return NotImplemented
-        plan = _ARITH[(self._type, other._type)]
+        plan = self._type.plans[other._type]
         result = _new(Number)
         result._value = plan[index](self._value, other._value)
         result._type = plan[0]
@@ -114,7 +114,7 @@ def _comparison(op):
             other = _as_number(other)
             if other is None:
                 return NotImplemented
-        _, _, _, _, _, round_a, round_b = _ARITH[(self._type, other._type)]
+        _, _, _, _, _, round_a, round_b = self._type.plans[other._type]
         x, y = self._value, other._value
         if round_a is not None:
             x = round_a(x)
@@ -148,25 +148,20 @@ class Number:
                 target, value = value._type, value._value
             else:
                 target = deduced_type(value)
-            self._value = _CONVERT[(target, target)](value)
+            self._value = target.to[target](value)
         elif type(value) is int and target.min is not None and target.min <= value <= target.max:
             self._value = value
         elif type(value) is float:
-            self._value = _CONVERT[(F64, target)](value)
+            self._value = F64.to[target](value)
         elif isinstance(value, Number):
-            self._value = _CONVERT[(value._type, target)](value._value)
+            self._value = value._type.to[target](value._value)
         else:
             self._value = convert(value, target)
         self._type = target
 
-    @property
-    def value(self):
-        """The wrapped value, unchanged."""
-        return self._value
-
-    @property
-    def numtype(self) -> NumType:
-        return self._type
+    # read-only, with no Python frame: the getter is a C callable
+    value = property(operator.attrgetter("_value"), doc="The wrapped value, unchanged.")
+    numtype = property(operator.attrgetter("_type"), doc="The value's interned ``NumType``.")
 
     def assign(self, value) -> "Number":
         """Check ``value`` into this Number's type; the original is untouched."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 
-from .narrowing import _CONVERT, U32, ConstraintError, deduced_type
+from .narrowing import U32, ConstraintError, deduced_type
 from .number import Number
 
 __all__ = ["RangeError", "Span", "register_spanable", "is_spanable"]
@@ -67,8 +67,8 @@ def _as_unsigned(value) -> int:
     if type(value) is int and 0 <= value <= 0xFFFFFFFF:  # already a U32 value
         return value
     if isinstance(value, Number):
-        return _CONVERT[(value.numtype, U32)](value.value)
-    return _CONVERT[(deduced_type(value), U32)](value)
+        return value.numtype.to[U32](value.value)
+    return deduced_type(value).to[U32](value)
 
 
 def _view_of(storage):

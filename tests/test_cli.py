@@ -7,7 +7,7 @@ import pytest
 from checked import cli
 from checked.cli import BENCH_CSV_HEADER, BENCH_SCENARIOS, main, run_bench
 from checked.demos import DEMO_NAMES, run_demo
-from checked.narrowing import _CHECKERS, I32
+from checked.narrowing import I32
 
 
 def run(capsys, *argv):
@@ -92,7 +92,7 @@ class TestBench:
     def test_all_scenarios_run(self):
         scenarios = ("convert-same", "convert-narrowable", "number-arith", "raw-arith",
                      "span-index", "span-sort", "convert-checked", "format-render",
-                     "number-construct")
+                     "number-construct", "number-compare")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             record = run_bench(scenario, 20000)
@@ -118,7 +118,7 @@ class TestBench:
     def test_convert_same_refuses_a_pair_with_a_checker(self, monkeypatch):
         # The staged pattern times a bare assignment only for a pair that
         # never narrows; a checker for i32 -> i32 must stop the run.
-        monkeypatch.setitem(_CHECKERS, (I32, I32), lambda value: False)
+        monkeypatch.setitem(I32.checks, I32, lambda value: False)
         with pytest.raises(RuntimeError, match="per-value test"):
             run_bench("convert-same", 1000)
 

@@ -294,13 +294,11 @@ class TestFusedConverters:
         return dst.cast(value)
 
     def test_all_pairs_on_boundary_values(self):
-        from checked.narrowing import _CONVERT
-
         cases = 0
         for src in ALL_TYPES:
             for value in _members(src):
                 for dst in ALL_TYPES:
-                    got = _outcome(_CONVERT[(src, dst)], value)
+                    got = _outcome(src.to[dst], value)
                     want = _outcome(self._reference, value, src, dst)
                     assert _same(got, want), (value, src, dst, got, want)
                     # The decision itself, against the exact oracle: a pair
@@ -315,22 +313,18 @@ class TestFusedConverters:
                     elif not (isinstance(value, float) and math.isnan(value)):
                         assert refused is not oracle.representable(value, dst.name), (value, src, dst)
                     cases += 1
-        assert len(_CONVERT) == 121 and cases > 121 * 10
+        assert all(len(t.to) == 11 for t in ALL_TYPES) and cases > 121 * 10
 
     def test_convert_to_agrees_with_the_converter(self):
-        from checked.narrowing import _CONVERT
-
         for src in ALL_TYPES:
             for value in _members(src):
                 for dst in ALL_TYPES:
                     got = _outcome(convert_to, value, src, dst)
-                    assert _same(got, _outcome(_CONVERT[(src, dst)], value)), (value, src, dst)
+                    assert _same(got, _outcome(src.to[dst], value)), (value, src, dst)
 
     def test_widening_converters_are_the_builtins(self):
-        from checked.narrowing import _CONVERT
-
-        assert _CONVERT[(I32, I32)] is int and _CONVERT[(U8, I64)] is int
-        assert _CONVERT[(I32, F64)] is float and _CONVERT[(SF16, F32)] is float
+        assert I32.to[I32] is int and U8.to[I64] is int
+        assert I32.to[F64] is float and SF16.to[F32] is float
 
 
 class _Code(IntEnum):
@@ -375,18 +369,18 @@ class TestConvertDispatchFastPath:
                     assert _same(got.value, want), (value, spec)
 
     def test_an_exact_in_range_int_needs_no_converter(self, monkeypatch):
-        from checked import narrowing, number
+        from checked import number
 
-        # With no table and no ``convert`` to fall back on, only the fast
-        # path can answer, and it must answer at both limits of every type.
-        for module in (narrowing, number):
-            monkeypatch.setattr(module, "_CONVERT", {})
+        # With no converter rows and no ``convert`` to fall back on, only the
+        # fast path can answer, and it must answer at both limits of every type.
+        for t in ALL_TYPES:
+            monkeypatch.setattr(t, "to", {})
         monkeypatch.setattr(number, "convert", None)
         for t in INT_TYPES:
             for v in (t.min, t.max):
                 assert convert(v, t) == v and Number(v, t).value == v, (v, t)
                 assert Number(0, t).assign(v).value == v, (v, t)
-        with pytest.raises(KeyError):  # every other input still reads the table
+        with pytest.raises(KeyError):  # every other input still reads a row
             convert(_Code.BIG, I16)
 
     def test_int_subclass_converts_to_a_plain_int(self):
@@ -623,61 +617,65 @@ class TestDeducedType:
 
 
 class TestRegistration:
-    def test_new_integer_type_integrates(self):
-        from checked import narrowing as _n
-        from checked import reflectlayout as _r
-
-        tables = (_n._TYPES, _n._MATRIX, _n._CHECKERS, _n._CONVERT, _n._ARITH, _r._RECORDS)
-        saved = [dict(table) for table in tables]
+    def test_new_integer_type_integrates(self, registry):
         i128 = register_numeric_type("i128_test", NumericKind.SIGNED_INT, 127, 16)
-        try:
-            assert can_narrow(i128, I64) is True
-            assert can_narrow(I64, i128) is False
-            assert will_narrow(2**100, i128, I64) is True
-            assert convert_to(5, i128, I8) == 5
-            # in the wide type's range, though no built-in type holds it
-            assert Number(2**100, i128).value == convert(2**100, i128) == 2**100
-            assert Number(2**100, "i128_test").value == convert(2**100, "i128_test") == 2**100
-            for v in (i128.min, i128.max):
-                assert Number(v, i128).value == convert(v, i128) == v
-            # decided: a bare int that no registered type holds stays refused
-            with pytest.raises(ConstraintError, match="register a wider one"):
-                convert(i128.max + 1, i128)
-            assert narrow_checker(I64, i128) is None
-            # Every per-pair table is complete when registration returns.
-            assert len(_n._CONVERT) == len(_n._ARITH) == len(_n._CHECKERS) == 12**2
-            assert _n._CONVERT[(I64, i128)] is int
-            with pytest.raises(NarrowError):
-                _n._CONVERT[(i128, I64)](2**100)
-            # The plan rows of a type registered after import.
-            assert common_type(i128, I64) is i128
-            total = Number(5, i128) + Number(1, I64)
-            assert total.numtype is i128 and total.value == 6
-            assert Number(1, I64) < Number(5, i128) and Number(-5, i128) < Number(U64.max, U64)
-            with pytest.raises(CheckedOverflowError) as info:
-                Number(5, i128) / Number(0, I64)
-            assert info.value.reason == "divide-by-zero"
-            # A bare int past the built-in ladder deduces to the narrowest
-            # wider registered type, the signed one first at equal width.
-            u128 = register_numeric_type("u128_test", NumericKind.UNSIGNED_INT, 128, 16)
-            assert Number(2**100).numtype is i128
-            assert Number(-(2**100)).numtype is i128
-            assert Number(2**127).numtype is u128
-            assert Number(2**63).numtype is U64
-            total = Number(5, i128) + 2**100
-            assert total == Number(2**100 + 5, i128) and total.numtype is i128
-            # A registered type is a record field, naturally aligned.
-            wide = register_record("WideTest", [("a", "i128_test"), ("b", "i8")])
-            assert [(m.name, m.offset, m.size) for m in layout_of(wide)] == [("a", 0, 16), ("b", 16, 1)]
-            assert record_size(wide) == 32
-        finally:
-            for table, snapshot in zip(tables, saved):
-                table.clear()
-                table.update(snapshot)
+        assert can_narrow(i128, I64) is True
+        assert can_narrow(I64, i128) is False
+        assert will_narrow(2**100, i128, I64) is True
+        assert convert_to(5, i128, I8) == 5
+        # in the wide type's range, though no built-in type holds it
+        assert Number(2**100, i128).value == convert(2**100, i128) == 2**100
+        assert Number(2**100, "i128_test").value == convert(2**100, "i128_test") == 2**100
+        for v in (i128.min, i128.max):
+            assert Number(v, i128).value == convert(v, i128) == v
+        # decided: a bare int that no registered type holds stays refused
+        with pytest.raises(ConstraintError, match="register a wider one"):
+            convert(i128.max + 1, i128)
+        assert narrow_checker(I64, i128) is None
+        # Every row of every type has all 12 columns when registration returns.
+        for t in supported_types():
+            assert len(t.to) == len(t.checks) == len(t.plans) == 12, t
+        assert I64.to[i128] is int
+        with pytest.raises(NarrowError):
+            i128.to[I64](2**100)
+        # The plan rows of a type registered after import.
+        assert common_type(i128, I64) is i128
+        total = Number(5, i128) + Number(1, I64)
+        assert total.numtype is i128 and total.value == 6
+        assert Number(1, I64) < Number(5, i128) and Number(-5, i128) < Number(U64.max, U64)
+        with pytest.raises(CheckedOverflowError) as info:
+            Number(5, i128) / Number(0, I64)
+        assert info.value.reason == "divide-by-zero"
+        # A bare int past the built-in ladder deduces to the narrowest
+        # wider registered type, the signed one first at equal width.
+        u128 = register_numeric_type("u128_test", NumericKind.UNSIGNED_INT, 128, 16)
+        assert Number(2**100).numtype is i128
+        assert Number(-(2**100)).numtype is i128
+        assert Number(2**127).numtype is u128
+        assert Number(2**63).numtype is U64
+        total = Number(5, i128) + 2**100
+        assert total == Number(2**100 + 5, i128) and total.numtype is i128
+        # A registered type is a record field, naturally aligned.
+        wide = register_record("WideTest", [("a", "i128_test"), ("b", "i8")])
+        assert [(m.name, m.offset, m.size) for m in layout_of(wide)] == [("a", 0, 16), ("b", 16, 1)]
+        assert record_size(wide) == 32
+        registry()
         assert len(NARROWING_MATRIX) == len(ALL_TYPES) ** 2 == 121
         message = f"integer {2**64} does not fit any supported type; register a wider one or pass an explicit type"
         with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
             Number(2**64)
+
+    def test_every_row_gains_the_new_column_until_restored(self, registry):
+        old = supported_types()
+        u24 = register_numeric_type("u24_test", NumericKind.UNSIGNED_INT, 24, 3)
+        assert supported_types() == (*old, u24)
+        for t in (*old, u24):
+            assert list(t.to) == list(t.checks) == list(t.plans) == [*old, u24], t
+        assert U32.to[u24](5) == 5 and U8.checks[u24] is None and I8.plans[u24][0] is u24
+        registry()
+        assert supported_types() == old and ("u24_test", "u8") not in NARROWING_MATRIX
+        for t in old:
+            assert list(t.to) == list(t.checks) == list(t.plans) == list(old), t
 
     def test_invalid_registrations_rejected(self):
         with pytest.raises(ConstraintError):

@@ -152,6 +152,17 @@ class TestExtract:
         assert str(Number(7, I8)) == "7"
         assert repr(Number(7, I8)) == "Number(7, i8)"
 
+    def test_accessors_are_read_only_and_documented(self):
+        n = Number(7, I8)
+        with pytest.raises(AttributeError):
+            n.value = 1
+        with pytest.raises(AttributeError):
+            n.numtype = U8
+        with pytest.raises(AttributeError):
+            del n.value
+        assert n.value == 7 and n.numtype is I8
+        assert Number.value.__doc__ and Number.numtype.__doc__
+
 
 class TestDeduction:
     def test_literal_defaults(self):

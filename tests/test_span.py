@@ -247,21 +247,13 @@ class TestIndexTable:
             s[index] = -7
             assert data[expected] == -7 and data.count(-7) == 1
 
-    def test_a_registered_wider_type_makes_a_huge_index_narrow(self):
-        from checked import narrowing as _n
-
-        tables = (_n._TYPES, _n._MATRIX, _n._CHECKERS, _n._CONVERT, _n._ARITH)
-        saved = [dict(table) for table in tables]
+    def test_a_registered_wider_type_makes_a_huge_index_narrow(self, registry):
         register_numeric_type("i128_span_test", NumericKind.SIGNED_INT, 127, 16)
-        try:
-            with pytest.raises(NarrowError):
-                Span(hundred())[2**64]
-            with pytest.raises(NarrowError):
-                Span(hundred(), 0, 2**64)
-        finally:
-            for table, snapshot in zip(tables, saved):
-                table.clear()
-                table.update(snapshot)
+        with pytest.raises(NarrowError):
+            Span(hundred())[2**64]
+        with pytest.raises(NarrowError):
+            Span(hundred(), 0, 2**64)
+        registry()
         with pytest.raises(ConstraintError):
             Span(hundred())[2**64]
 
