@@ -3,28 +3,20 @@ import pytest
 from checked import narrowing, reflectlayout
 
 
-def _snapshot():
-    """Copies of every registry and of every registered type's rows."""
-    tables = (narrowing._TYPES, narrowing._MATRIX, reflectlayout._RECORDS)
-    rows = [(t, dict(t.to), dict(t.checks), dict(t.plans)) for t in narrowing._TYPES.values()]
-    return [(table, dict(table)) for table in tables], rows
-
-
 @pytest.fixture
 def registry():
     """Lets a test register types and records; returns the ``restore`` that
     puts the registries and every type's rows back exactly as they were.
     It runs again when the test ends, whatever the test did."""
-    tables, rows = _snapshot()
+    tables = [(table, dict(table))
+              for table in (narrowing._TYPES, narrowing._MATRIX, reflectlayout._RECORDS)]
+    rows = [(row, dict(row))
+            for t in narrowing._TYPES.values() for row in (t.to, t.checks, t.plans)]
 
     def restore():
-        for table, saved in tables:
+        for table, saved in tables + rows:
             table.clear()
             table.update(saved)
-        for t, to, checks, plans in rows:
-            for row, saved in ((t.to, to), (t.checks, checks), (t.plans, plans)):
-                row.clear()
-                row.update(saved)
 
     yield restore
     restore()
