@@ -49,7 +49,7 @@ from .narrowing import (
 from .number import Number
 from .printfmt import format_render, render
 from .demos import DEMO_NAMES, run_demo
-from .rangealg import sort
+from .rangealg import LinkedList, sort
 from .reflectlayout import layout_of, record_size, registered_record_names
 from .span import Span
 
@@ -164,6 +164,17 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     "format-render": ("", "format_render(_ROW, *_ROW_ARGS)", "_ROW.format(*_ROW_ARGS)"),
     "number-construct": ("v = 123", "x = Number(v, U16)", _INLINE_U16_TEST),
     "number-compare": ("a, b = Number(3), Number(4)\np, q = 3, 4", "x = a < b", "x = p < q"),
+    "span-write": (
+        "data = [(i * 37) % 64 for i in range(64)]\ns = Span(list(data))",
+        "s[41] = 7",
+        "data[41] = 7",
+    ),
+    # The forward sort of a window, as a LinkedList copy of a Span.
+    "sort-forward": (
+        "data = [(i * 37) % 64 for i in range(64)]",
+        "sort(LinkedList(Span(data)))",
+        "sorted(data)",
+    ),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -8,7 +8,9 @@ inferred structurally.  ``sort`` picks the random-access path whenever it
 applies, because that constraint set strictly contains the forward one, and
 reports which path ran.  Both paths sort a copy and write it back in one
 pass; the random-access one reads and writes a ``Span``'s backing store
-directly, since the span's bounds were proved when it was built.  Ranges
+directly, since the span's bounds were proved when it was built, and
+``LinkedList(span)`` copies the window out of that store in one slice.  A
+``Span`` over a ``Buffer`` views the ``Buffer``'s list.  Ranges
 satisfying neither category, and element types the predicate cannot order,
 are rejected with ``ConstraintError`` before anything is touched.
 
@@ -26,7 +28,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .narrowing import ConstraintError
-from .span import _SPANABLE_TYPES, Span, is_spanable, register_spanable
+from .span import _LIST_OF, _SPANABLE_TYPES, Span, is_spanable, register_spanable
 
 __all__ = [
     "RangeCategory",
@@ -142,6 +144,22 @@ def _host_sort(buf: list, pred: Callable) -> None:
         raise ConstraintError(f"elements are not ordered by the sort predicate: {exc}") from exc
 
 
+def _read_window(store, lo: int, n: int) -> list:
+    """``store[lo:lo + n]`` as a new list, in one slice if the store takes slices."""
+    if type(store) not in _SLICE_READ:
+        return list(map(store.__getitem__, range(lo, lo + n)))
+    buf = store[lo:lo + n]
+    if type(buf) is not list:  # a slice of an array, bytearray or memoryview
+        buf = list(buf)
+    # Short only under a Span.unchecked, or a store that shrank since.
+    if len(buf) != n:
+        raise IndexError(
+            f"{type(store).__name__} of length {len(store)} is too short "
+            f"for {n} elements at offset {lo}"
+        )
+    return buf
+
+
 def _sort_window(r, pred: Callable) -> int:
     """Sort a random-access range through its backing store; returns its length.
 
@@ -154,16 +172,7 @@ def _sort_window(r, pred: Callable) -> int:
         store, lo, n = r._storage, r._offset, r._length
     else:
         store, lo, n = r, 0, len(r)
-    if type(store) in _SLICE_READ:
-        buf = list(store[lo:lo + n])
-        # Short only under a Span.unchecked, or a store that shrank since.
-        if len(buf) != n:
-            raise IndexError(
-                f"{type(store).__name__} of length {len(store)} is too short "
-                f"for {n} elements at offset {lo}"
-            )
-    else:
-        buf = [store[i] for i in range(lo, lo + n)]
+    buf = _read_window(store, lo, n)
     _host_sort(buf, pred)
     if type(store) in _SLICE_WRITE:
         store[lo:lo + n] = buf
@@ -277,6 +286,9 @@ class Buffer:
 
 
 register_spanable(Buffer)
+# A Span over an exact Buffer views its list: one frame per index, and the
+# list's own iteration and slices.
+_LIST_OF[Buffer] = operator.attrgetter("_items")
 
 # Backing stores whose slices read out the elements, and those whose slice
 # assignment takes a list of them.  Exact types: a subclass may redefine
@@ -298,6 +310,8 @@ class LinkedList:
     __slots__ = ("_items",)
 
     def __init__(self, items=()):
+        if type(items) is Span:  # its bounds are proved: one read of the window
+            items = _read_window(items._storage, items._offset, items._length)
         self._items = deque(items)
 
     def append(self, value) -> None:

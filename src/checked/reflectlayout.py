@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .narrowing import ConstraintError, supported_types
+from .narrowing import _TYPES, ConstraintError, supported_types
 
 __all__ = [
     "MemberDescriptor",
@@ -84,16 +84,12 @@ def register_record(name: str, fields) -> RecordType:
             raise ConstraintError(f"field name {field_name!r} is not an identifier")
         if field_name in seen:
             raise ConstraintError(f"duplicate field name {field_name!r}")
-        placement = PRIMITIVE_LAYOUTS.get(primitive)
-        if placement is None:
-            # a numeric type registered after import, naturally aligned
-            size = next((t.byte_size for t in supported_types() if t.name == primitive), None)
-            if size is None:
-                raise ConstraintError(f"unknown field type {primitive!r}")
-            placement = (size, size)
+        if not isinstance(primitive, str) or (primitive not in PRIMITIVE_LAYOUTS and primitive not in _TYPES):
+            raise ConstraintError(f"unknown field type {primitive!r}")
         seen.add(field_name)
         normalized.append((field_name, primitive))
-        size, align = placement
+        # a numeric type registered after import is naturally aligned
+        size, align = PRIMITIVE_LAYOUTS.get(primitive) or (_TYPES[primitive].byte_size,) * 2
         offset = _align_up(offset, align)
         descriptors.append(MemberDescriptor(field_name, offset, size))
         offset += size

@@ -10,8 +10,12 @@ type holds raises ``ConstraintError`` (``Span(r)[2**64]``); with an ``i128``
 registered, the same index raises ``NarrowError``.
 
 The bounds of a span are proved once, when it is built; algorithms that
-walk the whole window (the random-access sort) read and write the backing
-store directly, between ``_offset`` and ``_offset + _length``.
+walk the whole window (the random-access sort, ``LinkedList(span)``) read
+and write the backing store directly, between ``_offset`` and
+``_offset + _length``.  A span over an exact ``Buffer`` views the list the
+``Buffer`` keeps, as a nested span views its base store, so its reads and
+writes cost what a list span's do; a ``Buffer`` subclass keeps its own
+item access.
 
 The one deliberate hole is ``Span.unchecked``: the caller asserts the
 extent, nothing validates it, and the name exists to stand out in review.
@@ -46,6 +50,9 @@ class RangeError(IndexError):
 # str/bytes/tuple are immutable and deliberately absent; spans are
 # read/write views.
 _SPANABLE_TYPES: tuple[type, ...] = (list, bytearray, array, memoryview)
+# Exact store type -> the list it keeps its elements in, for a store whose
+# item access only forwards to that list: a span views the list itself.
+_LIST_OF: dict = {}
 
 
 def register_spanable(cls: type) -> type:
@@ -74,10 +81,12 @@ def _as_unsigned(value) -> int:
 def _view_of(storage):
     if isinstance(storage, Span):
         return storage._storage, storage._offset, storage._length
-    if not is_spanable(storage):
+    if not isinstance(storage, _SPANABLE_TYPES):
         raise ConstraintError(
             f"{type(storage).__name__} is not a contiguous range"
         )
+    if type(storage) in _LIST_OF:
+        storage = _LIST_OF[type(storage)](storage)
     return storage, 0, len(storage)
 
 
@@ -142,16 +151,21 @@ class Span:
 
     # The fast paths accept only what ``check`` would return unchanged:
     # ``_length`` already passed the U32 check, so an exact int in
-    # ``[0, len)`` is a valid U32 index.  Every other index, bool included,
+    # ``[0, len)`` is a valid U32 index, as is a ``Number`` converted here
+    # as ``_as_unsigned`` converts it.  Every other index, bool included,
     # goes through ``check`` and keeps its error.
 
     def __getitem__(self, index):
         if type(index) is int and 0 <= index < self._length:
             return self._storage[self._offset + index]
+        if type(index) is Number and (index := index._type.to[U32](index._value)) < self._length:
+            return self._storage[self._offset + index]
         return self._storage[self._offset + self.check(index)]
 
     def __setitem__(self, index, value) -> None:
         if type(index) is int and 0 <= index < self._length:
+            self._storage[self._offset + index] = value
+        elif type(index) is Number and (index := index._type.to[U32](index._value)) < self._length:
             self._storage[self._offset + index] = value
         else:
             self._storage[self._offset + self.check(index)] = value

@@ -92,7 +92,7 @@ class TestBench:
     def test_all_scenarios_run(self):
         scenarios = ("convert-same", "convert-narrowable", "number-arith", "raw-arith",
                      "span-index", "span-sort", "convert-checked", "format-render",
-                     "number-construct", "number-compare")
+                     "number-construct", "number-compare", "span-write", "sort-forward")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             record = run_bench(scenario, 20000)

@@ -262,10 +262,31 @@ class TestWindowSort:
         make, contents_of = STORES[kind]
         store = make([5, 3, 1])
         before = contents_of(store)
-        with pytest.raises(IndexError) as info:
-            sort(Span.unchecked(store, len(store) + 2))
-        assert type(info.value) is IndexError
-        assert contents_of(store) == before
+        for read in (sort, LinkedList):
+            with pytest.raises(IndexError) as info:
+                read(Span.unchecked(store, len(store) + 2))
+            assert type(info.value) is IndexError
+            assert contents_of(store) == before
+
+
+class TestLinkedListOfASpan:
+    """``LinkedList(span)`` reads the window in one slice where the store
+    takes slices: the same values as iterating the span, copied."""
+
+    DATA = [(i * 37 + 11) % 97 for i in range(40)]
+
+    @pytest.mark.parametrize("kind", sorted(STORES) + ["nested"])
+    def test_equals_the_iterated_window(self, kind):
+        if kind == "nested":
+            base = list(self.DATA)
+            window = Span(Span(base, 3, 35), 4, 26)
+        else:
+            base = STORES[kind][0](self.DATA)
+            window = Span(base, 7, 29)
+        linked = LinkedList(window)
+        assert list(linked) == list(LinkedList(list(window))) == self.DATA[7:29]
+        window[0] = 0  # a copy: a later write to the store is not seen
+        assert list(linked)[0] == self.DATA[7]
 
 
 class TestSortProperties:

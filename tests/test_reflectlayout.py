@@ -3,10 +3,13 @@ import struct
 import pytest
 
 from checked import (
+    U16,
     ConstraintError,
     MemberDescriptor,
+    NumericKind,
     layout_of,
     record_size,
+    register_numeric_type,
     register_record,
     registered_record_names,
 )
@@ -86,6 +89,22 @@ class TestRejections:
     def test_unknown_primitive(self):
         with pytest.raises(ConstraintError):
             register_record("BadField", [("a", "i128")])
+
+    @pytest.mark.parametrize("primitive", [U16, "U16", "", None, ["i8"]], ids=repr)
+    def test_a_field_type_is_a_registered_name(self, primitive):
+        # a type object is refused too: a field names its type
+        with pytest.raises(ConstraintError, match=r"^unknown field type "):
+            register_record("BadFieldType", [("a", primitive)])
+        assert "BadFieldType" not in registered_record_names()
+
+    def test_a_type_registered_after_import_is_looked_up_by_name(self, registry):
+        register_numeric_type("u24_field_test", NumericKind.UNSIGNED_INT, 24, 3)
+        record = register_record("U24Field", [("a", "i8"), ("b", "u24_field_test")])
+        assert [(m.offset, m.size) for m in record.layout] == [(0, 1), (3, 3)]
+        assert record.size == 6
+        registry()
+        with pytest.raises(ConstraintError, match=r"^unknown field type 'u24_field_test'$"):
+            register_record("U24Field", [("b", "u24_field_test")])
 
     def test_duplicate_field(self):
         with pytest.raises(ConstraintError):

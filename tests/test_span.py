@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from checked import (
+    F64,
     U8,
     U32,
+    U64,
+    Buffer,
     ConstraintError,
     LinkedList,
     NarrowError,
@@ -16,6 +19,8 @@ from checked import (
     is_spanable,
     register_numeric_type,
     register_spanable,
+    sort,
+    supported_types,
 )
 
 
@@ -265,6 +270,151 @@ class TestIndexTable:
         assert data[59] == -1
         with pytest.raises(RangeError):
             s[20]
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type of the documented error it raises."""
+    try:
+        return call()
+    except (ConstraintError, NarrowError, RangeError) as exc:
+        return type(exc)
+
+
+def _documented(value):
+    """A Number index converts to u32 first: the element it names, a
+    ``RangeError`` past the end, and a ``NarrowError`` when it is no u32
+    value (negative, fractional or too large)."""
+    if value != int(value) or not 0 <= value <= U32.max:
+        return NarrowError
+    return int(value) if value < 100 else RangeError
+
+
+def _number_indices():
+    """Each INDEX_TABLE entry as an int, as a Number of every integer type
+    and of f64 that holds it, and as a fractional f64 next to it."""
+    values = sorted({0, 99, *(i.value if isinstance(i, Number) else int(i) for i, _ in INDEX_TABLE)})
+    types = [t for t in supported_types() if t.kind is not NumericKind.FLOAT] + [F64]
+    cases = []
+    for value in values:
+        for t in types:
+            try:
+                cases.append((value, Number(value, t)))
+            except (ConstraintError, NarrowError):  # the type does not hold the value
+                pass
+        if abs(value) < 2**52:
+            cases.append((value + 0.5, Number(value + 0.5, F64)))
+    return cases
+
+
+class TestNumberIndexDifferential:
+    """A Number index reads, writes and checks as its type's conversion to
+    u32 says, and as the int index of the same value where one exists."""
+
+    @pytest.mark.parametrize("value,index", _number_indices(), ids=repr)
+    def test_read_write_and_check_agree(self, value, index):
+        expected = _documented(value)
+        read = _outcome(lambda: Span(hundred())[index])
+        checked = _outcome(lambda: Span(hundred()).check(index))
+        assert read == checked == expected
+        if not isinstance(expected, type):
+            assert type(read) is int and type(checked) is int
+        data = hundred()
+        wrote = _outcome(lambda: Span(data).__setitem__(index, -7))
+        if isinstance(expected, type):
+            assert wrote is expected and data == hundred()
+        else:
+            assert wrote is None and data[expected] == -7 and data.count(-7) == 1
+        if type(value) is int and value <= U64.max:  # the int path agrees
+            assert _outcome(lambda: Span(hundred())[value]) == expected
+            assert _outcome(lambda: Span(hundred()).check(value)) == expected
+
+    def test_int_and_number_subclasses_take_the_checked_path(self):
+        class Index(int):
+            pass
+
+        class Checked(Number):
+            __slots__ = ()
+
+        s = Span(hundred())
+        for index in (Index, lambda v: Checked(v, "i64")):
+            assert s[index(3)] == 3 and s.check(index(3)) == 3
+            assert _outcome(lambda: s[index(-1)]) is NarrowError
+            assert _outcome(lambda: s[index(100)]) is RangeError
+        assert _outcome(lambda: s[True]) is ConstraintError
+
+
+def _buffer_and_list():
+    """A Buffer and a list holding the same 1024 elements."""
+    buf = Buffer(int, 1024)
+    for i in range(len(buf)):
+        buf[i] = (i * 37 + 11) % 97
+    return buf, list(buf)
+
+
+class TestBufferSpan:
+    """A Span over a Buffer views the Buffer's list, and behaves as a Span
+    over an equal list."""
+
+    def test_reads_and_iteration(self):
+        buf, data = _buffer_and_list()
+        sb, sl = Span(buf, 100, 900), Span(data, 100, 900)
+        assert len(sb) == len(sl) == 800
+        assert [sb[i] for i in range(800)] == [sl[i] for i in range(800)] == data[100:900]
+        assert list(sb) == list(sl)
+        assert sb[Number(5, U8)] == sl[Number(5, U8)] == data[105]
+        for bad in (-1, 800, Number(800, U32), 7.5, True):
+            assert _outcome(lambda: sb[bad]) is _outcome(lambda: sl[bad])
+
+    def test_writes_show_through_the_buffer(self):
+        buf, data = _buffer_and_list()
+        s = Span(buf, 100, 900)
+        s[3] = -1
+        s[Number(4, U8)] = -2
+        assert buf[103] == -1 and buf[104] == -2
+        twin = Span(data, 100, 900)
+        for bad in (-1, 800, Number(800, U32)):
+            assert _outcome(lambda: s.__setitem__(bad, -3)) is _outcome(lambda: twin.__setitem__(bad, -3))
+        data[103:105] = [-1, -2]
+        assert list(buf) == data
+
+    def test_a_write_during_iteration_is_seen(self):
+        buf, _ = _buffer_and_list()
+        s = Span(buf, 1, 3)
+        seen = []
+        for v in s:
+            seen.append(v)
+            if len(seen) == 1:
+                s[1] = 300
+        assert seen == [buf[1], 300] and buf[2] == 300
+
+    def test_sort_and_nested_span(self):
+        buf, data = _buffer_and_list()
+        nb, nl = Span(Span(buf, 100, 900), 10, 500), Span(Span(data, 100, 900), 10, 500)
+        assert list(nb) == list(nl) == data[110:600]
+        sort(nb)
+        sort(nl)
+        assert list(buf) == data and data[110:600] == sorted(data[110:600])
+
+    def test_repr_names_the_list(self):
+        assert repr(Span(Buffer(int, 1024), 2, 4)) == "Span(length=2, offset=2, storage=list)"
+
+    def test_a_buffer_subclass_keeps_its_item_access(self):
+        class Logged(Buffer):
+            __slots__ = ()
+
+            def __getitem__(self, index):
+                reads.append(index)
+                return super().__getitem__(index)
+
+        reads = []
+        store = Logged(int, 1024)
+        s = Span(store, 2, 5)
+        assert s[1] == 0 and reads == [3]
+        assert list(s) == [0, 0, 0] and reads == [3, 2, 3, 4]
+        assert list(LinkedList(s)) == [0, 0, 0] and reads == [3, 2, 3, 4, 2, 3, 4]
+        sort(s)
+        assert reads == [3, 2, 3, 4, 2, 3, 4, 2, 3, 4]
+        assert "storage=Logged" in repr(s)
 
 
 class TestIteration:
