@@ -7,6 +7,9 @@ Verbs:
 * ``bench SCENARIO --iters N [--repeat K] [--json PATH]``: CSV timing of a
   checked path against its raw baseline (``all`` runs every scenario); each
   row is the fastest of K loops, and ``--json`` also writes the medians.
+* ``bench diff OLD.json NEW.json``: CSV of each scenario's ratio in two
+  ``--json`` reports and the relative change of its fastest loop; a
+  scenario missing from either file is marked.  It only reports.
 * ``demo WHICH``: run a scripted transcript against its recorded
   expectations.
 * ``layout NAME``: print a registered record's member descriptors.
@@ -25,12 +28,15 @@ import argparse
 import json
 import platform
 import statistics
+import struct
 import sys
 import timeit
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .narrowing import (
+    F32,
+    F64,
     I16,
     I32,
     U16,
@@ -130,6 +136,8 @@ def cmd_narrow_table() -> int:
 _ROW = "{} key={} count={} delta={} price={} weight={} sum_count={} sum_delta={} sum_price={}"
 _ROW_ARGS = (17, 4242, 9, -3, 1.25, 0.5, 118, -41, 96.75)
 _INLINE_U16_TEST = "if not 0 <= v <= 65535:\n    raise NarrowError(v, I32, U16)\nx = v"
+_F32_STRUCT = struct.Struct("<f")
+_INLINE_F32_TEST = "if _F32_STRUCT.unpack(_F32_STRUCT.pack(v))[0] != v:\n    raise NarrowError(v, F64, F32)\nx = v"
 
 # Per scenario: the set-up, the measured statement and the baseline statement
 # (None: the measured time is its own baseline), run in this module's globals.
@@ -175,6 +183,10 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "sort(LinkedList(Span(data)))",
         "sorted(data)",
     ),
+    # 0.15625 is exact in f32, so the round trip runs and the value passes.
+    "convert-f32": ("v = 0.15625", "x = convert(v, F32)", _INLINE_F32_TEST),
+    # A registered name, against the lookup of a layout already in hand.
+    "layout-of": ("layouts = {'X': layout_of('X')}", "x = layout_of('X')", "x = layouts['X']"),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)
@@ -234,6 +246,39 @@ def cmd_bench(scenario: str, iters: int, repeat: int, json_path: Optional[str]) 
     return 0
 
 
+BENCH_DIFF_CSV_HEADER = "scenario,old_ratio,new_ratio,ns_min_change"
+
+
+def _read_bench_json(path: str) -> dict:
+    """``{scenario: (ratio, ns_min)}`` from a ``bench --json`` report; a file
+    that cannot be read or does not have that shape raises ``ValueError``."""
+    try:
+        with open(path, encoding="utf-8") as report:
+            scenarios = json.load(report)["scenarios"]
+        rows = {name: (float(row["ratio"]), float(row["ns_min"])) for name, row in scenarios.items()}
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path} is not a bench --json report: {detail}") from None
+    return rows
+
+
+def cmd_bench_diff(old_path: str, new_path: str) -> int:
+    try:
+        old, new = _read_bench_json(old_path), _read_bench_json(new_path)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    print(BENCH_DIFF_CSV_HEADER)
+    for name in {**old, **new}:
+        old_ratio = f"{old[name][0]:.3f}" if name in old else "missing"
+        new_ratio = f"{new[name][0]:.3f}" if name in new else "missing"
+        both = name in old and name in new and old[name][1] > 0
+        change = f"{new[name][1] / old[name][1] - 1:+.1%}" if both else "n/a"
+        print(format_render("{},{},{},{}", name, old_ratio, new_ratio, change))
+    return 0
+
+
 # --- demo and layout ---------------------------------------------------------
 
 def cmd_demo(which: str) -> int:
@@ -283,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     narrow_sub.add_parser("table", help="print the can-narrow matrix")
 
     bench = sub.add_parser("bench", help="time a checked path against its baseline")
-    bench.add_argument("scenario", choices=BENCH_SCENARIOS + ("all",))
+    bench.add_argument("scenario", choices=BENCH_SCENARIOS + ("all", "diff"))
+    bench.add_argument("reports", nargs="*", metavar="REPORT", help="diff only: OLD.json NEW.json")
     bench.add_argument("--iters", type=int, default=1_000_000)
     bench.add_argument("--repeat", type=int, default=1, help="loops per statement; rows report the fastest")
     bench.add_argument("--json", metavar="PATH", help="also write each statement's min and median ns here")
@@ -304,6 +350,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_narrow_check(args.from_type, args.to_type, args.value)
         return cmd_narrow_table()
     if args.command == "bench":
+        if args.scenario == "diff":
+            if len(args.reports) != 2:
+                return _usage_error("bench diff takes two reports: OLD.json NEW.json")
+            return cmd_bench_diff(*args.reports)
+        if args.reports:
+            return _usage_error(f"unexpected arguments: {' '.join(args.reports)}")
         if args.iters <= 0:
             return _usage_error("--iters must be positive")
         if args.repeat <= 0:

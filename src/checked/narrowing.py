@@ -14,12 +14,13 @@ which is the exact cast for any value of its source type; a pair that can
 narrow gets one closure with its bounds or its cast bound in, which returns
 the converted value or raises ``NarrowError``.  Each ``NumType`` holds its
 pair decisions in rows keyed by the other ``NumType`` (``to``, ``checks``,
-``plans``); there is no tuple-keyed pair table.  A checked conversion is
-then one row lookup plus one call; an exact int in an integer target's
-range needs only a range test.  ``narrow_checker`` exposes the staged form
-directly: it returns ``None`` for pairs that can never narrow, so hot paths
-can skip per-value work entirely.  ``convert_to`` raises ``NarrowError``
-instead of ever returning a changed value.
+``plans``); there is no tuple-keyed pair table.  ``convert`` dispatches on
+the target, then on the value's exact type: a bare int or float costs one
+row lookup plus one call, an exact int in an integer target's range only a
+range test.  ``narrow_checker`` exposes the staged form directly: it
+returns ``None`` for pairs that can never narrow, so hot paths can skip
+per-value work entirely.  ``convert_to`` raises ``NarrowError`` instead of
+ever returning a changed value.
 
 Registration also builds each pair's ``Number`` plan ``(common, add, sub,
 mul, div, round_a, round_b)``: four operations on the raw values, and the
@@ -252,10 +253,6 @@ def traits_of(spec: TypeSpec) -> NumericTraits:
     return numeric_type(spec).traits
 
 
-def _signed(traits: NumericTraits) -> bool:
-    return traits.kind is NumericKind.SIGNED_INT
-
-
 def can_narrow_to(src: NumericTraits, dst: NumericTraits, same_type: bool) -> bool:
     """Can converting a ``src``-shaped value to ``dst`` lose information?
 
@@ -275,7 +272,7 @@ def can_narrow_to(src: NumericTraits, dst: NumericTraits, same_type: bool) -> bo
     return (
         (src.kind is NumericKind.FLOAT and dst.kind is not NumericKind.FLOAT)
         or src.digits > dst.digits
-        or (_signed(src) and dst.kind is NumericKind.UNSIGNED_INT)
+        or (src.kind is NumericKind.SIGNED_INT and dst.kind is NumericKind.UNSIGNED_INT)
     )
 
 
@@ -390,16 +387,17 @@ def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float
     convert_a, convert_b = a.to[c], b.to[c]
     if c.kind is not NumericKind.FLOAT:
         lo, hi = c.min, c.max
+        # Where neither converter can refuse, every operand is in range.
+        exact = a.checks[c] is None and b.checks[c] is None
 
         def in_integers(x, y):
-            if lo <= x <= hi and lo <= y <= hi:
-                try:
-                    r = int_op(x, y)
-                except ZeroDivisionError:
-                    pass
-                else:
-                    if lo <= r <= hi:
-                        return r
+            try:
+                r = int_op(x, y)
+            except ZeroDivisionError:
+                pass
+            else:
+                if lo <= r <= hi and (exact or lo <= x <= hi and lo <= y <= hi):
+                    return r
             _refuse(name, convert_a(x), convert_b(y))
 
         return in_integers
@@ -499,37 +497,32 @@ def convert_to(value, source: TypeSpec, target: TypeSpec):
 def convert(value, target):
     """Checked conversion when both sides are numeric, explicit otherwise.
 
-    The stricter overload wins whenever it applies: a numeric value headed
-    for a registered numeric type (or its name; an unknown name raises
-    ``ConstraintError``) is converted with the pair's checked converter and
-    can raise ``NarrowError``; everything else is built with
-    ``target(value)``, so a pair the host cannot construct fails with the
-    constructor's own error.
+    A ``NumType`` target (or its name; an unknown name raises
+    ``ConstraintError``) takes the pair's checked converter, which can raise
+    ``NarrowError``; any other target is built with ``target(value)`` and
+    fails with the constructor's own error.  Then the value's exact type
+    decides: an int in an integer target's range is returned as it is, an
+    int on the i32 rung takes the i32 row and a float the f64 row; any other
+    value (``bool`` raises) is a ``Number`` or has its ``deduced_type``.
     """
-    if isinstance(target, str):
-        target = numeric_type(target)
-    # Into an integer type every converter (``_make_converter``'s ``to_int``,
-    # or the builtin ``int``) returns an exact in-range int unchanged, so this
-    # and ``Number`` skip it.  Any other value, bool included, keeps its path.
-    if type(value) is int and type(target) is NumType:
+    if type(target) is not NumType:
+        if isinstance(target, str):
+            target = numeric_type(target)
+        elif not isinstance(target, NumType):
+            return target(value)
+    kind = type(value)
+    if kind is int:
         lo = target.min
         if lo is not None and lo <= value <= target.max:
             return value
-    if not isinstance(target, NumType):
-        return target(value)
-    # The source type of a bare int on the i32 rung or a float, decided
-    # before the ``numtype`` probe that every bare value would miss.
-    if type(value) is int and -(1 << 31) <= value < (1 << 31):
-        src = I32
-    elif type(value) is float:
-        src = F64
-    else:
-        numtype = getattr(value, "numtype", None)
-        if isinstance(numtype, NumType):
-            src, value = numtype, value.value
-        else:
-            src = deduced_type(value)
-    return src.to[target](value)
+        if -(1 << 31) <= value < (1 << 31):
+            return I32.to[target](value)
+    elif kind is float:
+        return F64.to[target](value)
+    numtype = getattr(value, "numtype", None)
+    if isinstance(numtype, NumType):
+        return numtype.to[target](value.value)
+    return deduced_type(value).to[target](value)
 
 
 def deduced_type(value) -> NumType:

@@ -102,24 +102,28 @@ def register_record(name: str, fields) -> RecordType:
 
 
 def _resolve(record) -> RecordType:
+    """What a failed lookup by name leaves: a ``RecordType``, or the error."""
     if isinstance(record, RecordType):
         return record
     if isinstance(record, str):
-        try:
-            return _RECORDS[record]
-        except KeyError:
-            raise ConstraintError(f"unknown record type {record!r}") from None
-    raise ConstraintError(f"cannot interpret {record!r} as a record type")
+        raise ConstraintError(f"unknown record type {record!r}") from None
+    raise ConstraintError(f"cannot interpret {record!r} as a record type") from None
 
 
 def layout_of(record) -> tuple[MemberDescriptor, ...]:
     """The record's member descriptors, one per field in declaration order."""
-    return _resolve(record).layout
+    try:  # a registered name, in this frame; the rest, unhashables too, below
+        return _RECORDS[record].layout
+    except (KeyError, TypeError):
+        return _resolve(record).layout
 
 
 def record_size(record) -> int:
     """Total padded size of the record in bytes."""
-    return _resolve(record).size
+    try:
+        return _RECORDS[record].size
+    except (KeyError, TypeError):
+        return _resolve(record).size
 
 
 def registered_record_names() -> tuple[str, ...]:

@@ -92,7 +92,8 @@ class TestBench:
     def test_all_scenarios_run(self):
         scenarios = ("convert-same", "convert-narrowable", "number-arith", "raw-arith",
                      "span-index", "span-sort", "convert-checked", "format-render",
-                     "number-construct", "number-compare", "span-write", "sort-forward")
+                     "number-construct", "number-compare", "span-write", "sort-forward",
+                     "convert-f32", "layout-of")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             record = run_bench(scenario, 20000)
@@ -192,6 +193,71 @@ class TestBench:
         assert cli._source_commit() == "ab" * 20
         (git / "HEAD").write_text("cd" * 20 + "\n", encoding="ascii")  # detached
         assert cli._source_commit() == "cd" * 20
+
+
+def _report(path, **scenarios):
+    """A ``bench --json`` report holding ``name=(ratio, ns_min)`` rows."""
+    rows = {name: {"ratio": ratio, "ns_min": ns} for name, (ratio, ns) in scenarios.items()}
+    path.write_text(json.dumps({"python": "3", "scenarios": rows}), encoding="utf-8")
+    return str(path)
+
+
+class TestBenchDiff:
+    def test_reports_ratios_and_the_ns_min_change(self, capsys, tmp_path):
+        old = _report(tmp_path / "old.json", **{"number-arith": (30.0, 400.0), "span-index": (6.5, 120.0),
+                                                "raw-arith": (1.0, 20.0), "gone": (2.0, 50.0),
+                                                "convert-same": (1.0, 0.0)})
+        new = _report(tmp_path / "new.json", **{"span-index": (6.0, 132.0), "number-arith": (27.25, 350.0),
+                                                "raw-arith": (1.0, 0.0), "layout-of": (3.125, 61.0),
+                                                "convert-same": (1.0, 9.0)})
+        status, out, err = run(capsys, "bench", "diff", old, new)
+        assert status == 0 and err == ""
+        assert out.splitlines() == [
+            cli.BENCH_DIFF_CSV_HEADER,
+            "number-arith,30.000,27.250,-12.5%",
+            "span-index,6.500,6.000,+10.0%",
+            "raw-arith,1.000,1.000,-100.0%",
+            "gone,2.000,missing,n/a",
+            "convert-same,1.000,1.000,n/a",  # no change from a zero ns_min
+            "layout-of,missing,3.125,n/a",
+        ]
+
+    def test_a_bench_json_file_diffs_against_itself(self, capsys, tmp_path):
+        path = tmp_path / "bench.json"
+        assert run(capsys, "bench", "raw-arith", "--iters", "100", "--json", str(path))[0] == 0
+        status, out, _ = run(capsys, "bench", "diff", str(path), str(path))
+        assert status == 0
+        assert out.splitlines()[1].startswith("raw-arith,1.000,1.000,") and out.endswith(",+0.0%\n")
+
+    @pytest.mark.parametrize("text, problem", [
+        ("{", "not a bench --json report"),
+        ("[1, 2]", "not a bench --json report"),
+        ('{"python": "3"}', "no key 'scenarios'"),
+        ('{"scenarios": [1]}', "not a bench --json report"),
+        ('{"scenarios": {"raw-arith": {"ratio": 1.0}}}', "no key 'ns_min'"),
+        ('{"scenarios": {"raw-arith": {"ratio": "fast", "ns_min": 1.0}}}', "not a bench --json report"),
+    ])
+    def test_a_malformed_report_is_a_usage_error(self, capsys, tmp_path, text, problem):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        good = _report(tmp_path / "good.json", **{"raw-arith": (1.0, 20.0)})
+        for argv in ((good, str(bad)), (str(bad), good)):
+            status, out, err = run(capsys, "bench", "diff", *argv)
+            assert status == 2 and out == "" and problem in err and "bad.json" in err
+
+    def test_an_unreadable_report_is_a_usage_error(self, capsys, tmp_path):
+        good = _report(tmp_path / "good.json", **{"raw-arith": (1.0, 20.0)})
+        status, out, err = run(capsys, "bench", "diff", good, str(tmp_path / "missing.json"))
+        assert status == 2 and out == "" and "cannot read" in err
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+        status, _, err = run(capsys, "bench", "diff", good, str(tmp_path / "binary.json"))
+        assert status == 2 and "not a bench --json report" in err
+
+    @pytest.mark.parametrize("argv", [("bench", "diff"), ("bench", "diff", "a.json"),
+                                      ("bench", "diff", "a", "b", "c"), ("bench", "raw-arith", "extra")])
+    def test_report_count_is_checked(self, capsys, argv):
+        status, out, _ = run(capsys, *argv)
+        assert status == 2 and out == ""
 
 
 class TestDemo:

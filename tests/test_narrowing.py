@@ -4,6 +4,7 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
@@ -28,6 +29,7 @@ from checked import (
     Number,
     NumericKind,
     NumericTraits,
+    NumType,
     can_narrow,
     can_narrow_to,
     common_type,
@@ -387,6 +389,92 @@ class TestConvertDispatchFastPath:
         assert type(convert(_Code.BIG, I16)) is int
         with pytest.raises(NarrowError):
             convert(_Code.BIG, U8)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# The ladder's edges and their neighbours, values past u64 and past i128,
+# the float specials, and values that are not bare ints or floats.
+_LADDER_EDGES = sorted({v for lo, hi in ((-(2**31), 2**31 - 1), (-(2**63), 2**63 - 1), (0, 2**64 - 1))
+                        for edge in (lo, hi) for v in (edge - 1, edge, edge + 1)})
+_DIFFERENTIAL_VALUES = [
+    *_LADDER_EDGES, 2**70, -(2**70), 2**127,
+    0.15625, 0.1, -2.5, 1e39, 2.0**64, -0.0, math.nan, math.inf, -math.inf,
+    True, _Code.BIG, _Int(-7), _Int(2**40), _Float(0.5), _Float(0.1),
+    Number(7, U8), Number(-2.5, F32), Number(math.inf, F32), Number(math.nan, F64), Number(U64.max, U64),
+    "7", None,
+]
+_WIDE_RANGE = (-(2**127), 2**127 - 1)
+
+
+def _expected_convert(value, target, wide):
+    """``convert(value, target)`` as the documented rules and the exact oracle
+    give it: the result, or the type of the error.
+
+    A ``NumType`` target (or its name) takes the value's source type: a
+    ``Number``'s own, f64 for a float, and for an int the first rung of the
+    i32, i64, u64 ladder that holds it, then the registered wider type
+    ``wide``.  The value converts iff the target holds it exactly; NaN only
+    into a float type with at least its source's digits, an infinity into
+    any float type.  Any other target is the constructor ``target(value)``.
+    """
+    if isinstance(target, str):
+        target = {t.name: t for t in supported_types()}.get(target)
+        if target is None:
+            return ConstraintError
+    if not isinstance(target, NumType):
+        return _outcome(target, value)
+    if isinstance(value, Number):
+        src, value = value.numtype.name, value.value
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        return ConstraintError
+    elif isinstance(value, float):
+        src = "f64"
+    else:
+        ladder = [("i32", oracle.INT_RANGES["i32"]), ("i64", oracle.INT_RANGES["i64"]),
+                  ("u64", oracle.INT_RANGES["u64"])] + ([(wide.name, _WIDE_RANGE)] if wide else [])
+        src = next((name for name, (lo, hi) in ladder if lo <= value <= hi), None)
+        if src is None:
+            return ConstraintError
+    into_float = target.name in oracle.FLOAT_SPECS
+    if isinstance(value, float) and math.isnan(value):
+        fits = into_float and oracle.FLOAT_SPECS[target.name][0] >= oracle.FLOAT_SPECS[src][0]
+    elif isinstance(value, float) and math.isinf(value):
+        fits = into_float
+    else:
+        fits = oracle.representable(value, target.name)
+    if not fits:
+        return NarrowError
+    return float(value) if into_float else int(value)
+
+
+class TestConvertDifferential:
+    """``convert`` against an independent statement of its rules, over every
+    dispatch branch: each result equals the oracle's, with the same
+    ``type()``, and each error has exactly the documented type."""
+
+    @pytest.mark.parametrize("with_i128", [False, True], ids=["builtin", "i128"])
+    def test_every_value_and_target(self, registry, monkeypatch, with_i128):
+        wide = None
+        if with_i128:
+            wide = register_numeric_type("i128", NumericKind.SIGNED_INT, 127, 16)
+            monkeypatch.setitem(oracle.INT_RANGES, "i128", _WIDE_RANGE)
+        targets = [*supported_types(), *(t.name for t in supported_types()),
+                   "u99", int, float, str, Fraction]
+        for value in _DIFFERENTIAL_VALUES:
+            for target in targets:
+                want = _expected_convert(value, target, wide)
+                got = _outcome(convert, value, target)
+                if isinstance(want, type) and issubclass(want, Exception):
+                    assert got is want, (value, target, got, want)
+                else:
+                    assert _same(got, want), (value, target, got, want)
 
 
 class TestSoftFloat16:

@@ -24,6 +24,7 @@ from checked import (
     NumericKind,
     common_type,
     compare_lt,
+    register_numeric_type,
     supported_types,
     traits_of,
 )
@@ -353,6 +354,41 @@ class TestArithmetic:
                 else:
                     assert result.value == exact
                     assert common.min <= exact <= common.max
+
+
+class TestIntegerPlans:
+    """Every integer pair's plan, ``i128`` and ``u128`` included, at the
+    operands its range tests turn on, against the exact oracle."""
+
+    def test_boundary_operands_match_the_exact_oracle(self, registry, monkeypatch):
+        wide = [register_numeric_type("i128", NumericKind.SIGNED_INT, 127, 16),
+                register_numeric_type("u128", NumericKind.UNSIGNED_INT, 128, 16)]
+        for t in wide:
+            monkeypatch.setitem(oracle.INT_RANGES, t.name, (t.min, t.max))
+        types = INT_TYPES + wide
+        operands = {t: [Number(v, t) for v in sorted({t.min, t.max, 0, 1, -1}) if t.min <= v <= t.max]
+                    for t in types}
+        cases = refusals = 0
+        for ta in types:
+            for tb in types:
+                for x in operands[ta]:
+                    for y in operands[tb]:
+                        for name, fn in ARITH_OPS.items():
+                            want = oracle.arith(name, x.value, ta.name, y.value, tb.name)
+                            got = _arith_outcome(fn, x, y)
+                            assert _same_outcome(got, want), (name, x, y, got, want)
+                            if got[0] == "ok":
+                                assert type(got[2]) is int, (name, x, y)
+                            elif got[1] == "CheckedOverflowError":
+                                # The operands in the error are the ones converted
+                                # into the common type: for integers, the values.
+                                with pytest.raises(CheckedOverflowError) as info:
+                                    fn(x, y)
+                                assert info.value.operation == name
+                                assert info.value.operand_text == (repr(x.value), repr(y.value))
+                                refusals += 1
+                            cases += 1
+        assert cases == 6400 and refusals > 1000
 
 
 class TestComparisons:

@@ -7,6 +7,7 @@ from checked import (
     ConstraintError,
     MemberDescriptor,
     NumericKind,
+    RecordType,
     layout_of,
     record_size,
     register_numeric_type,
@@ -123,3 +124,42 @@ class TestRejections:
     def test_non_record_lookup(self):
         with pytest.raises(ConstraintError):
             layout_of(42)
+
+
+class _Name(str):
+    pass
+
+
+class TestLookup:
+    """What ``layout_of`` and ``record_size`` accept.  An error is exactly a
+    ``ConstraintError``: ``pytest.raises(TypeError)`` would also pass on the
+    unhashable-key ``TypeError`` of a dict lookup."""
+
+    @pytest.mark.parametrize("record, message", [
+        ([], "cannot interpret [] as a record type"),
+        ({}, "cannot interpret {} as a record type"),
+        (42, "cannot interpret 42 as a record type"),
+        (None, "cannot interpret None as a record type"),
+        ("NoSuchRecord", "unknown record type 'NoSuchRecord'"),
+        (_Name("NoSuchRecord"), "unknown record type 'NoSuchRecord'"),
+    ], ids=repr)
+    def test_refusals(self, record, message):
+        for lookup in (layout_of, record_size):
+            with pytest.raises(Exception) as info:
+                lookup(record)
+            assert type(info.value) is ConstraintError, (lookup, info.value)
+            assert str(info.value) == message
+            assert info.value.__suppress_context__  # no lookup error shown behind it
+
+    def test_a_str_subclass_names_the_record(self):
+        assert layout_of(_Name("X")) is layout_of("X")
+        assert record_size(_Name("X")) == record_size("X")
+
+    def test_a_record_type_stands_for_itself(self):
+        from checked.reflectlayout import _RECORDS
+
+        registered = _RECORDS["Mixed"]
+        assert layout_of(registered) is registered.layout and record_size(registered) == registered.size
+        loose = RecordType("Loose", (("a", "u16"),), (MemberDescriptor("a", 0, 2),), 2, 2)
+        assert "Loose" not in registered_record_names()
+        assert layout_of(loose) is loose.layout and record_size(loose) == 2
