@@ -57,7 +57,7 @@ from .printfmt import format_render, render
 from .demos import DEMO_NAMES, run_demo
 from .rangealg import LinkedList, sort
 from .reflectlayout import layout_of, record_size, registered_record_names
-from .span import Span
+from .span import RangeError, Span
 
 __all__ = ["main", "run_bench", "BenchRecord", "BENCH_SCENARIOS"]
 
@@ -187,6 +187,12 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     "convert-f32": ("v = 0.15625", "x = convert(v, F32)", _INLINE_F32_TEST),
     # A registered name, against the lookup of a layout already in hand.
     "layout-of": ("layouts = {'X': layout_of('X')}", "x = layout_of('X')", "x = layouts['X']"),
+    # A (lo, hi) window, against the inline bounds test and the view tuple.
+    "span-bounds": (
+        "data = [(i * 37) % 64 for i in range(64)]\nlo, hi = 3, 40",
+        "x = Span(data, lo, hi)",
+        "if not 0 <= lo <= hi <= len(data):\n    raise RangeError(hi, len(data))\nx = (data, lo, hi - lo)",
+    ),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -153,8 +153,6 @@ class Number:
             self._value = value
         elif type(value) is float:
             self._value = F64.to[target](value)
-        elif isinstance(value, Number):
-            self._value = value._type.to[target](value._value)
         else:
             self._value = convert(value, target)
         self._type = target

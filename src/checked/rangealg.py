@@ -10,7 +10,7 @@ reports which path ran.  Both paths sort a copy and write it back in one
 pass; the random-access one reads and writes a ``Span``'s backing store
 directly, since the span's bounds were proved when it was built, and
 ``LinkedList(span)`` copies the window out of that store in one slice.  A
-``Span`` over a ``Buffer`` views the ``Buffer``'s list.  Ranges
+``Buffer`` is sorted, and viewed by a ``Span``, through its list.  Ranges
 satisfying neither category, and element types the predicate cannot order,
 are rejected with ``ConstraintError`` before anything is touched.
 
@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .narrowing import ConstraintError
-from .span import _LIST_OF, _SPANABLE_TYPES, Span, is_spanable, register_spanable
+from .span import _BUILTIN_STORES, _LIST_OF, Span, _view_of, is_spanable, register_spanable
 
 __all__ = [
     "RangeCategory",
@@ -79,7 +79,7 @@ register_random_access = register_spanable
 
 # The built-in spanable types and Span itself, answered before the
 # structural probes; subclasses and registered types take those probes.
-_RANDOM_ACCESS_EXACT = frozenset((Span, *_SPANABLE_TYPES))
+_RANDOM_ACCESS_EXACT = frozenset((Span, *_BUILTIN_STORES))
 
 
 def category_of(r) -> Optional[RangeCategory]:
@@ -164,14 +164,15 @@ def _sort_window(r, pred: Callable) -> int:
     """Sort a random-access range through its backing store; returns its length.
 
     A ``Span`` is read and written between its offset and its length, with
-    no per-element check: construction proved those bounds.  Stores that
-    take a list slice (``list``, ``bytearray``, ``Buffer``) or are exactly an
-    ``array`` are written back in one slice, the rest element by element.
+    no per-element check: construction proved those bounds; any other
+    spanable store is unwrapped as a span unwraps it.  Stores that take a
+    list slice (``list``, ``bytearray``) or are exactly an ``array`` are
+    written back in one slice, the rest element by element.
     """
     if isinstance(r, Span):
         store, lo, n = r._storage, r._offset, r._length
     else:
-        store, lo, n = r, 0, len(r)
+        store, lo, n = _view_of(r) if is_spanable(r) else (r, 0, len(r))
     buf = _read_window(store, lo, n)
     _host_sort(buf, pred)
     if type(store) in _SLICE_WRITE:
@@ -293,8 +294,8 @@ _LIST_OF[Buffer] = operator.attrgetter("_items")
 # Backing stores whose slices read out the elements, and those whose slice
 # assignment takes a list of them.  Exact types: a subclass may redefine
 # item access, so it goes element by element.
-_SLICE_READ = frozenset((list, bytearray, array, memoryview, Buffer))
-_SLICE_WRITE = frozenset((list, bytearray, Buffer))
+_SLICE_READ = frozenset(_BUILTIN_STORES)
+_SLICE_WRITE = frozenset((list, bytearray))
 
 
 class LinkedList:

@@ -1,13 +1,13 @@
 """Length-carrying, bounds-checked views over contiguous storage.
 
 A ``Span`` never owns elements; it records a backing sequence, a start
-offset, and a validated length.  Counts and indices pass through the checked
-unsigned conversion first, so a negative or fractional index raises
-``NarrowError`` before any range logic runs (there is no Python-style
-wrap-around), and an index outside ``[0, len)`` raises ``RangeError``.
-A bare int index or bound follows ``convert``'s rule: one that no registered
-type holds raises ``ConstraintError`` (``Span(r)[2**64]``); with an ``i128``
-registered, the same index raises ``NarrowError``.
+offset, and a validated length.  A count, bound or index other than an
+exact u32 int goes through ``convert(value, U32)`` first, so a negative or
+fractional index raises ``NarrowError`` before any range logic runs (there
+is no Python-style wrap-around), and an index outside ``[0, len)`` raises
+``RangeError``.  An int that no registered type holds raises
+``ConstraintError`` (``Span(r)[2**64]``), as in ``convert``; with an
+``i128`` registered, the same index raises ``NarrowError``.
 
 The bounds of a span are proved once, when it is built; algorithms that
 walk the whole window (the random-access sort, ``LinkedList(span)``) read
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from array import array
 
-from .narrowing import U32, ConstraintError, deduced_type
+from .narrowing import U32, ConstraintError, convert
 from .number import Number
 
 __all__ = ["RangeError", "Span", "register_spanable", "is_spanable"]
@@ -49,7 +49,8 @@ class RangeError(IndexError):
 # ranges, which the sort dispatch also reads as "random access".
 # str/bytes/tuple are immutable and deliberately absent; spans are
 # read/write views.
-_SPANABLE_TYPES: tuple[type, ...] = (list, bytearray, array, memoryview)
+_BUILTIN_STORES = (list, bytearray, array, memoryview)
+_SPANABLE_TYPES: tuple[type, ...] = _BUILTIN_STORES
 # Exact store type -> the list it keeps its elements in, for a store whose
 # item access only forwards to that list: a span views the list itself.
 _LIST_OF: dict = {}
@@ -73,9 +74,7 @@ def _as_unsigned(value) -> int:
     """Checked conversion of an index/count into the unsigned index type."""
     if type(value) is int and 0 <= value <= 0xFFFFFFFF:  # already a U32 value
         return value
-    if isinstance(value, Number):
-        return value.numtype.to[U32](value.value)
-    return deduced_type(value).to[U32](value)
+    return convert(value, U32)
 
 
 def _view_of(storage):
@@ -96,8 +95,8 @@ class Span:
     ``Span(r)`` views all of ``r``; ``Span(r, n)`` views the first ``n``
     elements (``n`` may not exceed the range size); ``Span(r, lo, hi)``
     views ``[lo:hi)``.  Counts and bounds accept any numeric value and are
-    converted with the checked unsigned conversion, so ``Span(a, -500)``
-    raises ``NarrowError`` rather than producing an enormous view.
+    converted with ``convert(value, U32)``, so ``Span(a, -500)`` raises
+    ``NarrowError`` rather than producing an enormous view.
     """
 
     __slots__ = ("_storage", "_offset", "_length")
@@ -105,24 +104,18 @@ class Span:
     def __init__(self, storage, low=None, high=None):
         base, offset, size = _view_of(storage)
         if low is None:
-            length = size
+            lo, hi = 0, size
         elif high is None:
-            nn = _as_unsigned(low)
-            if nn > size:
-                raise RangeError(nn, size)
-            length = nn
+            lo, hi = 0, _as_unsigned(low)
         else:
-            lo = _as_unsigned(low)
-            hi = _as_unsigned(high)
-            if hi > size:
-                raise RangeError(hi, size)
-            if lo > hi:
-                raise RangeError(lo, size)
-            offset += lo
-            length = hi - lo
+            lo, hi = _as_unsigned(low), _as_unsigned(high)
+        if hi > size:
+            raise RangeError(hi, size)
+        if lo > hi:
+            raise RangeError(lo, size)
         self._storage = base
-        self._offset = offset
-        self._length = length
+        self._offset = offset + lo
+        self._length = hi - lo
 
     @classmethod
     def unchecked(cls, storage, count) -> "Span":
@@ -152,8 +145,8 @@ class Span:
     # The fast paths accept only what ``check`` would return unchanged:
     # ``_length`` already passed the U32 check, so an exact int in
     # ``[0, len)`` is a valid U32 index, as is a ``Number`` converted here
-    # as ``_as_unsigned`` converts it.  Every other index, bool included,
-    # goes through ``check`` and keeps its error.
+    # through its type's u32 row, as ``convert`` converts it.  Every other
+    # index, bool included, goes through ``check`` and keeps its error.
 
     def __getitem__(self, index):
         if type(index) is int and 0 <= index < self._length:

@@ -1,4 +1,6 @@
+import math
 from array import array
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -118,42 +120,138 @@ class TestConstruction:
         assert list(Span(Chunk())) == [1, 2, 3]
 
 
+LEN = 1024  # every store below holds 0 .. LEN - 1, in order
+
+
+class _Three(IntEnum):
+    X = 3
+
+
+def _bound_stores():
+    """A list, a Buffer and a nested Span, each holding ``range(LEN)``."""
+    buf = Buffer(int, LEN)
+    for i in range(LEN):
+        buf[i] = i
+    return {
+        "list": list(range(LEN)),
+        "Buffer": buf,
+        "nested Span": Span(Span(list(range(-7, LEN + 9)), 7, 7 + LEN)),
+    }
+
+
+def _window(start, length):
+    """A span's outcome: the elements it shows."""
+    return list(range(start, start + length))
+
+
+def _narrow(source):
+    return (NarrowError, source, "u32")
+
+
+def _beyond(attempted):
+    return (RangeError, attempted, LEN)
+
+
+_REFUSED = (ConstraintError,)
+SRC = "the Number's own type"
+
+# bound -> what each entry point gives for it, in the order of _BOUND_CALLS:
+# Span(r, v), Span(r, v, LEN), Span(r, v, 2), Span(r, 0, v), Span(r, v, -1)
+# (a refused second bound), Span.unchecked(r, v) and Span(r).check(v).  A
+# span is the window it shows, an unchecked span its length, a check its
+# index; an error is its class with RangeError's (attempted, length) or
+# NarrowError's (source_name, target_name).
+_NEG = _narrow("i32")
+_ALL = _window(0, LEN)
+BOUND_TABLE = [
+    (None, _ALL, _ALL, _ALL, [], _ALL, _REFUSED, _REFUSED),
+    (0, [], _ALL, _window(0, 2), [], _NEG, 0, 0),
+    (LEN, _ALL, [], _beyond(LEN), _ALL, _NEG, LEN, _beyond(LEN)),
+    (LEN + 1, *[_beyond(LEN + 1)] * 4, _NEG, LEN + 1, _beyond(LEN + 1)),
+    (-1, *[_NEG] * 7),
+    (-(2**40), *[_narrow("i64")] * 7),
+    (2.0, _window(0, 2), _window(2, LEN - 2), [], _window(0, 2), _NEG, 2, 2),
+    (2.5, *[_narrow("f64")] * 7),
+    (math.nan, *[_narrow("f64")] * 7),
+    (math.inf, *[_narrow("f64")] * 7),
+    (True, *[_REFUSED] * 7),
+    (_Three.X, _window(0, 3), _window(3, LEN - 3), _beyond(3), _window(0, 3), _NEG, 3, 3),
+    ("3", *[_REFUSED] * 7),
+    (2**32 - 1, *[_beyond(2**32 - 1)] * 4, _NEG, 2**32 - 1, _beyond(2**32 - 1)),
+    (2**32, *[_narrow("i64")] * 7),
+    (2**64, *[_REFUSED] * 7),  # no registered type holds it
+]
+# The value inside a Number -> the same columns; SRC stands for the type
+# of the Number, which the NarrowError names.
+NUMBER_BOUND_TABLE = [
+    (0, [], _ALL, _window(0, 2), [], _NEG, 0, 0),
+    (3, _window(0, 3), _window(3, LEN - 3), _beyond(3), _window(0, 3), _NEG, 3, 3),
+    (LEN + 1, *[_beyond(LEN + 1)] * 4, _NEG, LEN + 1, _beyond(LEN + 1)),
+    (-1, *[_narrow(SRC)] * 7),
+]
+
+_BOUND_CALLS = {
+    "Span(r, v)": lambda r, v: Span(r, v),
+    "Span(r, v, LEN)": lambda r, v: Span(r, v, LEN),
+    "Span(r, v, 2)": lambda r, v: Span(r, v, 2),
+    "Span(r, 0, v)": lambda r, v: Span(r, 0, v),
+    "Span(r, v, -1)": lambda r, v: Span(r, v, -1),
+    "Span.unchecked(r, v)": lambda r, v: Span.unchecked(r, v),
+    "Span(r).check(v)": lambda r, v: Span(r).check(v),
+}
+
+
+def _bound_cases():
+    cases = [pytest.param(v, outcomes, id=repr(v)) for v, *outcomes in BOUND_TABLE]
+    for value, *outcomes in NUMBER_BOUND_TABLE:
+        for t in supported_types():
+            try:
+                number = Number(value, t)
+            except NarrowError:  # the type does not hold the value
+                continue
+            typed = [_narrow(t.name) if o == _narrow(SRC) else o for o in outcomes]
+            cases.append(pytest.param(number, typed, id=repr(number)))
+    return cases
+
+
+def _bound_outcome(name, call, store, value):
+    """What the entry point gives, in the table's terms."""
+    try:
+        got = call(store, value)
+    except Exception as exc:  # the class itself is compared, not caught by kind
+        if type(exc) is RangeError:
+            return (RangeError, exc.attempted, exc.length)
+        if type(exc) is NarrowError:
+            return (NarrowError, exc.source_name, exc.target_name)
+        return (type(exc),)
+    if name == "Span(r).check(v)":
+        assert type(got) is int, name
+        return got
+    assert type(len(got)) is int, name
+    return len(got) if name == "Span.unchecked(r, v)" else list(got)
+
+
 class TestBoundTable:
-    """Every bound outside the plain in-range int keeps its checked outcome."""
+    """Every entry point that converts a bound, over a list, a Buffer and
+    a nested Span, gives the outcome the table writes down: the window,
+    length or index, or the error class with its fields."""
 
-    @pytest.mark.parametrize("low,high,expected", [
-        (True, 5, ConstraintError),
-        (-1, 5, NarrowError),
-        (1.0, 5, [1, 2, 3, 4]),
-        (Number(3, U8), 5, [3, 4]),
-        (0, 2**32, NarrowError),
-        (20, 10, RangeError),
-        (0, 101, RangeError),
-        (2, Number(4.0), [2, 3]),
-    ])
-    def test_subrange(self, low, high, expected):
-        if isinstance(expected, list):
-            assert list(Span(hundred(), low, high)) == expected
-        else:
-            with pytest.raises(expected):
-                Span(hundred(), low, high)
+    @pytest.mark.parametrize("store", ["list", "Buffer", "nested Span"])
+    @pytest.mark.parametrize("value,outcomes", _bound_cases())
+    def test_every_entry_point(self, store, value, outcomes):
+        r = _bound_stores()[store]
+        for (name, call), want in zip(_BOUND_CALLS.items(), outcomes, strict=True):
+            assert _bound_outcome(name, call, r, value) == want, (name, value)
 
-    @pytest.mark.parametrize("count,expected", [
-        (True, ConstraintError),
-        (-1, NarrowError),
-        (1.0, 1),
-        (Number(3, U8), 3),
-        (2**32, NarrowError),
-        (2**32 - 1, RangeError),
-        (101, RangeError),
-    ])
-    def test_prefix(self, count, expected):
-        if isinstance(expected, int):
-            s = Span(hundred(), count)
-            assert len(s) == expected and type(len(s)) is int
-        else:
-            with pytest.raises(expected):
-                Span(hundred(), count)
+    @pytest.mark.parametrize("store", ["list", "Buffer", "nested Span"])
+    def test_a_bound_past_u64_with_and_without_i128(self, store, registry):
+        r = _bound_stores()[store]
+        register_numeric_type("i128", NumericKind.SIGNED_INT, 127, 16)
+        for name, call in _BOUND_CALLS.items():
+            assert _bound_outcome(name, call, r, 2**64) == _narrow("i128"), name
+        registry()
+        for name, call in _BOUND_CALLS.items():
+            assert _bound_outcome(name, call, r, 2**64) == _REFUSED, name
 
 
 class TestUnchecked:
@@ -406,15 +504,26 @@ class TestBufferSpan:
                 reads.append(index)
                 return super().__getitem__(index)
 
-        reads = []
+            def __setitem__(self, index, value):
+                writes.append(index)
+                super().__setitem__(index, value)
+
+        reads, writes = [], []
         store = Logged(int, 1024)
         s = Span(store, 2, 5)
         assert s[1] == 0 and reads == [3]
         assert list(s) == [0, 0, 0] and reads == [3, 2, 3, 4]
         assert list(LinkedList(s)) == [0, 0, 0] and reads == [3, 2, 3, 4, 2, 3, 4]
         sort(s)
-        assert reads == [3, 2, 3, 4, 2, 3, 4, 2, 3, 4]
+        assert reads == [3, 2, 3, 4, 2, 3, 4, 2, 3, 4] and writes == [2, 3, 4]
         assert "storage=Logged" in repr(s)
+        # The bare subclass sorts through its own item access too.
+        store[1023] = -1
+        reads.clear()
+        writes.clear()
+        assert sort(store).element_count == 1024
+        assert reads == writes == list(range(1024))
+        assert list(store) == [-1] + [0] * 1023
 
 
 class TestIteration:
