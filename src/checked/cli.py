@@ -6,7 +6,9 @@ Verbs:
 * ``narrow table``: the full can-narrow matrix for the supported types.
 * ``bench SCENARIO --iters N [--repeat K] [--json PATH]``: CSV timing of a
   checked path against its raw baseline (``all`` runs every scenario); each
-  row is the fastest of K loops, and ``--json`` also writes the medians.
+  row is the fastest of K rounds, each round timing the statement and then
+  its baseline, and ``--json`` also writes the medians and the median of
+  the per-round ratios.
 * ``bench diff OLD.json NEW.json``: CSV of each scenario's ratio in two
   ``--json`` reports and the relative change of its fastest loop; a
   scenario missing from either file is marked.  It only reports.
@@ -199,17 +201,16 @@ BENCH_SCENARIOS = tuple(_BENCHES)
 
 
 def _bench_times(scenario: str, iters: int, repeat: int) -> tuple[list[float], list[float]]:
-    """ns per operation of the measured and the baseline statement, one per loop."""
+    """ns per operation of the measured and the baseline statement, one per
+    round; each round times the statement, then its baseline, so a spell of
+    host load falls on both."""
     if iters <= 0 or repeat <= 0:
         raise ValueError("iters and repeat must be positive")
     setup, statement, baseline = _BENCHES[scenario]
-
-    def ns_per_op(stmt: str) -> list[float]:
-        loops = timeit.Timer(stmt, setup, globals=globals()).repeat(repeat, iters)
-        return [seconds * 1e9 / iters for seconds in loops]
-
-    measured = ns_per_op(statement)
-    return measured, measured if baseline is None else ns_per_op(baseline)
+    timers = [timeit.Timer(stmt, setup, globals=globals())
+              for stmt in (statement, baseline) if stmt is not None]
+    rounds = [[timer.timeit(iters) * 1e9 / iters for timer in timers] for _ in range(repeat)]
+    return [ns[0] for ns in rounds], [ns[-1] for ns in rounds]
 
 
 def run_bench(scenario: str, iters: int) -> BenchRecord:
@@ -239,6 +240,7 @@ def cmd_bench(scenario: str, iters: int, repeat: int, json_path: Optional[str]) 
             "ns_min": min(measured), "ns_median": statistics.median(measured),
             "baseline_ns_min": min(baseline), "baseline_ns_median": statistics.median(baseline),
             "ratio": min(measured) / min(baseline),
+            "ratio_median": statistics.median(m / b for m, b in zip(measured, baseline)),
         }
     if json_path is not None:
         report = {"python": platform.python_version(), "platform": platform.platform(),
@@ -337,8 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("scenario", choices=BENCH_SCENARIOS + ("all", "diff"))
     bench.add_argument("reports", nargs="*", metavar="REPORT", help="diff only: OLD.json NEW.json")
     bench.add_argument("--iters", type=int, default=1_000_000)
-    bench.add_argument("--repeat", type=int, default=1, help="loops per statement; rows report the fastest")
-    bench.add_argument("--json", metavar="PATH", help="also write each statement's min and median ns here")
+    bench.add_argument("--repeat", type=int, default=1, help="rounds of statement then baseline; rows report the fastest")
+    bench.add_argument("--json", metavar="PATH", help="also write min and median ns and ratios here")
 
     demo = sub.add_parser("demo", help="run a scripted transcript")
     demo.add_argument("which", choices=DEMO_NAMES + ("all",))

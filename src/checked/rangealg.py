@@ -9,10 +9,11 @@ applies, because that constraint set strictly contains the forward one, and
 reports which path ran.  Both paths sort a copy and write it back in one
 pass; the random-access one reads and writes a ``Span``'s backing store
 directly, since the span's bounds were proved when it was built, and
-``LinkedList(span)`` copies the window out of that store in one slice.  A
-``Buffer`` is sorted, and viewed by a ``Span``, through its list.  Ranges
-satisfying neither category, and element types the predicate cannot order,
-are rejected with ``ConstraintError`` before anything is touched.
+``LinkedList(span)`` copies the window out of that store.  How a store is
+read and written back is its row of ``span._STORES``; ``Buffer`` adds its
+row here, so it is sorted, and viewed by a ``Span``, through its list.
+Ranges satisfying neither category, and element types the predicate cannot
+order, are rejected with ``ConstraintError`` before anything is touched.
 
 Sorting mutates the caller's range; don't touch it concurrently during a
 sort.  The functions themselves keep no shared state.
@@ -22,13 +23,12 @@ from __future__ import annotations
 
 import functools
 import operator
-from array import array
 from collections import deque
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .narrowing import ConstraintError
-from .span import _BUILTIN_STORES, _LIST_OF, Span, _view_of, is_spanable, register_spanable
+from .span import _STORES, Span, _view_of, is_spanable, register_spanable
 
 __all__ = [
     "RangeCategory",
@@ -77,10 +77,6 @@ _NOT_RANGES = (dict, set, frozenset, str, bytes, tuple, range)
 # can back a Span and is sorted through the random-access path.
 register_random_access = register_spanable
 
-# The built-in spanable types and Span itself, answered before the
-# structural probes; subclasses and registered types take those probes.
-_RANDOM_ACCESS_EXACT = frozenset((Span, *_BUILTIN_STORES))
-
 
 def category_of(r) -> Optional[RangeCategory]:
     """Traversal category of ``r``, or None when it is not a usable range.
@@ -90,7 +86,7 @@ def category_of(r) -> Optional[RangeCategory]:
     read/write plus a length means random access, repeatable iteration plus
     a write-back path means forward).
     """
-    if type(r) in _RANDOM_ACCESS_EXACT:
+    if type(r) is Span or type(r) in _STORES:  # subclasses take the probes below
         return RangeCategory.RANDOM_ACCESS
     declared = getattr(type(r), "range_category", None)
     if isinstance(declared, RangeCategory):
@@ -145,8 +141,8 @@ def _host_sort(buf: list, pred: Callable) -> None:
 
 
 def _read_window(store, lo: int, n: int) -> list:
-    """``store[lo:lo + n]`` as a new list, in one slice if the store takes slices."""
-    if type(store) not in _SLICE_READ:
+    """``store[lo:lo + n]`` as a new list, in one slice if the store has a row."""
+    if type(store) not in _STORES:
         return list(map(store.__getitem__, range(lo, lo + n)))
     buf = store[lo:lo + n]
     if type(buf) is not list:  # a slice of an array, bytearray or memoryview
@@ -165,9 +161,9 @@ def _sort_window(r, pred: Callable) -> int:
 
     A ``Span`` is read and written between its offset and its length, with
     no per-element check: construction proved those bounds; any other
-    spanable store is unwrapped as a span unwraps it.  Stores that take a
-    list slice (``list``, ``bytearray``) or are exactly an ``array`` are
-    written back in one slice, the rest element by element.
+    spanable store is unwrapped as a span unwraps it.  The store's row says
+    how the sorted window is packed for one slice assignment; a store with
+    no packing, or no row, is written back element by element.
     """
     if isinstance(r, Span):
         store, lo, n = r._storage, r._offset, r._length
@@ -175,10 +171,11 @@ def _sort_window(r, pred: Callable) -> int:
         store, lo, n = _view_of(r) if is_spanable(r) else (r, 0, len(r))
     buf = _read_window(store, lo, n)
     _host_sort(buf, pred)
-    if type(store) in _SLICE_WRITE:
+    pack = _STORES.get(type(store), (None, None))[1]
+    if pack is list:
         store[lo:lo + n] = buf
-    elif type(store) is array:
-        store[lo:lo + n] = array(store.typecode, buf)
+    elif pack is not None:
+        store[lo:lo + n] = pack(store.typecode, buf)
     else:
         for i, v in enumerate(buf, lo):
             store[i] = v
@@ -288,14 +285,8 @@ class Buffer:
 
 register_spanable(Buffer)
 # A Span over an exact Buffer views its list: one frame per index, and the
-# list's own iteration and slices.
-_LIST_OF[Buffer] = operator.attrgetter("_items")
-
-# Backing stores whose slices read out the elements, and those whose slice
-# assignment takes a list of them.  Exact types: a subclass may redefine
-# item access, so it goes element by element.
-_SLICE_READ = frozenset(_BUILTIN_STORES)
-_SLICE_WRITE = frozenset((list, bytearray))
+# list's own iteration and slices (a Span.unchecked slices through it).
+_STORES[Buffer] = (operator.attrgetter("_items"), list)
 
 
 class LinkedList:

@@ -12,10 +12,11 @@ is no Python-style wrap-around), and an index outside ``[0, len)`` raises
 The bounds of a span are proved once, when it is built; algorithms that
 walk the whole window (the random-access sort, ``LinkedList(span)``) read
 and write the backing store directly, between ``_offset`` and
-``_offset + _length``.  A span over an exact ``Buffer`` views the list the
-``Buffer`` keeps, as a nested span views its base store, so its reads and
-writes cost what a list span's do; a ``Buffer`` subclass keeps its own
-item access.
+``_offset + _length``.  How each store type is viewed, read and written
+back is one row of ``_STORES``, keyed by exact type: a span over an exact
+``Buffer`` views the list the ``Buffer`` keeps, as a nested span views its
+base store, so its reads and writes cost what a list span's do; a subclass
+or a registered type has no row and keeps its own item access.
 
 The one deliberate hole is ``Span.unchecked``: the caller asserts the
 extent, nothing validates it, and the name exists to stand out in review.
@@ -45,15 +46,17 @@ class RangeError(IndexError):
         super().__init__(f"index {attempted} out of range for span of length {length}")
 
 
-# Contiguous, writable backing stores: the one registry of contiguous
-# ranges, which the sort dispatch also reads as "random access".
-# str/bytes/tuple are immutable and deliberately absent; spans are
-# read/write views.
-_BUILTIN_STORES = (list, bytearray, array, memoryview)
-_SPANABLE_TYPES: tuple[type, ...] = _BUILTIN_STORES
-# Exact store type -> the list it keeps its elements in, for a store whose
-# item access only forwards to that list: a span views the list itself.
-_LIST_OF: dict = {}
+# Backing stores, one row per exact type: (the list a span views in the
+# store's place, or None; how a sorted window is packed for one slice
+# assignment: ``list`` takes the sorted list as it is, another type is called
+# with the store's typecode, None writes element by element).  A store with a
+# row is read in one slice; a subclass or a registered type has no row and
+# keeps its own item access.  Immutable str/bytes/tuple have no row.
+_STORES: dict = {list: (None, list), bytearray: (None, list), array: (None, array),
+                 memoryview: (None, None)}
+# The one registry of contiguous ranges (by ``isinstance``, so subclasses
+# too), which the sort dispatch also reads as "random access".
+_SPANABLE_TYPES: tuple[type, ...] = tuple(_STORES)
 
 
 def register_spanable(cls: type) -> type:
@@ -80,12 +83,13 @@ def _as_unsigned(value) -> int:
 def _view_of(storage):
     if isinstance(storage, Span):
         return storage._storage, storage._offset, storage._length
-    if not isinstance(storage, _SPANABLE_TYPES):
+    row = _STORES.get(type(storage))  # a row's type is spanable: no isinstance
+    if row is None and not isinstance(storage, _SPANABLE_TYPES):
         raise ConstraintError(
             f"{type(storage).__name__} is not a contiguous range"
         )
-    if type(storage) in _LIST_OF:
-        storage = _LIST_OF[type(storage)](storage)
+    if row is not None and row[0] is not None:
+        storage = row[0](storage)
     return storage, 0, len(storage)
 
 
@@ -103,12 +107,12 @@ class Span:
 
     def __init__(self, storage, low=None, high=None):
         base, offset, size = _view_of(storage)
-        if low is None:
-            lo, hi = 0, size
-        elif high is None:
-            lo, hi = 0, _as_unsigned(low)
-        else:
+        if high is not None:
             lo, hi = _as_unsigned(low), _as_unsigned(high)
+        elif low is None:
+            lo, hi = 0, size
+        else:
+            lo, hi = 0, _as_unsigned(low)
         if hi > size:
             raise RangeError(hi, size)
         if lo > hi:

@@ -1,22 +1,24 @@
 import pytest
 
-from checked import narrowing, reflectlayout
+from checked import narrowing, reflectlayout, span
 
 
 @pytest.fixture
 def registry():
-    """Lets a test register types and records; returns the ``restore`` that
-    puts the registries and every type's rows back exactly as they were.
-    It runs again when the test ends, whatever the test did."""
+    """Lets a test register types, records and spanable classes; returns the
+    ``restore`` that puts the registries and every type's rows back exactly
+    as they were.  It runs again when the test ends, whatever the test did."""
     tables = [(table, dict(table))
               for table in (narrowing._TYPES, narrowing._MATRIX, reflectlayout._RECORDS)]
     rows = [(row, dict(row))
             for t in narrowing._TYPES.values() for row in (t.to, t.checks, t.plans)]
+    spanable = span._SPANABLE_TYPES
 
     def restore():
         for table, saved in tables + rows:
             table.clear()
             table.update(saved)
+        span._SPANABLE_TYPES = spanable
 
     yield restore
     restore()

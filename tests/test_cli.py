@@ -133,18 +133,21 @@ class TestBench:
         assert status == 2 and "repeat" in err and out == ""
 
     def test_repeat_rows_are_the_fastest_loop_and_json_adds_the_median(self, capsys, monkeypatch, tmp_path):
-        calls = []
+        built, calls = [], []
 
         class ScriptedTimer:
-            """Each statement's loops take these ns per operation, the measured one twice as long."""
+            """Each statement's rounds take these ns per operation, in turn."""
+
+            script = {"x = a + b": (600, 200, 400), "x = p + q": (250, 100, 160)}
 
             def __init__(self, stmt, setup, globals):
-                self.scale = 2 if stmt == "x = a + b" else 1
+                built.append(stmt)
                 self.stmt = stmt
+                self.ns = iter(self.script[stmt])
 
-            def repeat(self, repeat, number):
-                calls.append((self.stmt, repeat, number))
-                return [self.scale * ns * number / 1e9 for ns in (300, 100, 200)[:repeat]]
+            def timeit(self, number):
+                calls.append((self.stmt, number))
+                return next(self.ns) * number / 1e9
 
         monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
         path = tmp_path / "bench.json"
@@ -152,7 +155,8 @@ class TestBench:
                              "--repeat", "3", "--json", str(path))
         assert status == 0
         assert out == BENCH_CSV_HEADER + "\nnumber-arith,1000,200.000,100.000\n"
-        assert calls == [("x = a + b", 3, 1000), ("x = p + q", 3, 1000)]
+        assert built == ["x = a + b", "x = p + q"]  # each timer is built once
+        assert calls == [("x = a + b", 1000), ("x = p + q", 1000)] * 3  # rounds alternate
         report = json.loads(path.read_text(encoding="utf-8"))
         assert report["python"] == platform.python_version()
         assert report["platform"] == platform.platform()
@@ -161,8 +165,11 @@ class TestBench:
         row = report["scenarios"]["number-arith"]
         assert row["iters"] == 1000 and row["repeat"] == 3
         assert row["ns_min"] == pytest.approx(200) and row["ns_median"] == pytest.approx(400)
-        assert row["baseline_ns_min"] == pytest.approx(100) and row["baseline_ns_median"] == pytest.approx(200)
+        assert row["baseline_ns_min"] == pytest.approx(100) and row["baseline_ns_median"] == pytest.approx(160)
         assert row["ratio"] == pytest.approx(2)
+        # the per-round ratios are 2.4, 2 and 2.5: neither min over min nor
+        # median over median
+        assert row["ratio_median"] == pytest.approx(2.4)
 
     def test_all_runs_every_scenario_under_one_header(self, capsys, tmp_path):
         path = tmp_path / "bench.json"
@@ -176,6 +183,7 @@ class TestBench:
         for row in scenarios.values():
             assert row["repeat"] == 2 and 0 <= row["ns_min"] <= row["ns_median"]
             assert row["ratio"] == row["ns_min"] / row["baseline_ns_min"]
+            assert row["ratio_median"] > 0
 
     def test_unwritable_json_path_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "bench.json"

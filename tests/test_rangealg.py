@@ -20,6 +20,7 @@ from checked import (
     is_spanable,
     less,
     register_random_access,
+    register_spanable,
     sort,
     sort_forward,
     sort_random_access,
@@ -287,6 +288,131 @@ class TestLinkedListOfASpan:
         assert list(linked) == list(LinkedList(list(window))) == self.DATA[7:29]
         window[0] = 0  # a copy: a later write to the store is not seen
         assert list(linked)[0] == self.DATA[7]
+
+
+class _Vec:
+    """Structural random-access range: indexed reads and writes, a length."""
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __setitem__(self, index, value):
+        self._items[index] = value
+
+    def __iter__(self):
+        return iter(self._items)
+
+
+class _IndexLog:
+    """Records the type of every index its item access receives."""
+
+    def __init__(self, *args):
+        self.index_types = []
+        super().__init__(*args)
+
+    def __getitem__(self, index):
+        self.index_types.append(type(index))
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        self.index_types.append(type(index))
+        super().__setitem__(index, value)
+
+
+class _LoggedList(_IndexLog, list):
+    pass
+
+
+class _LoggedBuffer(_IndexLog, Buffer):
+    pass
+
+
+class _Registered(_IndexLog, _Vec):
+    """Registered as spanable by the test that uses it."""
+
+
+def _logged_buffer(items):
+    store = _LoggedBuffer(int, 1024)
+    for i, v in enumerate(items):
+        store[i] = v
+    store.index_types.clear()
+    return store
+
+
+# name -> (the store over the given 1024 items, whether it logs its indices)
+STORE_TABLE = {
+    "list": (list, False),
+    "bytearray": (bytearray, False),
+    **{f"array {code!r}": (lambda d, code=code: array(code, d), False) for code in "bBhHiIlLqQfd"},
+    "memoryview": (lambda d: memoryview(array("i", d)), False),
+    "Buffer": (_buffer, False),
+    "Buffer subclass": (_logged_buffer, True),
+    "list subclass": (_LoggedList, True),
+    "registered": (_Registered, True),
+}
+# name -> (the range over the given items, category_of, sort's path or None
+# when sort refuses it)
+NON_STORE_TABLE = {
+    "LinkedList": (LinkedList, RangeCategory.FORWARD, SortPath.FORWARD_COPY),
+    "structural": (_Vec, RangeCategory.RANDOM_ACCESS, SortPath.RANDOM_ACCESS),
+    "dict": (dict.fromkeys, None, None),
+    "str": (lambda d: "".join(map(chr, d)), None, None),
+    "tuple": (tuple, None, None),
+    "generator": (lambda d: (v for v in d), None, None),
+}
+
+
+class TestStoreTable:
+    """What each store and non-store gives every entry point that reads the
+    store registry: its category, whether it backs a Span, and how it sorts.
+    A subclass or a registered store is read and written element by element,
+    so its item access only ever sees int indices."""
+
+    DATA = [(i * 37 + 11) % 97 for i in range(1024)]
+
+    @pytest.mark.parametrize("name", list(STORE_TABLE))
+    def test_store(self, name, registry):
+        register_spanable(_Registered)
+        make, logged = STORE_TABLE[name]
+        data, n = self.DATA, len(self.DATA)
+        whole, window, linked = make(data), make(data), make(data)
+        assert category_of(whole) is RangeCategory.RANDOM_ACCESS
+        assert is_spanable(whole)
+        assert len(Span(whole)) == n
+        assert sort(whole) == (SortPath.RANDOM_ACCESS, n)
+        assert list(whole) == sorted(data)
+        assert sort(Span(window, 1, n - 1)) == (SortPath.RANDOM_ACCESS, n - 2)
+        assert list(window) == [data[0], *sorted(data[1:-1]), data[-1]]
+        assert list(LinkedList(Span(linked))) == data
+        for store in (whole, window, linked):
+            if logged:
+                assert store.index_types and set(store.index_types) == {int}
+            else:
+                assert not hasattr(store, "index_types")
+
+    @pytest.mark.parametrize("name", list(NON_STORE_TABLE))
+    def test_non_store(self, name):
+        make, category, path = NON_STORE_TABLE[name]
+        r = make(self.DATA)
+        assert category_of(r) is category
+        assert not is_spanable(r)
+        with pytest.raises(ConstraintError) as info:
+            Span(r)
+        assert type(info.value) is ConstraintError
+        if path is None:
+            with pytest.raises(ConstraintError) as info:
+                sort(r)
+            assert type(info.value) is ConstraintError
+            assert list(r) == list(make(self.DATA))  # untouched
+        else:
+            assert sort(r) == (path, len(self.DATA))
+            assert list(r) == sorted(self.DATA)
 
 
 class TestSortProperties:

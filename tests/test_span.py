@@ -164,7 +164,7 @@ SRC = "the Number's own type"
 _NEG = _narrow("i32")
 _ALL = _window(0, LEN)
 BOUND_TABLE = [
-    (None, _ALL, _ALL, _ALL, [], _ALL, _REFUSED, _REFUSED),
+    (None, _ALL, _REFUSED, _REFUSED, [], _REFUSED, _REFUSED, _REFUSED),
     (0, [], _ALL, _window(0, 2), [], _NEG, 0, 0),
     (LEN, _ALL, [], _beyond(LEN), _ALL, _NEG, LEN, _beyond(LEN)),
     (LEN + 1, *[_beyond(LEN + 1)] * 4, _NEG, LEN + 1, _beyond(LEN + 1)),
