@@ -10,7 +10,8 @@ Verbs:
   its baseline, and ``--json`` also writes the medians and the median of
   the per-round ratios.
 * ``bench diff OLD.json NEW.json``: CSV of each scenario's ratio in two
-  ``--json`` reports and the relative change of its fastest loop; a
+  ``--json`` reports, the relative change of its fastest loop, and both
+  ``ratio_median`` readings (``n/a`` in a report that has none); a
   scenario missing from either file is marked.  It only reports.
 * ``demo WHICH``: run a scripted transcript against its recorded
   expectations.
@@ -254,16 +255,19 @@ def cmd_bench(scenario: str, iters: int, repeat: int, json_path: Optional[str]) 
     return 0
 
 
-BENCH_DIFF_CSV_HEADER = "scenario,old_ratio,new_ratio,ns_min_change"
+BENCH_DIFF_CSV_HEADER = "scenario,old_ratio,new_ratio,ns_min_change,old_ratio_median,new_ratio_median"
 
 
 def _read_bench_json(path: str) -> dict:
-    """``{scenario: (ratio, ns_min)}`` from a ``bench --json`` report; a file
-    that cannot be read or does not have that shape raises ``ValueError``."""
+    """``{scenario: (ratio, ns_min, ratio_median or None)}`` from a ``bench
+    --json`` report; a file that cannot be read or does not have that shape
+    raises ``ValueError``."""
     try:
         with open(path, encoding="utf-8") as report:
             scenarios = json.load(report)["scenarios"]
-        rows = {name: (float(row["ratio"]), float(row["ns_min"])) for name, row in scenarios.items()}
+        rows = {name: (float(row["ratio"]), float(row["ns_min"]),
+                       float(row["ratio_median"]) if "ratio_median" in row else None)
+                for name, row in scenarios.items()}
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
@@ -279,11 +283,13 @@ def cmd_bench_diff(old_path: str, new_path: str) -> int:
         return _usage_error(str(exc))
     print(BENCH_DIFF_CSV_HEADER)
     for name in {**old, **new}:
-        old_ratio = f"{old[name][0]:.3f}" if name in old else "missing"
-        new_ratio = f"{new[name][0]:.3f}" if name in new else "missing"
-        both = name in old and name in new and old[name][1] > 0
+        rows = (old.get(name), new.get(name))
+        ratios = ["missing" if row is None else f"{row[0]:.3f}" for row in rows]
+        medians = ["missing" if row is None else "n/a" if row[2] is None else f"{row[2]:.3f}"
+                   for row in rows]
+        both = None not in rows and old[name][1] > 0
         change = f"{new[name][1] / old[name][1] - 1:+.1%}" if both else "n/a"
-        print(format_render("{},{},{},{}", name, old_ratio, new_ratio, change))
+        print(format_render("{},{},{},{},{},{}", name, *ratios, change, *medians))
     return 0
 
 

@@ -130,6 +130,8 @@ def _narrow_cases() -> tuple[DemoCase, ...]:
         DemoCase("double + int*10 is a double", lambda: Number(1.5) + Number(4) * 10, "Number(41.5, f64)"),
         DemoCase("signed -1 + unsigned 2 (operand check)", lambda: Number(-1) + Number(2, U32), "error: narrowing"),
         DemoCase("3 + 4", lambda: Number(3) + Number(4), "Number(7, i32)"),
+        DemoCase("u8 200 + u8 100 (overflows u8)", lambda: Number(200, U8) + Number(100, U8), "error: overflow"),
+        DemoCase("7 / 0 (throws)", lambda: Number(7) / Number(0), "error: divide-by-zero"),
     )
 
 

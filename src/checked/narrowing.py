@@ -14,13 +14,13 @@ which is the exact cast for any value of its source type; a pair that can
 narrow gets one closure with its bounds or its cast bound in, which returns
 the converted value or raises ``NarrowError``.  Each ``NumType`` holds its
 pair decisions in rows keyed by the other ``NumType`` (``to``, ``checks``,
-``plans``); there is no tuple-keyed pair table.  ``convert`` dispatches on
-the target, then on the value's exact type: a bare int or float costs one
-row lookup plus one call, an exact int in an integer target's range only a
-range test.  ``narrow_checker`` exposes the staged form directly: it
-returns ``None`` for pairs that can never narrow, so hot paths can skip
-per-value work entirely.  ``convert_to`` raises ``NarrowError`` instead of
-ever returning a changed value.
+``plans``).  ``convert`` dispatches on the target, then on the value's
+exact type: a bare int or float costs one row lookup plus one call, an
+exact int in an integer target's range only a range test.
+``narrow_checker`` exposes the staged form directly: it returns ``None``
+for pairs that can never narrow, so hot paths can skip per-value work
+entirely.  ``convert_to`` raises ``NarrowError`` instead of ever returning
+a changed value.
 
 Registration also builds each pair's ``Number`` plan ``(common, add, sub,
 mul, div, round_a, round_b)``: four operations on the raw values, and the

@@ -18,10 +18,10 @@ rounding, and float comparisons keep the host partial order for NaN.
 
 The lattice lives on the types: each ``NumType`` has a ``plans`` row, keyed
 by the other operand's type and filled when each type is registered, of
-plans ``(common, add, sub, mul, div, round_a, round_b)``; no tuple-keyed
-pair table is left.  An operation is one row lookup and one call on the raw
-values; an operand the common type holds exactly is neither converted nor
-rounded.  ``value`` and ``numtype`` read their slot in C.
+plans ``(common, add, sub, mul, div, round_a, round_b)``.  An operation is
+one row lookup and one call on the raw values; an operand the common type
+holds exactly is neither converted nor rounded.  ``value`` and ``numtype``
+read their slot in C.
 
 Numbers are immutable values; all operations are pure and thread-safe.
 """
@@ -142,14 +142,10 @@ class Number:
     __slots__ = ("_type", "_value")
 
     def __init__(self, value, of: Optional[TypeSpec] = None):
-        target = of if of is None or type(of) is NumType else numeric_type(of)
-        if target is None:
-            if isinstance(value, Number):
-                target, value = value._type, value._value
-            else:
-                target = deduced_type(value)
-            self._value = target.to[target](value)
-        elif type(value) is int and target.min is not None and target.min <= value <= target.max:
+        if of is None:  # only picks the target: the value is checked as below
+            of = value._type if isinstance(value, Number) else deduced_type(value)
+        target = of if type(of) is NumType else numeric_type(of)
+        if type(value) is int and target.min is not None and target.min <= value <= target.max:
             self._value = value
         elif type(value) is float:
             self._value = F64.to[target](value)

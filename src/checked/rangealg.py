@@ -12,8 +12,9 @@ directly, since the span's bounds were proved when it was built, and
 ``LinkedList(span)`` copies the window out of that store.  How a store is
 read and written back is its row of ``span._STORES``; ``Buffer`` adds its
 row here, so it is sorted, and viewed by a ``Span``, through its list.
-Ranges satisfying neither category, and element types the predicate cannot
-order, are rejected with ``ConstraintError`` before anything is touched.
+Ranges satisfying neither category, element types the predicate cannot
+order, and a read-only ``memoryview`` store are rejected with
+``ConstraintError`` before anything is touched.
 
 Sorting mutates the caller's range; don't touch it concurrently during a
 sort.  The functions themselves keep no shared state.
@@ -28,7 +29,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .narrowing import ConstraintError
-from .span import _STORES, Span, _view_of, is_spanable, register_spanable
+from .span import _STORES, Span, is_spanable, register_spanable
 
 __all__ = [
     "RangeCategory",
@@ -71,6 +72,7 @@ class SortDispatchReport(NamedTuple):
 # Iterable but not sortable ranges: mappings and sets have no element order
 # to rewrite, the rest are immutable.
 _NOT_RANGES = (dict, set, frozenset, str, bytes, tuple, range)
+_READ_ONLY = "memoryview store is read-only"  # random access, but no sort writes it
 
 
 # Contiguous storage and random access are one registry: a registered type
@@ -86,42 +88,29 @@ def category_of(r) -> Optional[RangeCategory]:
     read/write plus a length means random access, repeatable iteration plus
     a write-back path means forward).
     """
-    if type(r) is Span or type(r) in _STORES:  # subclasses take the probes below
+    cls = type(r)
+    if cls is Span or cls in _STORES:  # subclasses take the probes below
         return RangeCategory.RANDOM_ACCESS
-    declared = getattr(type(r), "range_category", None)
+    declared = getattr(cls, "range_category", None)
     if isinstance(declared, RangeCategory):
         return declared
     if isinstance(r, _NOT_RANGES):
         return None
-    if is_spanable(r):
-        return RangeCategory.RANDOM_ACCESS
-    cls = type(r)
-    if all(hasattr(cls, m) for m in ("__getitem__", "__setitem__", "__len__", "__iter__")):
+    if is_spanable(r) or all(hasattr(cls, m) for m in ("__getitem__", "__setitem__", "__len__", "__iter__")):
         return RangeCategory.RANDOM_ACCESS
     if hasattr(cls, "__iter__") and (hasattr(cls, "write_back") or hasattr(cls, "__setitem__")):
         return RangeCategory.FORWARD
     return None
 
 
-def _require_orderable(buf: list, pred: Callable) -> None:
-    # Probe one element against itself so an unorderable element type is
-    # named even when the range holds a single element.
-    if not buf:
-        return
-    first = buf[0]
-    try:
-        pred(first, first)
-    except TypeError as exc:
-        if pred is less:
-            raise ConstraintError(f"{type(first).__name__} does not provide <") from exc
-        raise ConstraintError(
-            f"{type(first).__name__} does not satisfy the sort predicate"
-        ) from exc
-
-
 def _host_sort(buf: list, pred: Callable) -> None:
     """Sort the copy ``buf``; elements ``pred`` cannot order raise ``ConstraintError``."""
-    _require_orderable(buf, pred)
+    try:
+        if buf:  # probed against itself, so a lone element's type is named too
+            pred(buf[0], buf[0])
+    except TypeError as exc:
+        rule = "does not provide <" if pred is less else "does not satisfy the sort predicate"
+        raise ConstraintError(f"{type(buf[0]).__name__} {rule}") from exc
     try:
         if pred is less:
             buf.sort()
@@ -160,18 +149,22 @@ def _sort_window(r, pred: Callable) -> int:
     """Sort a random-access range through its backing store; returns its length.
 
     A ``Span`` is read and written between its offset and its length, with
-    no per-element check: construction proved those bounds; any other
-    spanable store is unwrapped as a span unwraps it.  The store's row says
-    how the sorted window is packed for one slice assignment; a store with
-    no packing, or no row, is written back element by element.
+    no per-element check: construction proved those bounds.  Any other range
+    is sorted whole, through the list its row's view column names, if any.
+    The row says how the sorted window is packed for one slice assignment;
+    without a packing, or a row, it is written back element by element.
     """
     if isinstance(r, Span):
         store, lo, n = r._storage, r._offset, r._length
+        pack = _STORES.get(type(store), (None, None))[1]
     else:
-        store, lo, n = _view_of(r) if is_spanable(r) else (r, 0, len(r))
+        view, pack = _STORES.get(type(r), (None, None))
+        store = r if view is None else view(r)
+        lo, n = 0, len(store)
+    if type(store) is memoryview and store.readonly:
+        raise ConstraintError(_READ_ONLY)
     buf = _read_window(store, lo, n)
     _host_sort(buf, pred)
-    pack = _STORES.get(type(store), (None, None))[1]
     if pack is list:
         store[lo:lo + n] = buf
     elif pack is not None:
@@ -216,6 +209,9 @@ def sort_forward(r, pred: Callable = less) -> None:
     """
     if category_of(r) is None:
         raise ConstraintError("range is not forward-iterable with write-back")
+    store = r._storage if isinstance(r, Span) else r
+    if type(store) is memoryview and store.readonly:
+        raise ConstraintError(_READ_ONLY)
     _sort_copy(r, pred)
 
 

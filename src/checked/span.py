@@ -13,10 +13,13 @@ The bounds of a span are proved once, when it is built; algorithms that
 walk the whole window (the random-access sort, ``LinkedList(span)``) read
 and write the backing store directly, between ``_offset`` and
 ``_offset + _length``.  How each store type is viewed, read and written
-back is one row of ``_STORES``, keyed by exact type: a span over an exact
-``Buffer`` views the list the ``Buffer`` keeps, as a nested span views its
-base store, so its reads and writes cost what a list span's do; a subclass
-or a registered type has no row and keeps its own item access.
+back is one row of ``_STORES``, keyed by exact type, which ``Span`` and the
+sort read themselves: a span over an exact ``Buffer`` views the list the
+``Buffer`` keeps, as a nested span views its base store, so its reads and
+writes cost what a list span's do; a subclass or a registered type has no
+row and keeps its own item access.  A write checks only its index, so a
+read-only ``memoryview`` refuses it with its own ``TypeError``; every sort
+refuses that store with ``ConstraintError`` before reading it.
 
 The one deliberate hole is ``Span.unchecked``: the caller asserts the
 extent, nothing validates it, and the name exists to stand out in review.
@@ -50,8 +53,7 @@ class RangeError(IndexError):
 # store's place, or None; how a sorted window is packed for one slice
 # assignment: ``list`` takes the sorted list as it is, another type is called
 # with the store's typecode, None writes element by element).  A store with a
-# row is read in one slice; a subclass or a registered type has no row and
-# keeps its own item access.  Immutable str/bytes/tuple have no row.
+# row is read in one slice.  Immutable str/bytes/tuple have no row.
 _STORES: dict = {list: (None, list), bytearray: (None, list), array: (None, array),
                  memoryview: (None, None)}
 # The one registry of contiguous ranges (by ``isinstance``, so subclasses
@@ -80,19 +82,6 @@ def _as_unsigned(value) -> int:
     return convert(value, U32)
 
 
-def _view_of(storage):
-    if isinstance(storage, Span):
-        return storage._storage, storage._offset, storage._length
-    row = _STORES.get(type(storage))  # a row's type is spanable: no isinstance
-    if row is None and not isinstance(storage, _SPANABLE_TYPES):
-        raise ConstraintError(
-            f"{type(storage).__name__} is not a contiguous range"
-        )
-    if row is not None and row[0] is not None:
-        storage = row[0](storage)
-    return storage, 0, len(storage)
-
-
 class Span:
     """Bounds-checked view of a contiguous range.
 
@@ -106,13 +95,18 @@ class Span:
     __slots__ = ("_storage", "_offset", "_length")
 
     def __init__(self, storage, low=None, high=None):
-        base, offset, size = _view_of(storage)
+        row = _STORES.get(type(storage))  # a row's type is spanable: no isinstance
+        if row is None and isinstance(storage, Span):
+            base, offset, size = storage._storage, storage._offset, storage._length
+        elif row is None and not isinstance(storage, _SPANABLE_TYPES):
+            raise ConstraintError(f"{type(storage).__name__} is not a contiguous range")
+        else:
+            base = storage if row is None or row[0] is None else row[0](storage)
+            offset, size = 0, len(base)
         if high is not None:
             lo, hi = _as_unsigned(low), _as_unsigned(high)
-        elif low is None:
-            lo, hi = 0, size
         else:
-            lo, hi = 0, _as_unsigned(low)
+            lo, hi = 0, size if low is None else _as_unsigned(low)
         if hi > size:
             raise RangeError(hi, size)
         if lo > hi:

@@ -204,8 +204,9 @@ class TestBench:
 
 
 def _report(path, **scenarios):
-    """A ``bench --json`` report holding ``name=(ratio, ns_min)`` rows."""
-    rows = {name: {"ratio": ratio, "ns_min": ns} for name, (ratio, ns) in scenarios.items()}
+    """A ``bench --json`` report holding ``name=(ratio, ns_min)`` or
+    ``name=(ratio, ns_min, ratio_median)`` rows."""
+    rows = {name: dict(zip(("ratio", "ns_min", "ratio_median"), row)) for name, row in scenarios.items()}
     path.write_text(json.dumps({"python": "3", "scenarios": rows}), encoding="utf-8")
     return str(path)
 
@@ -222,12 +223,27 @@ class TestBenchDiff:
         assert status == 0 and err == ""
         assert out.splitlines() == [
             cli.BENCH_DIFF_CSV_HEADER,
-            "number-arith,30.000,27.250,-12.5%",
-            "span-index,6.500,6.000,+10.0%",
-            "raw-arith,1.000,1.000,-100.0%",
-            "gone,2.000,missing,n/a",
-            "convert-same,1.000,1.000,n/a",  # no change from a zero ns_min
-            "layout-of,missing,3.125,n/a",
+            "number-arith,30.000,27.250,-12.5%,n/a,n/a",  # reports without ratio_median
+            "span-index,6.500,6.000,+10.0%,n/a,n/a",
+            "raw-arith,1.000,1.000,-100.0%,n/a,n/a",
+            "gone,2.000,missing,n/a,n/a,missing",
+            "convert-same,1.000,1.000,n/a,n/a,n/a",  # no change from a zero ns_min
+            "layout-of,missing,3.125,n/a,missing,n/a",
+        ]
+
+    def test_reports_both_ratio_medians(self, capsys, tmp_path):
+        old = _report(tmp_path / "old.json", **{"span-sort": (2.5, 3300.0, 2.4), "span-index": (6.5, 120.0),
+                                                "gone": (2.0, 50.0, 1.875)})
+        new = _report(tmp_path / "new.json", **{"span-sort": (2.25, 3000.0, 2.3), "span-index": (6.0, 132.0, 5.5),
+                                                "layout-of": (3.125, 61.0, 3.0)})
+        status, out, err = run(capsys, "bench", "diff", old, new)
+        assert status == 0 and err == ""
+        assert out.splitlines() == [
+            "scenario,old_ratio,new_ratio,ns_min_change,old_ratio_median,new_ratio_median",
+            "span-sort,2.500,2.250,-9.1%,2.400,2.300",
+            "span-index,6.500,6.000,+10.0%,n/a,5.500",  # only the new report has it
+            "gone,2.000,missing,n/a,1.875,missing",
+            "layout-of,missing,3.125,n/a,missing,3.000",
         ]
 
     def test_a_bench_json_file_diffs_against_itself(self, capsys, tmp_path):
@@ -235,7 +251,9 @@ class TestBenchDiff:
         assert run(capsys, "bench", "raw-arith", "--iters", "100", "--json", str(path))[0] == 0
         status, out, _ = run(capsys, "bench", "diff", str(path), str(path))
         assert status == 0
-        assert out.splitlines()[1].startswith("raw-arith,1.000,1.000,") and out.endswith(",+0.0%\n")
+        assert out.splitlines()[1].startswith("raw-arith,1.000,1.000,+0.0%,")
+        old_median, new_median = out.splitlines()[1].split(",")[4:]
+        assert old_median == new_median and float(old_median) > 0
 
     @pytest.mark.parametrize("text, problem", [
         ("{", "not a bench --json report"),
@@ -244,6 +262,8 @@ class TestBenchDiff:
         ('{"scenarios": [1]}', "not a bench --json report"),
         ('{"scenarios": {"raw-arith": {"ratio": 1.0}}}', "no key 'ns_min'"),
         ('{"scenarios": {"raw-arith": {"ratio": "fast", "ns_min": 1.0}}}', "not a bench --json report"),
+        ('{"scenarios": {"raw-arith": {"ratio": 1.0, "ns_min": 1.0, "ratio_median": "fast"}}}',
+         "not a bench --json report"),
     ])
     def test_a_malformed_report_is_a_usage_error(self, capsys, tmp_path, text, problem):
         bad = tmp_path / "bad.json"

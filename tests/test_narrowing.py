@@ -78,6 +78,10 @@ class TestTraits:
         with pytest.raises(ConstraintError):
             numeric_type("i128")
 
+    def test_a_float_is_not_a_type_spec(self):
+        with pytest.raises(ConstraintError):
+            numeric_type(3.5)
+
 
 class TestCanNarrow:
     def test_float_to_int(self):
@@ -582,6 +586,10 @@ class TestRoundingCasts:
             d = float(value)
             assert _same(F32.cast(d), packed(d)), d
 
+    def test_integers_past_the_largest_float_round_to_infinity(self):
+        assert F64.cast(10**400) == math.inf and F64.cast(-(10**400)) == -math.inf
+        assert F32.cast(10**400) == math.inf
+
     def test_sign_of_zero_is_kept(self):
         for name in _BINARY_FLOATS:
             cast = numeric_type(name).cast
@@ -787,3 +795,15 @@ class TestRegistration:
             register_numeric_type("badfloat", NumericKind.FLOAT, 16, 2)
         with pytest.raises(ConstraintError):
             register_numeric_type("no cast", NumericKind.FLOAT, 8, 2)
+
+    @pytest.mark.parametrize("kind, digits, byte_size, problem", [
+        (NumericKind.SIGNED_INT, 0, 1, "at least 1"),
+        (NumericKind.UNSIGNED_INT, 8, 0, "at least 1"),
+        (NumericKind.UNSIGNED_INT, 7, 1, "digits must be 8"),
+        (NumericKind.FLOAT, 8, 2, "rounding cast is required"),
+    ])
+    def test_refused_shapes_register_nothing(self, registry, kind, digits, byte_size, problem):
+        old = supported_types()
+        with pytest.raises(ConstraintError, match=problem):
+            register_numeric_type("refused_test", kind, digits, byte_size)
+        assert supported_types() == old

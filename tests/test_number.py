@@ -22,6 +22,7 @@ from checked import (
     NarrowError,
     Number,
     NumericKind,
+    NumericTraits,
     common_type,
     compare_lt,
     register_numeric_type,
@@ -110,6 +111,12 @@ class TestConstruction:
         assert n.numtype is U64 and n.value == 7
         with pytest.raises(NarrowError):
             Number(Number(-7, I8), U64)
+
+    def test_an_untyped_number_keeps_its_type_and_value(self):
+        for n in (Number(5, U8), Number(2.5, F32)):
+            copy = Number(n)
+            assert copy.numtype is n.numtype and copy.value == n.value
+            assert type(copy.value) is type(n.value)
 
     def test_no_unchecked_construction_surface(self):
         # Everything reachable publicly went through the checked conversion.
@@ -214,6 +221,10 @@ class TestCommonType:
 
     def test_accepts_traits(self):
         assert common_type(traits_of(I32), traits_of(U32)) is U32
+
+    def test_traits_no_type_has_are_refused(self):
+        with pytest.raises(ConstraintError, match="no registered type has traits"):
+            common_type(NumericTraits(NumericKind.SIGNED_INT, 23, 3), I32)
 
 
 class TestArithmetic:

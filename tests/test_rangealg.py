@@ -309,6 +309,32 @@ class _Vec:
         return iter(self._items)
 
 
+class _WrittenBack:
+    """Structural forward range: iteration and a ``write_back``."""
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def write_back(self, values):
+        self._items = list(values)
+
+
+class _SetOnly:
+    """Structural forward range: iteration and item writes, no item reads."""
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __setitem__(self, index, value):
+        self._items[index] = value
+
+
 class _IndexLog:
     """Records the type of every index its item access receives."""
 
@@ -361,6 +387,8 @@ STORE_TABLE = {
 NON_STORE_TABLE = {
     "LinkedList": (LinkedList, RangeCategory.FORWARD, SortPath.FORWARD_COPY),
     "structural": (_Vec, RangeCategory.RANDOM_ACCESS, SortPath.RANDOM_ACCESS),
+    "structural write_back": (_WrittenBack, RangeCategory.FORWARD, SortPath.FORWARD_COPY),
+    "structural __setitem__": (_SetOnly, RangeCategory.FORWARD, SortPath.FORWARD_COPY),
     "dict": (dict.fromkeys, None, None),
     "str": (lambda d: "".join(map(chr, d)), None, None),
     "tuple": (tuple, None, None),
@@ -413,6 +441,25 @@ class TestStoreTable:
         else:
             assert sort(r) == (path, len(self.DATA))
             assert list(r) == sorted(self.DATA)
+
+    @pytest.mark.parametrize("make", [lambda d: memoryview(bytes(d)),
+                                      lambda d: memoryview(array("i", d)).toreadonly()],
+                             ids=["bytes", "array"])
+    def test_read_only_memoryview(self, make):
+        """A read-only memoryview backs a Span and is read like any store,
+        but every sort refuses it before reading it."""
+        data, n = self.DATA, len(self.DATA)
+        store = make(data)
+        assert category_of(store) is RangeCategory.RANDOM_ACCESS
+        assert is_spanable(store)
+        assert list(Span(store, 1, n - 1)) == data[1:-1]
+        assert list(LinkedList(Span(store))) == data
+        for r in (store, Span(store), Span(store, 1, n - 1), Span.unchecked(store, n)):
+            for sorter in (sort, sort_random_access, sort_forward):
+                with pytest.raises(ConstraintError, match="read-only") as info:
+                    sorter(r)
+                assert type(info.value) is ConstraintError
+        assert list(store) == data
 
 
 class TestSortProperties:
@@ -499,6 +546,9 @@ class TestBuffer:
         assert sort(buf).chosen_path is SortPath.RANDOM_ACCESS
         assert buf[0] == -1023
         assert len(Span(buf, 10)) == 10
+
+    def test_repr(self):
+        assert repr(Buffer(int, 1024)) == "Buffer(int, 1024)"
 
     def test_non_integer_size(self):
         with pytest.raises(ConstraintError):

@@ -119,6 +119,10 @@ class TestConstruction:
         assert is_spanable(Chunk())
         assert list(Span(Chunk())) == [1, 2, 3]
 
+    def test_only_a_type_can_be_registered(self):
+        with pytest.raises(ConstraintError, match="expects a type"):
+            register_spanable(42)
+
 
 LEN = 1024  # every store below holds 0 .. LEN - 1, in order
 
@@ -304,6 +308,13 @@ class TestIndexing:
         s = Span(data, 10, 20)
         s[0] = -1
         assert data[10] == -1
+
+    def test_write_to_read_only_memory_raises_the_stores_error(self):
+        # A write checks only its index: the memoryview refuses the value.
+        data = memoryview(b"ab")
+        with pytest.raises(TypeError, match="read-only"):
+            Span(data)[0] = 1
+        assert bytes(data) == b"ab"
 
     def test_indexing_by_another_spans_element(self):
         sa = Span(hundred())
