@@ -164,6 +164,8 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "x = v",
     ),
     "number-arith": ("a, b = Number(3), Number(4)\np, q = 3, 4", "x = a + b", "x = p + q"),
+    # A bare operand is checked into a Number(v) on every operation.
+    "number-arith-bare": ("a = Number(3)\np, q = 3, 4", "x = a + 4", "x = p + q"),
     "raw-arith": ("p, q = 3, 4", "x = p + q", None),
     "span-index": (
         "data = [(i * 37) % 64 for i in range(64)]\ns = Span(list(data))",
@@ -221,11 +223,19 @@ def run_bench(scenario: str, iters: int) -> BenchRecord:
 
 
 def _source_commit() -> Optional[str]:
-    """The commit checked out where this package's source lives, if readable."""
+    """The commit checked out where this package's source lives, if readable:
+    a detached ``HEAD``, else its branch's loose ref, else the branch's line
+    in ``packed-refs`` (where ``git pack-refs`` and ``git gc`` move it)."""
     git = Path(__file__).resolve().parents[2] / ".git"
     try:
         head = (git / "HEAD").read_text(encoding="ascii").strip()
-        return (git / head[5:]).read_text(encoding="ascii").strip() if head.startswith("ref: ") else head
+        if not head.startswith("ref: "):
+            return head
+        try:
+            return (git / head[5:]).read_text(encoding="ascii").strip()
+        except FileNotFoundError:
+            packed = (git / "packed-refs").read_text(encoding="ascii").splitlines()
+            return next((line.split()[0] for line in packed if line.split()[1:] == [head[5:]]), None)
     except (OSError, UnicodeDecodeError):
         return None
 

@@ -290,27 +290,18 @@ def _make_converter(src: NumType, dst: NumType) -> Callable:
     the value.
     """
     if dst.kind is not NumericKind.FLOAT:
-        # Into an integer: an in-range integer converts exactly, and a sign
-        # flip or truncation is exactly an out-of-range value.  A float must
-        # also be integral; NaN and the infinities fail the range test.
+        # Into an integer, from any source: in range (which a sign flip, a
+        # wrap, NaN or an infinity is not), then integral (as an int always is).
         lo, hi = dst.min, dst.max
 
-        if src.kind is not NumericKind.FLOAT:
-            def to_int(value):
-                if lo <= value <= hi:
-                    return int(value)
-                raise NarrowError(value, src, dst)
-
-            return to_int
-
-        def float_to_int(value):
+        def to_int(value):
             if lo <= value <= hi:
                 i = int(value)
                 if i == value:
                     return i
             raise NarrowError(value, src, dst)
 
-        return float_to_int
+        return to_int
 
     # Into a float: cast, then compare exactly.  Python compares int and
     # float values exactly, so equality holds iff the target represents the
@@ -466,30 +457,27 @@ def will_narrow(value, source: TypeSpec, target: TypeSpec) -> bool:
     return False if chk is None else chk(value)
 
 
-def _inhabits(value, t: NumType) -> bool:
-    """Is ``value`` a value of ``t``?  A non-number raises ``ConstraintError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConstraintError(
-            f"{type(value).__name__} is outside the supported numeric set"
-        )
-    if t.min is None:  # a float type; NaN is a value of every float type
-        return value != value or t.cast(value) == value
-    return isinstance(value, int) and t.min <= value <= t.max
-
-
 def convert_to(value, source: TypeSpec, target: TypeSpec):
     """Convert ``value`` between supported types without changing it.
 
     The result compares mathematically equal to the input; if no such result
     exists in the target type, ``NarrowError`` is raised instead.  ``value``
-    must be a value of ``source``: an integer type holds the ``int`` values
-    in its range, a float type the values its cast leaves unchanged, and
-    NaN.  Any other number raises ``NarrowError``; ``bool`` and non-numeric
-    values raise ``ConstraintError``.
+    must be a value of ``source`` (a subclass is read as the exact number it
+    holds): an integer type holds the ``int`` values in its range, a float
+    type the values its cast leaves unchanged, and NaN.  Any other number
+    raises ``NarrowError``; ``bool`` and non-numbers ``ConstraintError``.
     """
     src = numeric_type(source)
     dst = numeric_type(target)
-    if not _inhabits(value, src):
+    if type(value) is not int and type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConstraintError(f"{type(value).__name__} is outside the supported numeric set")
+        value = int.__int__(value) if isinstance(value, int) else float.__float__(value)
+    if src.min is None:  # a float type; NaN is a value of every float type
+        held = value != value or src.cast(value) == value
+    else:
+        held = type(value) is int and src.min <= value <= src.max
+    if not held:
         raise NarrowError(value, src, dst)
     return src.to[dst](value)
 
@@ -503,7 +491,8 @@ def convert(value, target):
     fails with the constructor's own error.  Then the value's exact type
     decides: an int in an integer target's range is returned as it is, an
     int on the i32 rung takes the i32 row and a float the f64 row; any other
-    value (``bool`` raises) is a ``Number`` or has its ``deduced_type``.
+    value (``bool`` raises) is a ``Number`` or has its ``deduced_type``, and
+    an int or float subclass is read as the exact number it holds.
     """
     if type(target) is not NumType:
         if isinstance(target, str):
@@ -522,6 +511,8 @@ def convert(value, target):
     numtype = getattr(value, "numtype", None)
     if isinstance(numtype, NumType):
         return numtype.to[target](value.value)
+    if kind is not int and kind is not bool and isinstance(value, (int, float)):
+        value = int.__int__(value) if isinstance(value, int) else float.__float__(value)
     return deduced_type(value).to[target](value)
 
 
@@ -532,11 +523,14 @@ def deduced_type(value) -> NumType:
     positive integer beyond the i64 range deduces to u64, the one built-in
     type that holds it exactly.  Past the ladder, an integer deduces to the
     narrowest registered integer type wider than u64 that holds it, the
-    signed one first at equal width; with none, it is refused.  bool is
-    rejected outright, its arithmetic quirks are out of scope here.
+    signed one first at equal width; with none, it is refused.  An int
+    subclass counts as the int it holds; bool is refused outright.
     """
-    if isinstance(value, bool):
-        raise ConstraintError("bool is outside the supported numeric set")
+    if type(value) is not int:
+        if isinstance(value, bool):
+            raise ConstraintError("bool is outside the supported numeric set")
+        if isinstance(value, int):  # a subclass counts as the int it holds
+            value = int.__int__(value)
     if isinstance(value, int):
         if I32.min <= value <= I32.max:
             return I32

@@ -77,10 +77,7 @@ def _as_number(value) -> Optional["Number"]:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    n = _new(Number)  # a bare value inhabits its deduced type
-    n._type = deduced_type(value)
-    n._value = value
-    return n
+    return Number(value)
 
 
 def _arithmetic(index: int):
@@ -131,8 +128,8 @@ class Number:
     ``Number(v)`` deduces the type from the bare value (integers follow the
     i32-then-i64 literal ladder, floats are f64); ``Number(v, "u32")``
     converts and raises ``NarrowError`` if the value would change.  There is
-    no unchecked way in.  Instances are immutable: ``assign`` checks a new
-    value into the same type and returns a new Number.
+    no unchecked way in, for bare operands too.  Instances are immutable:
+    ``assign`` checks a new value into the same type and returns a new Number.
 
     Arithmetic with other Numbers or bare numerics promotes into the common
     type (see ``common_type``).  Division follows the common type: truncated

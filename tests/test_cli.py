@@ -6,8 +6,8 @@ import pytest
 
 from checked import cli
 from checked.cli import BENCH_CSV_HEADER, BENCH_SCENARIOS, main, run_bench
-from checked.demos import DEMO_NAMES, run_demo
-from checked.narrowing import I32
+from checked.demos import DEMO_NAMES, demo_cases, run_demo
+from checked.narrowing import I32, ConstraintError
 
 
 def run(capsys, *argv):
@@ -90,7 +90,7 @@ class TestBench:
         assert float(ns) > 0 and float(baseline) > 0
 
     def test_all_scenarios_run(self):
-        scenarios = ("convert-same", "convert-narrowable", "number-arith", "raw-arith",
+        scenarios = ("convert-same", "convert-narrowable", "number-arith", "number-arith-bare", "raw-arith",
                      "span-index", "span-sort", "convert-checked", "format-render",
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds")
@@ -122,6 +122,11 @@ class TestBench:
         monkeypatch.setitem(I32.checks, I32, lambda value: False)
         with pytest.raises(RuntimeError, match="per-value test"):
             run_bench("convert-same", 1000)
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_run_bench_refuses_no_iterations(self, iters):
+        with pytest.raises(ValueError, match="positive"):
+            run_bench("raw-arith", iters)
 
     def test_bad_iters(self, capsys):
         status, _, err = run(capsys, "bench", "raw-arith", "--iters", "0")
@@ -201,6 +206,17 @@ class TestBench:
         assert cli._source_commit() == "ab" * 20
         (git / "HEAD").write_text("cd" * 20 + "\n", encoding="ascii")  # detached
         assert cli._source_commit() == "cd" * 20
+        # after ``git pack-refs``: the branch is a line of packed-refs only
+        (git / "HEAD").write_text("ref: refs/heads/main\n", encoding="ascii")
+        (git / "refs" / "heads" / "main").unlink()
+        assert cli._source_commit() is None  # no loose ref and no packed-refs
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted \n"
+            f"{'12' * 20} refs/heads/mainline\n{'ef' * 20} refs/heads/main\n^{'34' * 20}\n",
+            encoding="ascii")
+        assert cli._source_commit() == "ef" * 20
+        (git / "HEAD").write_text("ref: refs/heads/other\n", encoding="ascii")
+        assert cli._source_commit() is None  # a branch in neither place
 
 
 def _report(path, **scenarios):
@@ -308,6 +324,18 @@ class TestDemo:
         assert all(r.ok for r in results)
         broken = results[0].__class__(results[0].label, "something else", results[0].actual)
         assert not broken.ok
+
+    def test_a_deviating_row_prints_fail_and_exits_1(self, capsys, monkeypatch):
+        row = run_demo("fmt")[0]
+        monkeypatch.setattr(cli, "run_demo", lambda which: [row, row._replace(expected="something else")])
+        status, out, _ = run(capsys, "demo", "fmt")
+        assert status == 1
+        assert out.splitlines() == ["== demo fmt ==", f"ok   {row.label}: {row.actual}",
+                                    f"FAIL {row.label}: got {row.actual} expected something else"]
+
+    def test_an_unknown_demo_name_is_a_constraint_error(self):
+        with pytest.raises(ConstraintError, match="nope"):
+            demo_cases("nope")
 
     def test_unknown_demo_rejected_by_parser(self):
         with pytest.raises(SystemExit) as info:

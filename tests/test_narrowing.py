@@ -8,7 +8,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from checked import (
     F32,
@@ -30,6 +30,8 @@ from checked import (
     NumericKind,
     NumericTraits,
     NumType,
+    RangeError,
+    Span,
     can_narrow,
     can_narrow_to,
     common_type,
@@ -337,6 +339,33 @@ class _Code(IntEnum):
     BIG = 300
 
 
+class _Liar(int):
+    """An int whose own order tests hold whatever they are asked."""
+
+    def __le__(self, other):
+        return True
+
+    __ge__ = __le__
+
+
+class _LiarF(float):
+    """A float whose own order and equality tests hold whatever they are asked."""
+
+    def __le__(self, other):
+        return True
+
+    __ge__ = __eq__ = __le__
+    __hash__ = float.__hash__
+
+
+def _held(value):
+    """The exact number a bare int or float (subclass) holds; any other value
+    as it is."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    return int.__int__(value) if isinstance(value, int) else float.__float__(value)
+
+
 _DISPATCH_VALUES = [
     0, -(2**31), 2**31 - 1, 2**31, -(2**31) - 1, 2**63, 2**64 - 1,
     1.5, -0.0, math.inf, math.nan, _Code.BIG, Number(7, U8), Number(-2.5, F32), True,
@@ -348,6 +377,8 @@ _DISPATCH_VALUES += sorted(
 )
 # A Number at each integer type's limits.
 _DISPATCH_VALUES += [Number(v, t) for t in INT_TYPES for v in (t.min, t.max)]
+# Subclasses whose own comparisons lie (ids distinct from the values above).
+_DISPATCH_VALUES += [_Liar(299), _Liar(-7), _Liar(2**40), _LiarF(0.1), _LiarF(2.5)]
 
 
 def _refusal(fn, *args):
@@ -367,7 +398,7 @@ class TestConvertDispatchFastPath:
         if isinstance(value, Number):
             src, raw = value.numtype, value.value
         else:
-            src, raw = _outcome(deduced_type, value), value
+            src, raw = _outcome(deduced_type, value), _held(value)
         for dst in ALL_TYPES:
             got = _outcome(convert, value, dst)
             if src is ConstraintError:  # no source type: refused before any pair
@@ -408,6 +439,43 @@ class TestConvertDispatchFastPath:
             convert(_Code.BIG, U8)
 
 
+class TestSubclassesAreReadAsTheNumberTheyHold:
+    """A subclass's own operators cannot pass a value that the checks refuse."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: Number(_Liar(300), U8),
+        lambda: convert(_Liar(300), U8),
+        lambda: convert_to(_Liar(300), I32, U8),
+        lambda: Number(0, U8).assign(_Liar(-7)),
+        lambda: Number(_LiarF(0.1), F32),
+        lambda: Number(_LiarF(2.5), I8),
+    ], ids=["Number", "convert", "convert_to", "assign", "Number-f32", "Number-i8"])
+    def test_a_liar_is_refused(self, call):
+        with pytest.raises(NarrowError):
+            call()
+
+    def test_a_liar_deduces_as_the_number_it_holds(self):
+        assert deduced_type(_Liar(2**40)) is I64 and deduced_type(_Liar(2**63)) is U64
+        with pytest.raises(ConstraintError):
+            deduced_type(_Liar(-(2**63) - 1))
+        assert Number(_Liar(2**40)).numtype is I64
+
+    def test_the_error_shows_the_held_number(self):
+        for call in (lambda: convert(_Code.BIG, U8), lambda: convert_to(_Code.BIG, I32, U8),
+                     lambda: Number(_Code.BIG, U8)):
+            with pytest.raises(NarrowError) as info:
+                call()
+            assert (info.value.value_text, info.value.source_name) == ("300", "i32")
+
+    def test_the_staged_tests_take_the_value_as_given(self):
+        # ``will_narrow`` and ``narrow_checker`` take their argument to be a
+        # value of the source type and do not check it, so a liar is tested
+        # through its own comparisons.
+        assert will_narrow(_Liar(300), I32, U8) is False
+        assert narrow_checker(I32, U8)(_Liar(300)) is False
+        assert will_narrow(300, I32, U8) is True
+
+
 class _Int(int):
     pass
 
@@ -424,6 +492,7 @@ _DIFFERENTIAL_VALUES = [
     *_LADDER_EDGES, 2**70, -(2**70), 2**127,
     0.15625, 0.1, -2.5, 1e39, 2.0**64, -0.0, math.nan, math.inf, -math.inf,
     True, _Code.BIG, _Int(-7), _Int(2**40), _Float(0.5), _Float(0.1),
+    _Liar(300), _Liar(-7), _Liar(2**40), _Liar(2**70), _LiarF(0.1), _LiarF(2.5), _LiarF(math.nan),
     Number(7, U8), Number(-2.5, F32), Number(math.inf, F32), Number(math.nan, F64), Number(U64.max, U64),
     "7", None,
 ]
@@ -439,7 +508,8 @@ def _expected_convert(value, target, wide):
     i32, i64, u64 ladder that holds it, then the registered wider type
     ``wide``.  The value converts iff the target holds it exactly; NaN only
     into a float type with at least its source's digits, an infinity into
-    any float type.  Any other target is the constructor ``target(value)``.
+    any float type.  An int or float subclass stands for the exact number it
+    holds.  Any other target is the constructor ``target(value)``.
     """
     if isinstance(target, str):
         target = {t.name: t for t in supported_types()}.get(target)
@@ -447,6 +517,7 @@ def _expected_convert(value, target, wide):
             return ConstraintError
     if not isinstance(target, NumType):
         return _outcome(target, value)
+    value = _held(value)
     if isinstance(value, Number):
         src, value = value.numtype.name, value.value
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -492,6 +563,122 @@ class TestConvertDifferential:
                     assert got is want, (value, target, got, want)
                 else:
                     assert _same(got, want), (value, target, got, want)
+
+
+_WIDE_RANGES = {"i128": (-(2**127), 2**127 - 1), "u128": (0, 2**128 - 1)}
+_EDGES = sorted({v for lo, hi in (*oracle.INT_RANGES.values(), *_WIDE_RANGES.values())
+                 for edge in (lo, hi) for v in (edge - 1, edge, edge + 1)})
+_PROMISE_INTS = st.integers(-(2**130), 2**130) | st.sampled_from(_EDGES)
+_PROMISE_FLOATS = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-149, 1e-310, math.nan, math.inf, -math.inf])
+    | st.integers(-(2**130), 2**130).map(float)
+)
+_WRAPS = {int: (int, _Int, _Liar), float: (float, _Float, _LiarF)}
+
+
+def _is_float(t) -> bool:
+    return t.kind is NumericKind.FLOAT
+
+
+def _holds(t, x) -> bool:
+    """Does ``t`` hold the exact number ``x``?  An infinity is a value of
+    every float type, NaN of none here (see ``_fits``)."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return _is_float(t) and math.isinf(x)
+    return oracle.representable(x, t.name)
+
+
+def _fits(x, source, target) -> bool:
+    """Does converting ``x``, a value of ``source``, keep it?  NaN converts
+    only into a float type at least as precise as its source."""
+    if isinstance(x, float) and math.isnan(x):
+        return _is_float(target) and target.digits >= source.digits
+    return _holds(target, x)
+
+
+def _ladder(x, types):
+    """The type a bare ``x`` deduces to: f64 for a float; for an int the
+    first of i32, i64, u64 that holds it, then the narrowest wider type,
+    signed first; ``None`` if no type holds it."""
+    by_name = {t.name: t for t in types}
+    if isinstance(x, float):
+        return by_name["f64"]
+    for name in ("i32", "i64", "u64", "i128", "u128"):
+        lo, hi = oracle.INT_RANGES[name]
+        if lo <= x <= hi:
+            return by_name[name]
+    return None
+
+
+def _check(got, x, source, target):
+    """``got`` is ``x`` unchanged in ``target``, or the documented error:
+    ``ConstraintError`` for an int no registered type holds (``source`` is
+    ``None``), else ``NarrowError``."""
+    if source is None:
+        assert got is ConstraintError, (got, x, target)
+        return
+    if not _fits(x, source, target):
+        assert got is NarrowError, (got, x, source, target)
+        return
+    assert type(got) is (float if _is_float(target) else int), (got, x, target)
+    if isinstance(x, float) and not math.isfinite(x):
+        assert got == x or (got != got and x != x), (got, x, target)
+    else:
+        assert Fraction(got) == Fraction(x) and _holds(target, got), (got, x, target)
+
+
+class TestNoCheckedEntryPointChangesAValue:
+    """The headline promise as a property.  Each entry point that takes a
+    value gets ints up to +-2**130 and floats of every kind (+-0.0, NaN,
+    +-inf, subnormals), each as itself, as a subclass and as a subclass
+    whose comparisons lie, with ``i128`` and ``u128`` registered.  A result
+    is an exact ``int`` or ``float`` in its target, equal to the exact
+    number the input holds; otherwise the documented error is raised."""
+
+    @pytest.fixture
+    def wide_types(self, registry, monkeypatch):
+        for name, (lo, hi) in _WIDE_RANGES.items():
+            monkeypatch.setitem(oracle.INT_RANGES, name, (lo, hi))
+        register_numeric_type("i128", NumericKind.SIGNED_INT, 127, 16)
+        register_numeric_type("u128", NumericKind.UNSIGNED_INT, 128, 16)
+        return supported_types()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_entry_point(self, wide_types, data):
+        x = data.draw(_PROMISE_INTS | _PROMISE_FLOATS, label="x")
+        v = data.draw(st.sampled_from(_WRAPS[type(x)]), label="wrap")(x)
+        ladder = _ladder(x, wide_types)
+        for target in wide_types:
+            _check(_outcome(convert, v, target), x, ladder, target)
+            for got in (_outcome(Number, v, target), _outcome(lambda: Number(0, target).assign(v))):
+                if isinstance(got, Number):
+                    assert got.numtype is target, (got, x, target)
+                    got = got.value
+                _check(got, x, ladder, target)
+            for source in wide_types:
+                # An integer type holds ints only; a float type its exact
+                # values, NaN and the infinities.
+                got = _outcome(convert_to, v, source, target)
+                if _is_float(source) and x != x or (_is_float(source) or type(x) is int) and _holds(source, x):
+                    _check(got, x, source, target)
+                else:
+                    assert got is NarrowError, (got, x, source, target)
+        # Number(v) takes the type the exact number deduces to.
+        got = _outcome(Number, v)
+        if ladder is None:
+            assert got is ConstraintError, (got, x)
+        else:
+            assert deduced_type(v) is ladder and type(got) is Number and got.numtype is ladder, (got, x)
+            _check(got.value, x, ladder, ladder)
+        # A one-bound window is [0, v): a u32 count no larger than the store.
+        got = _outcome(lambda: len(Span(list(range(8)), v)))
+        if _fits(x, ladder, U32) and x > 8:
+            assert got is RangeError, (got, x)
+        else:
+            _check(got, x, ladder, U32)
 
 
 class TestSoftFloat16:

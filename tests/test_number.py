@@ -367,6 +367,68 @@ class TestArithmetic:
                     assert common.min <= exact <= common.max
 
 
+class _Evil(int):
+    """An int whose own reflected operators, comparisons and conversions all
+    answer wrong."""
+
+    def _wrong(self, other):
+        return 2.5
+
+    __radd__ = __rsub__ = __rmul__ = __rtruediv__ = _wrong
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _wrong
+    __hash__ = int.__hash__
+
+    def __int__(self):
+        return 99
+
+    __index__ = __int__
+
+
+class _EvilF(float):
+    """A float whose own reflected operators, comparisons and conversion all
+    answer wrong."""
+
+    def _wrong(self, other):
+        return 7
+
+    __radd__ = __rsub__ = __rmul__ = __rtruediv__ = _wrong
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _wrong
+    __hash__ = float.__hash__
+
+    def __float__(self):
+        return 99.0
+
+
+_EVIL_OPERANDS = [(_Evil(v), v) for v in (0, 2, -7, 255, 2**31, 2**63, 2**64 - 1)]
+_EVIL_OPERANDS += [(_EvilF(v), v) for v in (2.0, -0.5, 0.1, 2.0**64, math.inf, math.nan)]
+
+
+class TestBareSubclassOperands:
+    """A bare operand is built as ``Number(v)``, so a subclass takes part as
+    the exact number it holds, whatever its own operators say."""
+
+    def test_pinned(self):
+        r = Number(1) + _Evil(2)
+        assert (r.numtype, type(r.value), r.value) == (I32, int, 3)
+        r = Number(1.5) * _EvilF(2.0)
+        assert (r.numtype, type(r.value), r.value) == (F64, float, 3.0)
+
+    def test_every_operator_sees_the_held_number(self):
+        cases = 0
+        for t in ALL_TYPES:
+            for x in _boundary_numbers(t, _ARITH_INT_PROBES, _ARITH_FLOAT_PROBES):
+                for evil, v in _EVIL_OPERANDS:
+                    for name, fn in ARITH_OPS.items():
+                        got, want = _arith_outcome(fn, x, evil), _arith_outcome(fn, x, v)
+                        assert _same_outcome(got, want) and type(got[2]) is type(want[2]), (name, x, v)
+                    for op in COMPARISONS:
+                        assert op(x, evil) is op(x, v), (op.__name__, x, v)
+                    assert compare_lt(x, evil) is compare_lt(x, v), (x, v)
+                    assert compare_lt(evil, x) is compare_lt(v, x), (v, x)
+                    cases += 1
+        assert cases > 11 * 13 * 5
+
+
 class TestIntegerPlans:
     """Every integer pair's plan, ``i128`` and ``u128`` included, at the
     operands its range tests turn on, against the exact oracle."""
