@@ -45,6 +45,7 @@ from .narrowing import (
     U16,
     ConstraintError,
     NarrowError,
+    Number,
     NumericKind,
     NumType,
     can_narrow,
@@ -55,7 +56,6 @@ from .narrowing import (
     supported_types,
     will_narrow,
 )
-from .number import Number
 from .printfmt import format_render, render
 from .demos import DEMO_NAMES, run_demo
 from .rangealg import LinkedList, sort
@@ -197,6 +197,20 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "data = [(i * 37) % 64 for i in range(64)]\nlo, hi = 3, 40",
         "x = Span(data, lo, hi)",
         "if not 0 <= lo <= hi <= len(data):\n    raise RangeError(hi, len(data))\nx = (data, lo, hi - lo)",
+    ),
+    # 123 is an i32 value and in i16's range: the source check and the pair's
+    # converter both run and pass.
+    "convert-to": (
+        "v = 123",
+        "x = convert_to(v, I32, I16)",
+        "if not -32768 <= v <= 32767:\n    raise NarrowError(v, I32, I16)\nx = v",
+    ),
+    # 0.1 is not exact in f32, so both sides round it.
+    "cast-f32": ("v = 0.1", "x = F32.cast(v)", "x = _F32_STRUCT.unpack(_F32_STRUCT.pack(v))[0]"),
+    "span-iter": (
+        "data = [(i * 37) % 64 for i in range(64)]\ns = Span(data)",
+        "x = sum(s)",
+        "x = sum(data)",
     ),
 }
 

@@ -17,14 +17,16 @@ from .narrowing import (
     SF16,
     U8,
     U32,
+    CheckedOverflowError,
     ConstraintError,
     NarrowError,
+    Number,
     can_narrow,
+    compare_lt,
     convert_to,
     narrow_checker,
     will_narrow,
 )
-from .number import CheckedOverflowError, Number, compare_lt
 from .printfmt import FormatError, format_render, print_concat
 from .rangealg import (
     Buffer,

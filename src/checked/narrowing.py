@@ -1,4 +1,5 @@
-"""Checked numeric conversions over a closed set of fixed-width types.
+"""Checked numeric conversions over a closed set of fixed-width types, and
+``Number``, a wrapper that makes the checks implicit.
 
 The central question is always "can converting this value lose information
 or change its meaning?".  It is answered in two stages:
@@ -22,11 +23,27 @@ for pairs that can never narrow, so hot paths can skip per-value work
 entirely.  ``convert_to`` raises ``NarrowError`` instead of ever returning
 a changed value.
 
-Registration also builds each pair's ``Number`` plan ``(common, add, sub,
-mul, div, round_a, round_b)``: four operations on the raw values, and the
-comparison roundings (``None`` where the identity).  No plan converts an
-operand that the common type holds exactly, nor casts a result into f64.
-The f32 and sf16 casts round once, from the exact value.
+Every way of getting a value into a ``Number`` is checked as its type
+pair's converter checks it, so a value that would not survive the
+conversion raises ``NarrowError`` instead of silently changing; an object
+that only looks like a ``Number`` is refused.  Mixed-type arithmetic
+promotes both operands into a common type chosen by a fixed lattice: floats
+beat integers, more digits beat fewer, and between equal-size integers of
+differing signedness the unsigned type wins (mirroring the usual host
+arithmetic rules; safety comes from check-converting the operands, not from
+the lattice).  Results that do not fit the common type raise
+``CheckedOverflowError`` rather than wrapping or saturating.  Comparisons
+are mathematically correct for integer operands of any signedness mix, so
+``Number(-1) < Number(2, "u32")`` is True.  Mixed float/integer comparisons
+happen in the float common type with its usual rounding, and float
+comparisons keep the host partial order for NaN.
+
+Registration builds each pair's ``plans`` entry ``(common, add, sub, mul,
+div, round_a, round_b)``: the common type, four operations on the raw
+values, and the comparison roundings (``None`` where the identity).  A
+``Number`` operation is one row lookup and one call.  No plan converts or
+rounds an operand that the common type holds exactly, nor casts a result
+into f64.  The f32 and sf16 casts round once, from the exact value.
 
 The supported set is the 8/16/32/64-bit signed and unsigned integers, the
 32/64-bit binary floats, and ``sf16``, a software-emulated bfloat16-style
@@ -34,9 +51,9 @@ float (8 mantissa digits in 2 bytes) included so the small-mantissa rules
 are exercisable without special hardware.  ``register_numeric_type`` extends
 the set; arbitrary-precision types are deliberately unsupported.
 
-All operations are pure functions over plain values and safe to call from
-any thread.  Registering new types is the one exception and belongs in
-start-up code.
+Numbers are immutable values.  All operations are pure functions over plain
+values and safe to call from any thread.  Registering new types is the one
+exception and belongs in start-up code.
 """
 
 from __future__ import annotations
@@ -68,6 +85,7 @@ __all__ = [
     "I8", "I16", "I32", "I64",
     "U8", "U16", "U32", "U64",
     "F32", "F64", "SF16",
+    "CheckedOverflowError", "Number", "common_type", "compare_lt",
 ]
 
 
@@ -419,11 +437,11 @@ def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float
 
 
 def _make_plans(pairs) -> None:
-    """Fill ``a.plans[b]`` with each pair's ``(common, add, sub, mul, div,
-    round_a, round_b)``; an operand is rounded only into a float common type
-    that can change it.  Pairs with the same common type and operand
-    converters share their operations: a builtin converter never refuses,
-    so the operations cannot tell which type it converts from."""
+    """Fill ``a.plans[b]`` with each pair's plan; an operand is rounded only
+    into a float common type that can change it.  Pairs with the same common
+    type and operand converters share their operations: a builtin converter
+    never refuses, so the operations cannot tell which type it converts
+    from."""
     shared = {}
     for a, b in pairs:
         c = _common_of(a, b)
@@ -490,8 +508,9 @@ def convert(value, target):
     ``NarrowError``; any other target is built with ``target(value)`` and
     fails with the constructor's own error.  Then the value's exact type
     decides: an int in an integer target's range is returned as it is, an
-    int on the i32 rung takes the i32 row and a float the f64 row; any other
-    value (``bool`` raises) is a ``Number`` or has its ``deduced_type``, and
+    int on the i32 rung takes the i32 row and a float the f64 row.  A
+    ``Number`` (its subclasses too) takes its own type's row; any other value
+    has its ``deduced_type``, which refuses ``bool`` and every non-number, and
     an int or float subclass is read as the exact number it holds.
     """
     if type(target) is not NumType:
@@ -508,9 +527,8 @@ def convert(value, target):
             return I32.to[target](value)
     elif kind is float:
         return F64.to[target](value)
-    numtype = getattr(value, "numtype", None)
-    if isinstance(numtype, NumType):
-        return numtype.to[target](value.value)
+    if isinstance(value, Number):
+        return value._type.to[target](value._value)
     if kind is not int and kind is not bool and isinstance(value, (int, float)):
         value = int.__int__(value) if isinstance(value, int) else float.__float__(value)
     return deduced_type(value).to[target](value)
@@ -524,31 +542,29 @@ def deduced_type(value) -> NumType:
     type that holds it exactly.  Past the ladder, an integer deduces to the
     narrowest registered integer type wider than u64 that holds it, the
     signed one first at equal width; with none, it is refused.  An int
-    subclass counts as the int it holds; bool is refused outright.
+    subclass counts as the int it holds; ``bool`` and every non-number are
+    refused outright.
     """
     if type(value) is not int:
-        if isinstance(value, bool):
-            raise ConstraintError("bool is outside the supported numeric set")
-        if isinstance(value, int):  # a subclass counts as the int it holds
-            value = int.__int__(value)
-    if isinstance(value, int):
-        if I32.min <= value <= I32.max:
-            return I32
-        if I64.min <= value <= I64.max:
-            return I64
-        if 0 <= value <= U64.max:
-            return U64
-        wider = [t for t in _TYPES.values()
-                 if t.byte_size > U64.byte_size and t.min is not None and t.min <= value <= t.max]
-        if wider:
-            return min(wider, key=lambda t: (t.byte_size, t.kind is NumericKind.UNSIGNED_INT))
-        raise ConstraintError(
-            f"integer {value} does not fit any supported type; "
-            "register a wider one or pass an explicit type"
-        )
-    if isinstance(value, float):
-        return F64
-    raise ConstraintError(f"cannot deduce a numeric type for {type(value).__name__}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConstraintError(f"{type(value).__name__} is outside the supported numeric set")
+        if isinstance(value, float):
+            return F64
+        value = int.__int__(value)  # a subclass counts as the int it holds
+    if I32.min <= value <= I32.max:
+        return I32
+    if I64.min <= value <= I64.max:
+        return I64
+    if 0 <= value <= U64.max:
+        return U64
+    wider = [t for t in _TYPES.values()
+             if t.byte_size > U64.byte_size and t.min is not None and t.min <= value <= t.max]
+    if wider:
+        return min(wider, key=lambda t: (t.byte_size, t.kind is NumericKind.UNSIGNED_INT))
+    raise ConstraintError(
+        f"integer {value} does not fit any supported type; "
+        "register a wider one or pass an explicit type"
+    )
 
 
 def register_numeric_type(
@@ -571,8 +587,10 @@ def register_numeric_type(
         raise ConstraintError(f"type name {name!r} is not an identifier")
     if name in _TYPES:
         raise ConstraintError(f"numeric type {name!r} already registered")
-    if byte_size < 1 or digits < 1:
-        raise ConstraintError("digits and byte_size must be at least 1")
+    if not isinstance(kind, NumericKind):
+        raise ConstraintError(f"{name}: kind {kind!r} is not a NumericKind")
+    if type(digits) is not int or type(byte_size) is not int or byte_size < 1 or digits < 1:
+        raise ConstraintError("digits and byte_size must be ints of at least 1")
     bits = 8 * byte_size
     if kind is NumericKind.SIGNED_INT:
         if digits != bits - 1:
@@ -587,7 +605,7 @@ def register_numeric_type(
     else:
         if digits >= bits:
             raise ConstraintError(f"float {name}: digits must be below {bits}")
-        if cast is None:
+        if not callable(cast):
             raise ConstraintError(f"float {name}: a rounding cast is required")
         lo = hi = None
     nt = NumType(name, kind, digits, byte_size, lo, hi, cast)
@@ -619,3 +637,149 @@ U64 = register_numeric_type("u64", NumericKind.UNSIGNED_INT, 64, 8)
 F32 = register_numeric_type("f32", NumericKind.FLOAT, 24, 4, cast=_rounding_cast(24, -126, 127))
 F64 = register_numeric_type("f64", NumericKind.FLOAT, 53, 8, cast=_cast_f64)
 SF16 = register_numeric_type("sf16", NumericKind.FLOAT, 8, 2, cast=_rounding_cast(8, -126, 127))
+
+
+# --- common-type lattice -----------------------------------------------------
+
+def common_type(a: Union[TypeSpec, NumericTraits], b: Union[TypeSpec, NumericTraits]) -> NumType:
+    """The type mixed arithmetic on the two given types executes in.
+
+    Deterministic, commutative, and frozen in each type's ``plans`` row when
+    the types are registered.  Accepts types, names, or traits.
+    """
+    return _resolve(a).plans[_resolve(b)][0]
+
+
+def _resolve(spec) -> NumType:
+    if isinstance(spec, NumericTraits):
+        for t in supported_types():
+            if t.traits == spec:
+                return t
+        raise ConstraintError(f"no registered type has traits {spec}")
+    return numeric_type(spec)
+
+
+# --- the wrapper -------------------------------------------------------------
+
+_new = object.__new__
+
+
+def _as_number(value) -> Optional["Number"]:
+    if isinstance(value, Number):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return Number(value)
+
+
+def _arithmetic(index: int):
+    """The forward and reflected operator for the plan's ``index``th op."""
+
+    def forward(self, other):
+        if type(other) is not Number:
+            other = _as_number(other)
+            if other is None:
+                return NotImplemented
+        plan = self._type.plans[other._type]
+        result = _new(Number)
+        result._value = plan[index](self._value, other._value)
+        result._type = plan[0]
+        return result
+
+    def reflected(self, other):
+        other = _as_number(other)
+        return NotImplemented if other is None else forward(other, self)
+
+    return forward, reflected
+
+
+def _comparison(op):
+    """The comparison operator ``op``.  Python compares integers exactly
+    whatever their signs, so only an operand that a float common type
+    rounds changes first."""
+
+    def compare(self, other):
+        if type(other) is not Number:
+            other = _as_number(other)
+            if other is None:
+                return NotImplemented
+        _, _, _, _, _, round_a, round_b = self._type.plans[other._type]
+        x, y = self._value, other._value
+        if round_a is not None:
+            x = round_a(x)
+        if round_b is not None:
+            y = round_b(y)
+        return op(x, y)
+
+    return compare
+
+
+class Number:
+    """A numeric value that refuses to be narrowed silently.
+
+    ``Number(v)`` deduces the type from the bare value (integers follow the
+    i32-then-i64 literal ladder, floats are f64); ``Number(v, "u32")``
+    converts and raises ``NarrowError`` if the value would change.  There is
+    no unchecked way in, for bare operands too.  Instances are immutable:
+    ``assign`` checks a new value into the same type and returns a new Number.
+
+    Arithmetic with other Numbers or bare numerics promotes into the common
+    type (see ``common_type``).  Division follows the common type: truncated
+    toward zero for integers, ordinary float division otherwise.
+    """
+
+    __slots__ = ("_type", "_value")
+
+    def __init__(self, value, of: Optional[TypeSpec] = None):
+        if of is None:  # only picks the target: the value is checked as below
+            of = value._type if isinstance(value, Number) else deduced_type(value)
+        target = of if type(of) is NumType else numeric_type(of)
+        if type(value) is int and target.min is not None and target.min <= value <= target.max:
+            self._value = value
+        elif type(value) is float:
+            self._value = F64.to[target](value)
+        else:
+            self._value = convert(value, target)
+        self._type = target
+
+    # read-only, with no Python frame: the getter is a C callable
+    value = property(operator.attrgetter("_value"), doc="The wrapped value, unchanged.")
+    numtype = property(operator.attrgetter("_type"), doc="The value's interned ``NumType``.")
+
+    def assign(self, value) -> "Number":
+        """Check ``value`` into this Number's type; the original is untouched."""
+        return Number(value, self._type)
+
+    def __repr__(self) -> str:
+        return f"Number({self._value!r}, {self._type.name})"
+
+    def __str__(self) -> str:
+        return str(self._value)
+
+    def __hash__(self):
+        return hash(self._value)
+
+    __add__, __radd__ = _arithmetic(1)
+    __sub__, __rsub__ = _arithmetic(2)
+    __mul__, __rmul__ = _arithmetic(3)
+    __truediv__, __rtruediv__ = _arithmetic(4)
+
+    __lt__ = _comparison(operator.lt)
+    __gt__ = _comparison(operator.gt)
+    __le__ = _comparison(operator.le)
+    __ge__ = _comparison(operator.ge)
+    __eq__ = _comparison(operator.eq)
+
+
+def compare_lt(x, y) -> bool:
+    """Mathematically correct less-than across any integer signedness mix.
+
+    Accepts Numbers or bare numeric values.  Integer operands are compared
+    as exact values, never converted, so a negative signed operand is below
+    any unsigned one, which is exactly where the host rules go wrong.
+    """
+    a = _as_number(x)
+    b = _as_number(y)
+    if a is None or b is None:
+        raise ConstraintError("compare_lt needs numeric operands")
+    return Number.__lt__(a, b)

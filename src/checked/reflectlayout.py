@@ -66,9 +66,11 @@ def _align_up(offset: int, alignment: int) -> int:
 def register_record(name: str, fields) -> RecordType:
     """Register a record type and fix its layout.
 
-    ``fields`` is an ordered iterable of ``(field_name, primitive)`` pairs.
-    Unknown primitives, duplicate or invalid names, and re-registration are
-    all rejected here, so every registered record has a valid layout.
+    ``fields`` is an ordered iterable of ``(field_name, primitive)`` pairs,
+    each a 2-item tuple or list.  Malformed fields, unknown primitives,
+    duplicate or invalid names, and re-registration are all rejected here,
+    before anything is registered, so every registered record has a valid
+    layout.
     """
     if not isinstance(name, str) or not name.isidentifier():
         raise ConstraintError(f"record name {name!r} is not an identifier")
@@ -79,7 +81,14 @@ def register_record(name: str, fields) -> RecordType:
     descriptors: list[MemberDescriptor] = []
     offset = 0
     alignment = 1
-    for field_name, primitive in fields:
+    try:
+        entries = iter(fields)
+    except TypeError:
+        raise ConstraintError(f"record fields {fields!r} are not an iterable of pairs") from None
+    for entry in entries:
+        if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+            raise ConstraintError(f"field {entry!r} is not a (name, type) pair")
+        field_name, primitive = entry
         if not isinstance(field_name, str) or not field_name.isidentifier():
             raise ConstraintError(f"field name {field_name!r} is not an identifier")
         if field_name in seen:

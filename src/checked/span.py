@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from array import array
 
-from .narrowing import U32, ConstraintError, convert
-from .number import Number
+from .narrowing import U32, ConstraintError, Number, convert
 
 __all__ = ["RangeError", "Span", "register_spanable", "is_spanable"]
 

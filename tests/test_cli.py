@@ -93,7 +93,7 @@ class TestBench:
         scenarios = ("convert-same", "convert-narrowable", "number-arith", "number-arith-bare", "raw-arith",
                      "span-index", "span-sort", "convert-checked", "format-render",
                      "number-construct", "number-compare", "span-write", "sort-forward",
-                     "convert-f32", "layout-of", "span-bounds")
+                     "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             record = run_bench(scenario, 20000)

@@ -419,13 +419,13 @@ class TestConvertDispatchFastPath:
                     assert _same(got.value, want), (value, spec)
 
     def test_an_exact_in_range_int_needs_no_converter(self, monkeypatch):
-        from checked import number
+        from checked import narrowing
 
         # With no converter rows and no ``convert`` to fall back on, only the
         # fast path can answer, and it must answer at both limits of every type.
         for t in ALL_TYPES:
             monkeypatch.setattr(t, "to", {})
-        monkeypatch.setattr(number, "convert", None)
+        monkeypatch.setattr(narrowing, "convert", None)
         for t in INT_TYPES:
             for v in (t.min, t.max):
                 assert convert(v, t) == v and Number(v, t).value == v, (v, t)
@@ -474,6 +474,43 @@ class TestSubclassesAreReadAsTheNumberTheyHold:
         assert will_narrow(_Liar(300), I32, U8) is False
         assert narrow_checker(I32, U8)(_Liar(300)) is False
         assert will_narrow(300, I32, U8) is True
+
+
+class TestOnlyANumberIsANumber:
+    """An object that carries ``numtype`` and ``value`` but is no ``Number``
+    is refused as every non-number is; a ``Number`` subclass converts."""
+
+    @pytest.mark.parametrize("held", [300, 2.5, 7])
+    @pytest.mark.parametrize("call", [
+        lambda duck: convert(duck, U8),
+        lambda duck: convert(duck, U16),
+        lambda duck: Number(duck, U8),
+        lambda duck: Number(duck),
+        lambda duck: Number(0, U8).assign(duck),
+        lambda duck: Span(list(range(8)), duck),
+        lambda duck: Span(list(range(8)), 0, duck),
+        lambda duck: Span(list(range(8))).check(duck),
+        lambda duck: Span(list(range(8)))[duck],
+    ], ids=["convert-u8", "convert-u16", "Number", "Number-untyped", "assign", "Span-count",
+            "Span-bound", "Span.check", "Span-index"])
+    def test_a_look_alike_is_refused(self, call, held):
+        duck = type("LooksLikeANumber", (), {"numtype": U8, "value": held})()
+        with pytest.raises(ConstraintError, match="^LooksLikeANumber is outside the supported numeric set$"):
+            call(duck)
+
+    def test_a_number_subclass_converts(self):
+        class Sub(Number):
+            __slots__ = ()
+
+        five = Sub(5, U8)
+        assert convert(five, U16) == 5 and type(convert(five, F32)) is float
+        assert Number(five, U16).value == 5 and Number(five).numtype is U8
+        assert Number(0, U16).assign(five).value == 5
+        assert len(Span(list(range(8)), five)) == 5 and Span(list(range(8)))[Sub(3, I8)] == 3
+        with pytest.raises(NarrowError):
+            convert(Sub(300, U16), U8)
+        with pytest.raises(NarrowError):
+            Span(list(range(8)), Sub(-1, I8))
 
 
 class _Int(int):
@@ -574,7 +611,8 @@ _PROMISE_FLOATS = (
     | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-149, 1e-310, math.nan, math.inf, -math.inf])
     | st.integers(-(2**130), 2**130).map(float)
 )
-_WRAPS = {int: (int, _Int, _Liar), float: (float, _Float, _LiarF)}
+_WRAPS = {int: (int, _Int, _Liar, lambda x: IntEnum("_Drawn", {"X": x}).X),
+          float: (float, _Float, _LiarF)}
 
 
 def _is_float(t) -> bool:
@@ -632,9 +670,10 @@ class TestNoCheckedEntryPointChangesAValue:
     """The headline promise as a property.  Each entry point that takes a
     value gets ints up to +-2**130 and floats of every kind (+-0.0, NaN,
     +-inf, subnormals), each as itself, as a subclass and as a subclass
-    whose comparisons lie, with ``i128`` and ``u128`` registered.  A result
-    is an exact ``int`` or ``float`` in its target, equal to the exact
-    number the input holds; otherwise the documented error is raised."""
+    whose comparisons lie (ints also as an ``IntEnum`` member), with
+    ``i128`` and ``u128`` registered.  A result is an exact ``int`` or
+    ``float`` in its target, equal to the exact number the input holds;
+    otherwise the documented error is raised.  ``bool`` is refused."""
 
     @pytest.fixture
     def wide_types(self, registry, monkeypatch):
@@ -679,6 +718,16 @@ class TestNoCheckedEntryPointChangesAValue:
             assert got is RangeError, (got, x)
         else:
             _check(got, x, ladder, U32)
+
+    @pytest.mark.parametrize("v", [False, True])
+    def test_bool_is_refused_at_every_entry_point(self, wide_types, v):
+        calls = [lambda: Number(v), lambda: Span(list(range(8)), v), lambda: Span([1, 2]).check(v)]
+        for target in wide_types:
+            calls += [lambda t=target: convert(v, t), lambda t=target: Number(v, t),
+                      lambda t=target: Number(0, t).assign(v)]
+            calls += [lambda s=source, t=target: convert_to(v, s, t) for source in wide_types]
+        for call in calls:
+            assert _outcome(call) is ConstraintError
 
 
 class TestSoftFloat16:
@@ -994,3 +1043,19 @@ class TestRegistration:
         with pytest.raises(ConstraintError, match=problem):
             register_numeric_type("refused_test", kind, digits, byte_size)
         assert supported_types() == old
+
+    @pytest.mark.parametrize("kind, digits, byte_size, cast, problem", [
+        ("float", 8, 2, float, "is not a NumericKind"),
+        (None, 8, 1, None, "is not a NumericKind"),
+        (NumericKind.UNSIGNED_INT, 8.0, 1, None, "must be ints"),
+        (NumericKind.UNSIGNED_INT, 8, 1.0, None, "must be ints"),
+        (NumericKind.SIGNED_INT, 7, True, None, "must be ints"),
+        (NumericKind.FLOAT, 8, 2, 2.0, "rounding cast is required"),
+    ], ids=repr)
+    def test_bad_arguments_touch_no_registry(self, registry, kind, digits, byte_size, cast, problem):
+        old, matrix = supported_types(), dict(NARROWING_MATRIX)
+        with pytest.raises(ConstraintError, match=problem):
+            register_numeric_type("bogus", kind, digits, byte_size, cast=cast)
+        assert supported_types() == old and dict(NARROWING_MATRIX) == matrix
+        with pytest.raises(ConstraintError, match="unknown numeric type 'bogus'"):
+            convert(1, "bogus")

@@ -98,6 +98,21 @@ class TestRejections:
             register_record("BadFieldType", [("a", primitive)])
         assert "BadFieldType" not in registered_record_names()
 
+    @pytest.mark.parametrize("fields", [
+        5, None, "ab", [("a", "i8", 1)], [("a",)], [("a", "i8"), ("b",)], [("a", "i8"), "bc"],
+        [{"a": "i8"}], [("a", "i8"), iter(("b", "i8"))],
+    ], ids=repr)
+    def test_malformed_fields_register_nothing(self, registry, fields):
+        before = registered_record_names()
+        with pytest.raises(ConstraintError, match=r" (is not|are not an iterable of) "):
+            register_record("Malformed", fields)
+        assert registered_record_names() == before
+
+    def test_a_field_may_be_a_list_pair(self, registry):
+        record = register_record("ListPairs", [["a", "i8"], ("b", "i32")])
+        assert record.fields == (("a", "i8"), ("b", "i32"))
+        assert record_size("ListPairs") == 8
+
     def test_a_type_registered_after_import_is_looked_up_by_name(self, registry):
         register_numeric_type("u24_field_test", NumericKind.UNSIGNED_INT, 24, 3)
         record = register_record("U24Field", [("a", "i8"), ("b", "u24_field_test")])
