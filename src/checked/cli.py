@@ -59,7 +59,14 @@ from .narrowing import (
 from .printfmt import format_render, render
 from .demos import DEMO_NAMES, run_demo
 from .rangealg import LinkedList, sort
-from .reflectlayout import layout_of, record_size, registered_record_names
+from .reflectlayout import (
+    _RECORDS,
+    PRIMITIVE_LAYOUTS,
+    layout_of,
+    record_size,
+    register_record,
+    registered_record_names,
+)
 from .span import RangeError, Span
 
 __all__ = ["main", "run_bench", "BenchRecord", "BENCH_SCENARIOS"]
@@ -141,6 +148,17 @@ _ROW_ARGS = (17, 4242, 9, -3, 1.25, 0.5, 118, -41, 96.75)
 _INLINE_U16_TEST = "if not 0 <= v <= 65535:\n    raise NarrowError(v, I32, U16)\nx = v"
 _F32_STRUCT = struct.Struct("<f")
 _INLINE_F32_TEST = "if _F32_STRUCT.unpack(_F32_STRUCT.pack(v))[0] != v:\n    raise NarrowError(v, F64, F32)\nx = v"
+_RECORD_FIELDS = (("flag", "i8"), ("count", "u16"), ("tag", "i8"), ("ratio", "f64"), ("scale", "f32"))
+_PLAIN_OFFSETS = (
+    "layout, offset, alignment = [], 0, 1\n"
+    "for field, primitive in _RECORD_FIELDS:\n"
+    "    size, align = PRIMITIVE_LAYOUTS[primitive]\n"
+    "    offset = (offset + align - 1) // align * align\n"
+    "    layout.append((field, offset, size))\n"
+    "    offset += size\n"
+    "    alignment = max(alignment, align)\n"
+    "x = (layout, (offset + alignment - 1) // alignment * alignment)"
+)
 
 # Per scenario: the set-up, the measured statement and the baseline statement
 # (None: the measured time is its own baseline), run in this module's globals.
@@ -211,6 +229,13 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "data = [(i * 37) % 64 for i in range(64)]\ns = Span(data)",
         "x = sum(s)",
         "x = sum(data)",
+    ),
+    # A 5-field record with interior padding, dropped again so that every
+    # round registers it afresh, against the same offsets in a plain loop.
+    "record-register": (
+        "",
+        "register_record('BenchRecord', _RECORD_FIELDS)\ndel _RECORDS['BenchRecord']",
+        _PLAIN_OFFSETS,
     ),
 }
 

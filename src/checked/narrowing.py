@@ -509,9 +509,9 @@ def convert(value, target):
     fails with the constructor's own error.  Then the value's exact type
     decides: an int in an integer target's range is returned as it is, an
     int on the i32 rung takes the i32 row and a float the f64 row.  A
-    ``Number`` (its subclasses too) takes its own type's row; any other value
-    has its ``deduced_type``, which refuses ``bool`` and every non-number, and
-    an int or float subclass is read as the exact number it holds.
+    ``Number`` (its subclasses too) takes its own type's row, an int or float
+    subclass is converted anew as the exact number it holds, and any other
+    value has its ``deduced_type``, which refuses ``bool`` and non-numbers.
     """
     if type(target) is not NumType:
         if isinstance(target, str):
@@ -530,7 +530,7 @@ def convert(value, target):
     if isinstance(value, Number):
         return value._type.to[target](value._value)
     if kind is not int and kind is not bool and isinstance(value, (int, float)):
-        value = int.__int__(value) if isinstance(value, int) else float.__float__(value)
+        return convert(int.__int__(value) if isinstance(value, int) else float.__float__(value), target)
     return deduced_type(value).to[target](value)
 
 
@@ -722,6 +722,7 @@ class Number:
     converts and raises ``NarrowError`` if the value would change.  There is
     no unchecked way in, for bare operands too.  Instances are immutable:
     ``assign`` checks a new value into the same type and returns a new Number.
+    A Number is true exactly when its value is.
 
     Arithmetic with other Numbers or bare numerics promotes into the common
     type (see ``common_type``).  Division follows the common type: truncated
@@ -758,6 +759,9 @@ class Number:
 
     def __hash__(self):
         return hash(self._value)
+
+    def __bool__(self) -> bool:
+        return bool(self._value)
 
     __add__, __radd__ = _arithmetic(1)
     __sub__, __rsub__ = _arithmetic(2)

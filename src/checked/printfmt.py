@@ -8,14 +8,14 @@ left over once the text is exhausted fail with "too many arguments".  There
 is no escape for a literal ``{}``.
 
 Each distinct format text is compiled once, by one tokenizing regex, into a
-host ``str.format`` text, with every literal brace doubled and every
-placeholder written as ``{!s}``, plus the offsets of its placeholders; a
+printf-style host text, with every literal ``%`` doubled and every
+placeholder written as ``%s``, plus the offsets of its placeholders; a
 bounded cache keeps the compiled form.  A format text that is not a ``str``
 (or None) is refused with ``ConstraintError``.
 
 Rendering is the host's default text form (``str``), which ``render``
-defines; wrapped numbers render as their underlying value.  The ``!s``
-conversion makes ``str.format`` call ``str()`` on each argument in C, so
+defines; wrapped numbers render as their underlying value.  ``host % args``
+calls ``str()`` on each argument in C and never ``format()``, so
 ``format_render`` does not call ``render`` and patching it changes nothing
 there.  The functions build and return text and never touch an output
 device; each is pure and thread-safe.
@@ -66,17 +66,17 @@ _TOKEN = re.compile(r"\{.?", re.DOTALL)
 
 
 def _escape(literal: str) -> str:
-    return literal.replace("{", "{{").replace("}", "}}")
+    return literal.replace("%", "%%")
 
 
 @functools.lru_cache(maxsize=256)
 def _compile(fmt: str) -> tuple[str, tuple[int, ...]]:
-    """The host ``str.format`` text of ``fmt`` and its placeholder offsets."""
+    """The host ``%`` text of ``fmt`` (``%s`` fields) and its placeholder offsets."""
     host, slots, done = [], [], 0
     for token in _TOKEN.finditer(fmt):
         if token.group() == "{}":
             host.append(_escape(fmt[done:token.start()]))
-            host.append("{!s}")
+            host.append("%s")
             slots.append(token.start())
             done = token.end()
     host.append(_escape(fmt[done:]))
@@ -100,4 +100,4 @@ def format_render(fmt, *args) -> str:
         if len(args) < len(slots):
             raise FormatError(FormatErrorKind.ARGUMENT_MISSING, slots[len(args)])
         raise FormatError(FormatErrorKind.TOO_MANY_ARGUMENTS, len(fmt))
-    return host.format(*args)
+    return host % args

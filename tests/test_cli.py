@@ -8,6 +8,7 @@ from checked import cli
 from checked.cli import BENCH_CSV_HEADER, BENCH_SCENARIOS, main, run_bench
 from checked.demos import DEMO_NAMES, demo_cases, run_demo
 from checked.narrowing import I32, ConstraintError
+from checked.reflectlayout import register_record, registered_record_names
 
 
 def run(capsys, *argv):
@@ -93,12 +94,25 @@ class TestBench:
         scenarios = ("convert-same", "convert-narrowable", "number-arith", "number-arith-bare", "raw-arith",
                      "span-index", "span-sort", "convert-checked", "format-render",
                      "number-construct", "number-compare", "span-write", "sort-forward",
-                     "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter")
+                     "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
+                     "record-register")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             record = run_bench(scenario, 20000)
             assert record.iters == 20000
             assert record.ns_per_op >= 0 and record.baseline_ns_per_op > 0
+
+    def test_record_register_leaves_the_registry_as_it_was(self):
+        names = registered_record_names()
+        record = run_bench("record-register", 50)
+        assert record.ns_per_op > 0 and record.baseline_ns_per_op > 0
+        assert registered_record_names() == names and "BenchRecord" not in names
+
+    def test_record_register_baseline_builds_the_same_layout(self, registry):
+        record = register_record("BenchRecord", cli._RECORD_FIELDS)
+        space = {"PRIMITIVE_LAYOUTS": cli.PRIMITIVE_LAYOUTS, "_RECORD_FIELDS": cli._RECORD_FIELDS}
+        exec(cli._BENCHES["record-register"][2], space)
+        assert space["x"] == ([tuple(d) for d in record.layout], record.size)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_is_kept(self, enabled):

@@ -430,8 +430,16 @@ class TestConvertDispatchFastPath:
             for v in (t.min, t.max):
                 assert convert(v, t) == v and Number(v, t).value == v, (v, t)
                 assert Number(0, t).assign(v).value == v, (v, t)
-        with pytest.raises(KeyError):  # every other input still reads a row
-            convert(_Code.BIG, I16)
+        for value in (Number(300, I32), 2**40, 0.5):  # every other input still reads a row
+            with pytest.raises(KeyError):
+                convert(value, I16)
+
+    def test_a_subclass_takes_the_fast_path_of_the_number_it_holds(self, monkeypatch):
+        for t in ALL_TYPES:
+            monkeypatch.setattr(t, "to", {})
+        assert convert(_Code.BIG, I16) == 300 and type(convert(_Liar(-7), I8)) is int
+        with pytest.raises(KeyError):
+            convert(_LiarF(2.5), F32)
 
     def test_int_subclass_converts_to_a_plain_int(self):
         assert type(convert(_Code.BIG, I16)) is int
@@ -459,6 +467,26 @@ class TestSubclassesAreReadAsTheNumberTheyHold:
         with pytest.raises(ConstraintError):
             deduced_type(_Liar(-(2**63) - 1))
         assert Number(_Liar(2**40)).numtype is I64
+
+    def test_a_subclass_is_deduced_once(self, monkeypatch):
+        from checked import narrowing
+
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return deduced_type(value)
+
+        monkeypatch.setattr(narrowing, "deduced_type", counted)
+        for value, numtype in ((_Code.BIG, I32), (_Liar(2**40), I64), (_LiarF(2.5), F64)):
+            calls.clear()
+            assert Number(value).numtype is numtype
+            assert len(calls) == 1, (value, calls)
+        calls.clear()
+        assert convert(_Code.BIG, U16) == 300 and calls == []
+        with pytest.raises(NarrowError):  # past every fast path: deduced once
+            convert(_Liar(2**40), I16)
+        assert calls == [2**40] and type(calls[0]) is int
 
     def test_the_error_shows_the_held_number(self):
         for call in (lambda: convert(_Code.BIG, U8), lambda: convert_to(_Code.BIG, I32, U8),

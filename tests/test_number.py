@@ -126,6 +126,24 @@ class TestConstruction:
             Number("5")
 
 
+class TestTruth:
+    @pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
+    def test_a_number_is_as_true_as_its_value(self, t):
+        numbers = _boundary_numbers(t)
+        assert len(numbers) > 3
+        for n in numbers:
+            assert bool(n) is bool(n.value), n
+        assert not Number(0, t) and Number(1, t)
+        if t.kind is NumericKind.FLOAT:  # NaN is truthy, as bool(nan) is
+            nan = Number(math.inf, t) - Number(math.inf, t)
+            assert nan.numtype is t and math.isnan(nan.value) and nan
+            assert not Number(-0.0, t) and Number(-1.5, t)
+
+    def test_an_untyped_zero_is_false(self):
+        assert not Number(0) and not Number(0.0) and not Number(-0.0)
+        assert Number(-1) and Number(2**63) and Number(math.nan) and Number(math.inf)
+
+
 class TestAssign:
     def test_ok(self):
         ii = Number(0, U32)

@@ -88,6 +88,17 @@ class TestFormatRender:
         with pytest.raises(ConstraintError):
             format_render(fmt)
 
+    def test_percent_is_literal_text(self):
+        assert format_render("100%") == "100%"
+        assert format_render("%s") == "%s"
+        assert format_render("%(x)s {}", {"x": 1}) == "%(x)s {'x': 1}"
+        assert format_render("%d%% {}%{", 5) == "%d%% 5%{"
+
+    def test_a_lone_tuple_argument_renders_as_its_str(self):
+        assert format_render("{}", (1, 2)) == str((1, 2))
+        assert format_render("<{}>", ()) == "<()>"
+        assert format_render("{} {}", (1,), {}) == "(1,) {}"
+
     def test_more_distinct_texts_than_the_cache_holds(self):
         from checked.printfmt import _compile
 
@@ -150,7 +161,7 @@ class TestRendersWithStr:
 
 
 _fragments = st.lists(
-    st.sampled_from(["{}", "{", "}", "a", "bc", "{{", "}}", "{x", "end"]),
+    st.sampled_from(["{}", "{", "}", "a", "bc", "{{", "}}", "{x", "end", "%", "%s", "%%", "%d", "%(x)s"]),
     max_size=12,
 )
 
