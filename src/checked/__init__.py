@@ -11,9 +11,8 @@ The package re-exports each module's ``__all__``, so every public name is
 declared once, in the module that defines it.
 """
 
-from . import narrowing, span, rangealg, printfmt, reflectlayout
+from . import narrowing, rangealg, printfmt, reflectlayout
 from .narrowing import *
-from .span import *
 from .rangealg import *
 from .printfmt import *
 from .reflectlayout import *
@@ -21,6 +20,6 @@ from .reflectlayout import *
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__", *narrowing.__all__, *span.__all__,
-    *rangealg.__all__, *printfmt.__all__, *reflectlayout.__all__,
+    "__version__", *narrowing.__all__, *rangealg.__all__,
+    *printfmt.__all__, *reflectlayout.__all__,
 ]

@@ -58,7 +58,7 @@ from .narrowing import (
 )
 from .printfmt import format_render, render
 from .demos import DEMO_NAMES, run_demo
-from .rangealg import LinkedList, sort
+from .rangealg import LinkedList, RangeError, Span, sort
 from .reflectlayout import (
     _RECORDS,
     PRIMITIVE_LAYOUTS,
@@ -67,7 +67,6 @@ from .reflectlayout import (
     register_record,
     registered_record_names,
 )
-from .span import RangeError, Span
 
 __all__ = ["main", "run_bench", "BenchRecord", "BENCH_SCENARIOS"]
 
@@ -146,6 +145,7 @@ def cmd_narrow_table() -> int:
 _ROW = "{} key={} count={} delta={} price={} weight={} sum_count={} sum_delta={} sum_price={}"
 _ROW_ARGS = (17, 4242, 9, -3, 1.25, 0.5, 118, -41, 96.75)
 _INLINE_U16_TEST = "if not 0 <= v <= 65535:\n    raise NarrowError(v, I32, U16)\nx = v"
+_INLINE_BOUNDS = "if not 0 <= lo <= hi <= len(data):\n    raise RangeError(hi, len(data))\nx = (data, lo, hi - lo)"
 _F32_STRUCT = struct.Struct("<f")
 _INLINE_F32_TEST = "if _F32_STRUCT.unpack(_F32_STRUCT.pack(v))[0] != v:\n    raise NarrowError(v, F64, F32)\nx = v"
 _RECORD_FIELDS = (("flag", "i8"), ("count", "u16"), ("tag", "i8"), ("ratio", "f64"), ("scale", "f32"))
@@ -214,7 +214,7 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     "span-bounds": (
         "data = [(i * 37) % 64 for i in range(64)]\nlo, hi = 3, 40",
         "x = Span(data, lo, hi)",
-        "if not 0 <= lo <= hi <= len(data):\n    raise RangeError(hi, len(data))\nx = (data, lo, hi - lo)",
+        _INLINE_BOUNDS,
     ),
     # 123 is an i32 value and in i16's range: the source check and the pair's
     # converter both run and pass.
@@ -229,6 +229,12 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "data = [(i * 37) % 64 for i in range(64)]\ns = Span(data)",
         "x = sum(s)",
         "x = sum(data)",
+    ),
+    # A (lo, hi) window of a Span, as `views` builds one in every five tasks.
+    "span-nested": (
+        "data = [(i * 37) % 64 for i in range(64)]\ns = Span(data)\nlo, hi = 3, 40",
+        "x = Span(s, lo, hi)",
+        _INLINE_BOUNDS,
     ),
     # A 5-field record with interior padding, dropped again so that every
     # round registers it afresh, against the same offsets in a plain loop.

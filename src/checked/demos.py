@@ -31,6 +31,8 @@ from .printfmt import FormatError, format_render, print_concat
 from .rangealg import (
     Buffer,
     LinkedList,
+    RangeError,
+    Span,
     draw_all,
     greater,
     is_power_of_two,
@@ -39,7 +41,6 @@ from .rangealg import (
     sort_random_access,
 )
 from .reflectlayout import layout_of, record_size
-from .span import RangeError, Span
 
 __all__ = ["DemoCase", "DemoResult", "DEMO_NAMES", "demo_cases", "run_demo"]
 

@@ -246,11 +246,11 @@ _MATRIX: dict[tuple[str, str], bool] = {}
 #: built-in set), never per value.
 NARROWING_MATRIX = MappingProxyType(_MATRIX)
 
-TypeSpec = Union[NumType, str]
+TypeSpec = Union[NumType, str, NumericTraits]
 
 
 def numeric_type(spec: TypeSpec) -> NumType:
-    """Resolve a type object or name to the interned ``NumType``."""
+    """Resolve a type object, name or traits to the interned ``NumType``."""
     if isinstance(spec, NumType):
         return spec
     if isinstance(spec, str):
@@ -258,6 +258,11 @@ def numeric_type(spec: TypeSpec) -> NumType:
             return _TYPES[spec]
         except KeyError:
             raise ConstraintError(f"unknown numeric type {spec!r}") from None
+    if isinstance(spec, NumericTraits):  # of equal traits, the first registered wins
+        for t in _TYPES.values():
+            if t.traits == spec:
+                return t
+        raise ConstraintError(f"no registered type has traits {spec}")
     raise ConstraintError(f"cannot interpret {spec!r} as a numeric type")
 
 
@@ -485,8 +490,8 @@ def convert_to(value, source: TypeSpec, target: TypeSpec):
     type the values its cast leaves unchanged, and NaN.  Any other number
     raises ``NarrowError``; ``bool`` and non-numbers ``ConstraintError``.
     """
-    src = numeric_type(source)
-    dst = numeric_type(target)
+    src = source if type(source) is NumType else numeric_type(source)
+    dst = target if type(target) is NumType else numeric_type(target)
     if type(value) is not int and type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConstraintError(f"{type(value).__name__} is outside the supported numeric set")
@@ -503,10 +508,10 @@ def convert_to(value, source: TypeSpec, target: TypeSpec):
 def convert(value, target):
     """Checked conversion when both sides are numeric, explicit otherwise.
 
-    A ``NumType`` target (or its name; an unknown name raises
-    ``ConstraintError``) takes the pair's checked converter, which can raise
-    ``NarrowError``; any other target is built with ``target(value)`` and
-    fails with the constructor's own error.  Then the value's exact type
+    A ``NumType`` target, or its name or traits (one that no registered
+    type has raises ``ConstraintError``), takes the pair's checked
+    converter, which can raise ``NarrowError``; any other target is built
+    with ``target(value)`` and fails with the constructor's own error.  Then the value's exact type
     decides: an int in an integer target's range is returned as it is, an
     int on the i32 rung takes the i32 row and a float the f64 row.  A
     ``Number`` (its subclasses too) takes its own type's row, an int or float
@@ -514,7 +519,7 @@ def convert(value, target):
     value has its ``deduced_type``, which refuses ``bool`` and non-numbers.
     """
     if type(target) is not NumType:
-        if isinstance(target, str):
+        if isinstance(target, (str, NumericTraits)):
             target = numeric_type(target)
         elif not isinstance(target, NumType):
             return target(value)
@@ -641,22 +646,13 @@ SF16 = register_numeric_type("sf16", NumericKind.FLOAT, 8, 2, cast=_rounding_cas
 
 # --- common-type lattice -----------------------------------------------------
 
-def common_type(a: Union[TypeSpec, NumericTraits], b: Union[TypeSpec, NumericTraits]) -> NumType:
+def common_type(a: TypeSpec, b: TypeSpec) -> NumType:
     """The type mixed arithmetic on the two given types executes in.
 
     Deterministic, commutative, and frozen in each type's ``plans`` row when
     the types are registered.  Accepts types, names, or traits.
     """
-    return _resolve(a).plans[_resolve(b)][0]
-
-
-def _resolve(spec) -> NumType:
-    if isinstance(spec, NumericTraits):
-        for t in supported_types():
-            if t.traits == spec:
-                return t
-        raise ConstraintError(f"no registered type has traits {spec}")
-    return numeric_type(spec)
+    return numeric_type(a).plans[numeric_type(b)][0]
 
 
 # --- the wrapper -------------------------------------------------------------

@@ -1,37 +1,55 @@
-"""Constraint-dispatched range algorithms.
+"""Bounds-checked views over contiguous storage, and the range algorithms
+dispatched on their constraints.
+
+A ``Span`` never owns elements; it records a backing sequence, a start
+offset, and a validated length.  A count, bound or index other than an
+exact u32 int goes through ``convert(value, U32)`` first, so a negative or
+fractional index raises ``NarrowError`` before any range logic runs (no
+Python-style wrap-around), an index outside ``[0, len)`` raises
+``RangeError``, and an int no registered type holds ``ConstraintError``,
+as in ``convert``.  ``Span.unchecked`` is the one deliberate hole: the
+caller asserts the extent, and the name exists to stand out in review.
 
 Ranges have a traversal category: random access (indexed reads and writes
-plus a length) or forward (repeatable iteration plus an ordered write-back).
-A type can declare its category with a ``range_category`` class attribute,
-the way a container advertises an iterator tag; otherwise the category is
-inferred structurally.  ``sort`` picks the random-access path whenever it
-applies, because that constraint set strictly contains the forward one, and
-reports which path ran.  Both paths sort a copy and write it back in one
-pass; the random-access one reads and writes a ``Span``'s backing store
-directly, since the span's bounds were proved when it was built, and
-``LinkedList(span)`` copies the window out of that store.  How a store is
-read and written back is its row of ``span._STORES``; ``Buffer`` adds its
-row here, so it is sorted, and viewed by a ``Span``, through its list.
-Ranges satisfying neither category, element types the predicate cannot
-order, and a read-only ``memoryview`` store are rejected with
-``ConstraintError`` before anything is touched.
+plus a length) or forward (repeatable iteration plus an ordered write-back),
+declared by a ``range_category`` class attribute or inferred structurally.
+``sort`` picks the random-access path whenever it applies, because that
+constraint set strictly contains the forward one, and reports which path
+ran.  Both paths sort a copy and write it back in one pass.  Ranges
+satisfying neither category, element types the predicate cannot order, and
+a read-only ``memoryview`` store are rejected with ``ConstraintError``
+before anything is touched; a ``Span`` write checks only its index.
 
-Sorting mutates the caller's range; don't touch it concurrently during a
-sort.  The functions themselves keep no shared state.
+How each store type is viewed, read and written back is one row of
+``_STORES``, keyed by exact type: a span over an exact ``Buffer`` views its
+list, as a nested span views its base store; a subclass or a registered
+type has no row and keeps its own item access.  A span's bounds are proved
+once, when it is built, so the algorithms read and write the backing store
+directly.  Both sorts take that window, ``(store, offset, length, row)``,
+from ``_window``, which holds the one read-only test for the paths that
+write.  ``Span()`` and ``LinkedList(span)`` read the same fields inline,
+one Python frame cheaper.
+
+Spans may be shared across threads, but element access is not synchronized
+here, and a sort mutates the caller's range: don't touch it concurrently.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from array import array
 from collections import deque
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
-from .narrowing import ConstraintError
-from .span import _STORES, Span, is_spanable, register_spanable
+from .narrowing import U32, ConstraintError, Number, convert
 
 __all__ = [
+    "RangeError",
+    "Span",
+    "register_spanable",
+    "is_spanable",
     "RangeCategory",
     "SortPath",
     "SortDispatchReport",
@@ -52,6 +70,15 @@ less = operator.lt
 greater = operator.gt
 
 
+class RangeError(IndexError):
+    """An index or bound failed the span's length check."""
+
+    def __init__(self, attempted, length: int) -> None:
+        self.attempted = attempted
+        self.length = length
+        super().__init__(f"index {attempted} out of range for span of length {length}")
+
+
 class RangeCategory(Enum):
     RANDOM_ACCESS = "random-access"
     FORWARD = "forward"
@@ -69,15 +96,191 @@ class SortDispatchReport(NamedTuple):
     element_count: int
 
 
-# Iterable but not sortable ranges: mappings and sets have no element order
-# to rewrite, the rest are immutable.
-_NOT_RANGES = (dict, set, frozenset, str, bytes, tuple, range)
-_READ_ONLY = "memoryview store is read-only"  # random access, but no sort writes it
+def is_power_of_two(n: int) -> bool:
+    """True iff ``n`` is a positive power of two."""
+    return 0 < n and (n & (n - 1)) == 0
+
+
+class Buffer:
+    """Fixed-size element storage whose size constraint is checked up front.
+
+    The size must be a power of two and at least 1024; violations raise
+    ``ConstraintError`` when the buffer is created, before any storage is
+    allocated, so no runtime error handler is ever needed.  Elements start
+    as ``element_type()``.
+    """
+
+    MIN_SIZE = 1024
+
+    range_category = RangeCategory.RANDOM_ACCESS
+
+    __slots__ = ("element_type", "_items")
+
+    def __init__(self, element_type: Callable, size: int):
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise ConstraintError("buffer size must be an integer constant")
+        if size < self.MIN_SIZE:
+            raise ConstraintError(f"buffer too small: {size} < {self.MIN_SIZE}")
+        if not is_power_of_two(size):
+            raise ConstraintError(f"size not binary: {size} is not a power of two")
+        self.element_type = element_type
+        self._items = [element_type() for _ in range(size)]
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __setitem__(self, index, value) -> None:
+        self._items[index] = value
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __repr__(self) -> str:
+        name = getattr(self.element_type, "__name__", repr(self.element_type))
+        return f"Buffer({name}, {len(self._items)})"
+
+
+# Backing stores, one row per exact type: (the list a span views in the
+# store's place, or None; how a sorted window is packed for one slice
+# assignment: ``list`` takes the sorted list as it is, another type is called
+# with the store's typecode, None writes element by element).  A store with a
+# row is read in one slice.  A Span over an exact Buffer views its list: one
+# frame per index, and the list's own iteration and slices (a Span.unchecked
+# slices through the Buffer).  Immutable str/bytes/tuple have no row.
+_STORES: dict = {list: (None, list), bytearray: (None, list), array: (None, array),
+                 memoryview: (None, None), Buffer: (operator.attrgetter("_items"), list)}
+# The one registry of contiguous ranges (by ``isinstance``, so subclasses
+# too), which the sort dispatch also reads as "random access".
+_SPANABLE_TYPES: tuple[type, ...] = tuple(_STORES)
+_NOT_CONTIGUOUS = "%s is not a contiguous range"
+
+
+def register_spanable(cls: type) -> type:
+    """Declare ``cls`` as contiguous element storage usable behind a Span."""
+    global _SPANABLE_TYPES
+    if not isinstance(cls, type):
+        raise ConstraintError("register_spanable expects a type")
+    if cls not in _SPANABLE_TYPES:
+        _SPANABLE_TYPES += (cls,)
+    return cls
 
 
 # Contiguous storage and random access are one registry: a registered type
 # can back a Span and is sorted through the random-access path.
 register_random_access = register_spanable
+
+
+def is_spanable(obj) -> bool:
+    return isinstance(obj, Span) or isinstance(obj, _SPANABLE_TYPES)
+
+
+def _as_unsigned(value) -> int:
+    """Checked conversion of an index/count into the unsigned index type."""
+    if type(value) is int and 0 <= value <= 0xFFFFFFFF:  # already a U32 value
+        return value
+    return convert(value, U32)
+
+
+class Span:
+    """Bounds-checked view of a contiguous range.
+
+    ``Span(r)`` views all of ``r``; ``Span(r, n)`` views the first ``n``
+    elements (``n`` may not exceed the range size); ``Span(r, lo, hi)``
+    views ``[lo:hi)``.  Counts and bounds accept any numeric value and are
+    converted with ``convert(value, U32)``, so ``Span(a, -500)`` raises
+    ``NarrowError`` rather than producing an enormous view.
+    """
+
+    __slots__ = ("_storage", "_offset", "_length")
+
+    def __init__(self, storage, low=None, high=None):
+        row = _STORES.get(type(storage))  # a row's type is spanable: no isinstance
+        if row is None and isinstance(storage, Span):
+            base, offset, size = storage._storage, storage._offset, storage._length
+        elif row is None and not isinstance(storage, _SPANABLE_TYPES):
+            raise ConstraintError(_NOT_CONTIGUOUS % type(storage).__name__)
+        else:
+            base = storage if row is None or row[0] is None else row[0](storage)
+            offset, size = 0, len(base)
+        if high is not None:
+            lo, hi = _as_unsigned(low), _as_unsigned(high)
+        else:
+            lo, hi = 0, size if low is None else _as_unsigned(low)
+        if hi > size:
+            raise RangeError(hi, size)
+        if lo > hi:
+            raise RangeError(lo, size)
+        self._storage = base
+        self._offset = offset + lo
+        self._length = hi - lo
+
+    @classmethod
+    def unchecked(cls, storage, count) -> "Span":
+        """View ``count`` elements of ``storage`` on the caller's say-so.
+
+        Nothing verifies that the storage really has ``count`` elements;
+        this is the only unchecked entry point and should draw review.  The
+        storage is refused as ``Span(storage)`` refuses it, and the count
+        still goes through the checked unsigned conversion, so a negative
+        count raises ``NarrowError`` even here.
+        """
+        if not is_spanable(storage):
+            raise ConstraintError(_NOT_CONTIGUOUS % type(storage).__name__)
+        span = object.__new__(cls)
+        span._storage = storage
+        span._offset = 0
+        span._length = _as_unsigned(count)
+        return span
+
+    def __len__(self) -> int:
+        return self._length
+
+    def check(self, index) -> int:
+        """Validated element index: returns it when inside ``[0, len)``."""
+        i = _as_unsigned(index)
+        if i >= self._length:
+            raise RangeError(i, self._length)
+        return i
+
+    # The fast paths accept only what ``check`` would return unchanged:
+    # ``_length`` already passed the U32 check, so an exact int in
+    # ``[0, len)`` is a valid U32 index, as is a ``Number`` converted here
+    # through its type's u32 row, as ``convert`` converts it.  Every other
+    # index, bool included, goes through ``check`` and keeps its error.
+
+    def __getitem__(self, index):
+        if type(index) is int and 0 <= index < self._length:
+            return self._storage[self._offset + index]
+        if type(index) is Number and (index := index._type.to[U32](index._value)) < self._length:
+            return self._storage[self._offset + index]
+        return self._storage[self._offset + self.check(index)]
+
+    def __setitem__(self, index, value) -> None:
+        if type(index) is int and 0 <= index < self._length:
+            self._storage[self._offset + index] = value
+        elif type(index) is Number and (index := index._type.to[U32](index._value)) < self._length:
+            self._storage[self._offset + index] = value
+        else:
+            self._storage[self._offset + self.check(index)] = value
+
+    def __iter__(self):
+        # each element is read when it is reached, so writes are seen
+        base = self._offset
+        return map(self._storage.__getitem__, range(base, base + self._length))
+
+    def __repr__(self) -> str:
+        return (
+            f"Span(length={self._length}, offset={self._offset}, "
+            f"storage={type(self._storage).__name__})"
+        )
+
+
+# Iterable but not sortable ranges: mappings and sets have no element order
+# to rewrite, the rest are immutable.
+_NOT_RANGES = (dict, set, frozenset, str, bytes, tuple, range)
 
 
 def category_of(r) -> Optional[RangeCategory]:
@@ -145,24 +348,31 @@ def _read_window(store, lo: int, n: int) -> list:
     return buf
 
 
+def _window(r, writes=False) -> tuple:
+    """``(store, offset, length, row)`` of a ``Span``, or of a whole range
+    through the store its row's view column names; a store without a row
+    has ``(None, None)``.  ``writes`` refuses a read-only ``memoryview``."""
+    if isinstance(r, Span):
+        store, lo, n = r._storage, r._offset, r._length
+        row = _STORES.get(type(store), (None, None))
+    else:
+        row = _STORES.get(type(r), (None, None))
+        store = r if row[0] is None else row[0](r)
+        lo, n = 0, len(store)
+    if writes and type(store) is memoryview and store.readonly:  # random access, but no sort writes it
+        raise ConstraintError("memoryview store is read-only")
+    return store, lo, n, row
+
+
 def _sort_window(r, pred: Callable) -> int:
     """Sort a random-access range through its backing store; returns its length.
 
     A ``Span`` is read and written between its offset and its length, with
-    no per-element check: construction proved those bounds.  Any other range
-    is sorted whole, through the list its row's view column names, if any.
-    The row says how the sorted window is packed for one slice assignment;
-    without a packing, or a row, it is written back element by element.
+    no per-element check: construction proved those bounds.  The row says
+    how the sorted window is packed for one slice assignment; without a
+    packing, or a row, it is written back element by element.
     """
-    if isinstance(r, Span):
-        store, lo, n = r._storage, r._offset, r._length
-        pack = _STORES.get(type(store), (None, None))[1]
-    else:
-        view, pack = _STORES.get(type(r), (None, None))
-        store = r if view is None else view(r)
-        lo, n = 0, len(store)
-    if type(store) is memoryview and store.readonly:
-        raise ConstraintError(_READ_ONLY)
+    store, lo, n, (_, pack) = _window(r, writes=True)
     buf = _read_window(store, lo, n)
     _host_sort(buf, pred)
     if pack is list:
@@ -209,9 +419,8 @@ def sort_forward(r, pred: Callable = less) -> None:
     """
     if category_of(r) is None:
         raise ConstraintError("range is not forward-iterable with write-back")
-    store = r._storage if isinstance(r, Span) else r
-    if type(store) is memoryview and store.readonly:
-        raise ConstraintError(_READ_ONLY)
+    if isinstance(r, (Span, memoryview)):  # the ranges a read-only memoryview backs
+        _window(r, writes=True)
     _sort_copy(r, pred)
 
 
@@ -230,59 +439,6 @@ def sort(r, pred: Callable = less) -> SortDispatchReport:
     raise ConstraintError(
         f"{type(r).__name__} is neither a random-access nor a forward range"
     )
-
-
-def is_power_of_two(n: int) -> bool:
-    """True iff ``n`` is a positive power of two."""
-    return 0 < n and (n & (n - 1)) == 0
-
-
-class Buffer:
-    """Fixed-size element storage whose size constraint is checked up front.
-
-    The size must be a power of two and at least 1024; violations raise
-    ``ConstraintError`` when the buffer is created, before any storage is
-    allocated, so no runtime error handler is ever needed.  Elements start
-    as ``element_type()``.
-    """
-
-    MIN_SIZE = 1024
-
-    range_category = RangeCategory.RANDOM_ACCESS
-
-    __slots__ = ("element_type", "_items")
-
-    def __init__(self, element_type: Callable, size: int):
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise ConstraintError("buffer size must be an integer constant")
-        if size < self.MIN_SIZE:
-            raise ConstraintError(f"buffer too small: {size} < {self.MIN_SIZE}")
-        if not is_power_of_two(size):
-            raise ConstraintError(f"size not binary: {size} is not a power of two")
-        self.element_type = element_type
-        self._items = [element_type() for _ in range(size)]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __setitem__(self, index, value) -> None:
-        self._items[index] = value
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __repr__(self) -> str:
-        name = getattr(self.element_type, "__name__", repr(self.element_type))
-        return f"Buffer({name}, {len(self._items)})"
-
-
-register_spanable(Buffer)
-# A Span over an exact Buffer views its list: one frame per index, and the
-# list's own iteration and slices (a Span.unchecked slices through it).
-_STORES[Buffer] = (operator.attrgetter("_items"), list)
 
 
 class LinkedList:

@@ -1,6 +1,6 @@
 import pytest
 
-from checked import narrowing, reflectlayout, span
+from checked import narrowing, rangealg, reflectlayout
 
 
 @pytest.fixture
@@ -12,13 +12,13 @@ def registry():
               for table in (narrowing._TYPES, narrowing._MATRIX, reflectlayout._RECORDS)]
     rows = [(row, dict(row))
             for t in narrowing._TYPES.values() for row in (t.to, t.checks, t.plans)]
-    spanable = span._SPANABLE_TYPES
+    spanable = rangealg._SPANABLE_TYPES
 
     def restore():
         for table, saved in tables + rows:
             table.clear()
             table.update(saved)
-        span._SPANABLE_TYPES = spanable
+        rangealg._SPANABLE_TYPES = spanable
 
     yield restore
     restore()

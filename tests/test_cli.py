@@ -95,7 +95,7 @@ class TestBench:
                      "span-index", "span-sort", "convert-checked", "format-render",
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
-                     "record-register")
+                     "span-nested", "record-register")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             record = run_bench(scenario, 20000)

@@ -966,6 +966,69 @@ class TestConvertDispatch:
             Number(5, "u99")
 
 
+def _spec_outcome(call):
+    """What ``call()`` returns, or the class and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the class itself is compared, not caught by kind
+        return type(exc), str(exc)
+
+
+class TestTypeSpecForms:
+    """A type, its name and its traits are one spec: every entry point that
+    reads a spec gives the same result, or the same error, for each form."""
+
+    VALUES = (0, 1, -1, 300, 2**40, 0.5, 1e300)
+
+    @pytest.mark.parametrize("a", ALL_TYPES, ids=lambda t: t.name)
+    def test_two_spec_entry_points(self, a):
+        for b in ALL_TYPES:
+            for sa, sb in ((a.name, b.name), (a.traits, b.traits), (a, b.traits), (a.traits, b.name)):
+                assert can_narrow(sa, sb) is can_narrow(a, b)
+                assert narrow_checker(sa, sb) is narrow_checker(a, b)
+                assert common_type(sa, sb) is common_type(a, b)
+                for v in self.VALUES:
+                    for call in (will_narrow, convert_to):
+                        assert _spec_outcome(lambda: call(v, sa, sb)) == _spec_outcome(lambda: call(v, a, b))
+
+    @pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
+    def test_one_spec_entry_points(self, t):
+        assert numeric_type(t.traits) is numeric_type(t.name) is t
+        assert traits_of(t.traits) == traits_of(t.name) == t.traits
+        for v in (*self.VALUES, Number(7, U8)):
+            want = _spec_outcome(lambda: convert(v, t))
+            assert _spec_outcome(lambda: convert(v, t.traits)) == want
+            number = _spec_outcome(lambda: Number(v, of=t))
+            by_traits = _spec_outcome(lambda: Number(v, of=t.traits))
+            if type(number) is Number:
+                assert (by_traits.value, by_traits.numtype) == (number.value, number.numtype)
+            else:
+                assert by_traits == number
+
+    def test_traits_no_type_has_are_refused(self):
+        odd = NumericTraits(NumericKind.SIGNED_INT, 23, 3)
+        calls = (lambda: numeric_type(odd), lambda: traits_of(odd), lambda: can_narrow(odd, I8),
+                 lambda: narrow_checker(I8, odd), lambda: will_narrow(1, odd, I8),
+                 lambda: convert_to(1, I8, odd), lambda: common_type(I8, odd),
+                 lambda: convert(1, odd), lambda: Number(1, of=odd))
+        for call in calls:
+            assert _spec_outcome(call) == (ConstraintError, f"no registered type has traits {odd}")
+
+    def test_a_plain_tuple_is_not_a_spec(self):
+        with pytest.raises(ConstraintError, match="cannot interpret"):
+            numeric_type(tuple(I8.traits))
+
+    def test_equal_traits_resolve_to_the_first_registered(self, registry):
+        bf16 = register_numeric_type("bf16_test", NumericKind.FLOAT, 8, 2, cast=SF16.cast)
+        assert bf16.traits == SF16.traits
+        assert numeric_type("bf16_test") is bf16
+        assert numeric_type(SF16.traits) is SF16
+        assert common_type(bf16.traits, I8) is SF16
+        assert Number(1.5, of=bf16.traits).numtype is SF16
+        registry()
+        assert numeric_type(SF16.traits) is SF16
+
+
 class TestDeducedType:
     def test_ladder(self):
         assert deduced_type(1) is I32

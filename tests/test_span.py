@@ -275,6 +275,19 @@ class TestUnchecked:
         with pytest.raises(NarrowError):
             Span.unchecked(hundred(), -1)
 
+    @pytest.mark.parametrize("storage", [5, object(), (3, 1, 2), "312", {1: 2}],
+                             ids=["int", "object", "tuple", "str", "dict"])
+    def test_storage_is_refused_as_span_refuses_it(self, storage):
+        """Only the extent goes unchecked: storage that ``Span(storage)``
+        refuses is refused with the same error, before the count is read."""
+        with pytest.raises(ConstraintError) as built:
+            Span(storage)
+        for count in (2, -1):
+            with pytest.raises(ConstraintError) as claimed:
+                Span.unchecked(storage, count)
+            assert type(claimed.value) is ConstraintError
+            assert str(claimed.value) == str(built.value) == f"{type(storage).__name__} is not a contiguous range"
+
 
 class TestIndexing:
     def test_read(self):

@@ -31,9 +31,8 @@ PUBLIC_NAMES = [
     "I8", "I16", "I32", "I64", "U8", "U16", "U32", "U64", "F32", "F64", "SF16",
     # number
     "CheckedOverflowError", "Number", "common_type", "compare_lt",
-    # span
+    # rangealg: spans, then the range algorithms
     "RangeError", "Span", "register_spanable", "is_spanable",
-    # rangealg
     "RangeCategory", "SortPath", "SortDispatchReport", "less", "greater",
     "register_random_access", "category_of", "sort", "sort_random_access",
     "sort_forward", "is_power_of_two", "Buffer", "LinkedList", "draw_all",
@@ -116,7 +115,7 @@ class TestRecords:
 
 
 def test_fresh_import_loads_neither_dataclasses_nor_inspect():
-    """Nor any ``checked`` module beyond the library's six: the command line
+    """Nor any ``checked`` module beyond the library's five: the command line
     and the demos stay out of the import."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(checked.__file__)))
     code = (
@@ -130,7 +129,13 @@ def test_fresh_import_loads_neither_dataclasses_nor_inspect():
                          check=True, timeout=60).stdout
     added = set(out.split())
     assert {m for m in added if m.split(".")[0] == "checked"} == {
-        "checked", "checked.narrowing", "checked.span", "checked.rangealg",
+        "checked", "checked.narrowing", "checked.rangealg",
         "checked.printfmt", "checked.reflectlayout",
     }, sorted(added)
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+def test_span_module_is_gone():
+    """Spans live in ``checked.rangealg``; no ``checked.span`` shim is left."""
+    with pytest.raises(ModuleNotFoundError):
+        import checked.span  # noqa: F401
