@@ -24,11 +24,9 @@ How each store type is viewed, read and written back is one row of
 ``_STORES``, keyed by exact type: a span over an exact ``Buffer`` views its
 list, as a nested span views its base store; a subclass or a registered
 type has no row and keeps its own item access.  A span's bounds are proved
-once, when it is built, so the algorithms read and write the backing store
-directly.  Both sorts take that window, ``(store, offset, length, row)``,
-from ``_window``, which holds the one read-only test for the paths that
-write.  ``Span()`` and ``LinkedList(span)`` read the same fields inline,
-one Python frame cheaper.
+once, when it is built, so the sorts read and write the backing store
+directly, through the window ``_window`` resolves; ``Span()`` and
+``LinkedList(span)`` read its fields inline, one Python frame cheaper.
 
 Spans may be shared across threads, but element access is not synchronized
 here, and a sort mutates the caller's range: don't touch it concurrently.
@@ -168,8 +166,7 @@ def register_spanable(cls: type) -> type:
     return cls
 
 
-# Contiguous storage and random access are one registry: a registered type
-# can back a Span and is sorted through the random-access path.
+# One registry: a registered type can back a Span and sorts by random access.
 register_random_access = register_spanable
 
 
@@ -278,8 +275,7 @@ class Span:
         )
 
 
-# Iterable but not sortable ranges: mappings and sets have no element order
-# to rewrite, the rest are immutable.
+# Iterable but unsortable: mappings and sets have no element order, the rest are immutable.
 _NOT_RANGES = (dict, set, frozenset, str, bytes, tuple, range)
 
 
@@ -348,10 +344,15 @@ def _read_window(store, lo: int, n: int) -> list:
     return buf
 
 
-def _window(r, writes=False) -> tuple:
-    """``(store, offset, length, row)`` of a ``Span``, or of a whole range
-    through the store its row's view column names; a store without a row
-    has ``(None, None)``.  ``writes`` refuses a read-only ``memoryview``."""
+def _refuse_read_only(store) -> None:
+    """A read-only ``memoryview`` is random access, but no sort can write it."""
+    if type(store) is memoryview and store.readonly:
+        raise ConstraintError("memoryview store is read-only")
+
+
+def _window(r) -> tuple:
+    """The sorts' window, ``(store, offset, length, row)``, of a ``Span`` or a whole
+    range (through its row's view column; no row: ``(None, None)``), read-only refused."""
     if isinstance(r, Span):
         store, lo, n = r._storage, r._offset, r._length
         row = _STORES.get(type(store), (None, None))
@@ -359,8 +360,7 @@ def _window(r, writes=False) -> tuple:
         row = _STORES.get(type(r), (None, None))
         store = r if row[0] is None else row[0](r)
         lo, n = 0, len(store)
-    if writes and type(store) is memoryview and store.readonly:  # random access, but no sort writes it
-        raise ConstraintError("memoryview store is read-only")
+    _refuse_read_only(store)
     return store, lo, n, row
 
 
@@ -372,7 +372,7 @@ def _sort_window(r, pred: Callable) -> int:
     how the sorted window is packed for one slice assignment; without a
     packing, or a row, it is written back element by element.
     """
-    store, lo, n, (_, pack) = _window(r, writes=True)
+    store, lo, n, (_, pack) = _window(r)
     buf = _read_window(store, lo, n)
     _host_sort(buf, pred)
     if pack is list:
@@ -420,7 +420,7 @@ def sort_forward(r, pred: Callable = less) -> None:
     if category_of(r) is None:
         raise ConstraintError("range is not forward-iterable with write-back")
     if isinstance(r, (Span, memoryview)):  # the ranges a read-only memoryview backs
-        _window(r, writes=True)
+        _refuse_read_only(r if type(r) is memoryview else r._storage)
     _sort_copy(r, pred)
 
 
