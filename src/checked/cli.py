@@ -243,6 +243,13 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "register_record('BenchRecord', _RECORD_FIELDS)\ndel _RECORDS['BenchRecord']",
         _PLAIN_OFFSETS,
     ),
+    # 70000 is outside u16, so every call raises NarrowError and catches it,
+    # against the inline u16 test raising and catching a ValueError.
+    "convert-refused": (
+        "v = 70000\nif not will_narrow(v, I32, U16):\n    raise RuntimeError('70000 fits u16')",
+        "try:\n    convert(v, U16)\nexcept NarrowError:\n    pass",
+        "try:\n    if not 0 <= v <= 65535:\n        raise ValueError(v)\nexcept ValueError:\n    pass",
+    ),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -113,24 +113,29 @@ class NumericTraits(NamedTuple):
 class NarrowError(ValueError):
     """A conversion would lose information or change the value's meaning."""
 
-    def __init__(self, value, source: "NumType", target: "NumType") -> None:
-        self.value_text = repr(value)
-        self.source_name = source.name
-        self.target_name = target.name
-        super().__init__(
-            f"converting {self.value_text} from {source.name} to "
-            f"{target.name} would change its value"
-        )
+    def __init__(self, value, source: "NumType", target: "NumType", /) -> None:
+        pass  # ``BaseException.__new__`` keeps them, positional-only, in ``args``; ``str()`` builds the text
+
+    value_text = property(lambda self: repr(self.args[0]))
+    source_name = property(lambda self: self.args[1].name)
+    target_name = property(lambda self: self.args[2].name)
+
+    def __str__(self) -> str:
+        return f"converting {self.value_text} from {self.source_name} to {self.target_name} would change its value"
 
 
 class CheckedOverflowError(OverflowError):
     """An arithmetic result cannot be represented in the common type."""
 
-    def __init__(self, operation: str, operands, reason: str = "result not representable"):
-        self.operation = operation
-        self.operand_text = tuple(repr(v) for v in operands)
-        self.reason = reason
-        super().__init__(f"{operation}({', '.join(self.operand_text)}): {reason}")
+    def __init__(self, operation: str, operands, reason: str = "result not representable", /):
+        pass  # the arguments are kept in ``args``, as ``NarrowError`` keeps them
+
+    operation = property(lambda self: self.args[0])
+    operand_text = property(lambda self: tuple(map(repr, self.args[1])))
+    reason = property(lambda self: self.args[2] if len(self.args) > 2 else "result not representable")
+
+    def __str__(self) -> str:
+        return f"{self.operation}({', '.join(self.operand_text)}): {self.reason}"
 
 
 class ConstraintError(TypeError):
@@ -168,6 +173,9 @@ class NumType:
 
     def __repr__(self) -> str:
         return self.name
+
+    def __reduce__(self):  # a copy or an unpickled type is the interned one
+        return numeric_type, (self.name,)
 
 
 # --- host-style casts -------------------------------------------------------
@@ -222,9 +230,12 @@ def _rounding_cast(digits: int, min_exp: int, max_exp: int):
     def cast(value):
         d = value
         if type(d) is not float:
-            if isinstance(d, int) and not -exact <= d <= exact:
-                d = _round_int(d, digits)
-            d = _cast_f64(d)
+            if type(d) is int and -exact <= d <= exact:  # float() is exact here
+                d = float(d)
+            else:
+                if isinstance(d, int) and not -exact <= d <= exact:
+                    d = _round_int(d, digits)
+                d = _cast_f64(d)
         m = abs(d)
         if tiny <= m < huge:
             c = d * split

@@ -38,16 +38,16 @@ class FormatErrorKind(Enum):
 
 
 class FormatError(ValueError):
-    """Placeholder count and argument count disagree.
+    """Placeholder count and argument count disagree."""
 
-    ``kind`` says in which direction; ``position`` is the offset in the
-    format text where the scan detected it.
-    """
+    def __init__(self, kind: FormatErrorKind, position: int, /) -> None:
+        pass  # the arguments are kept in ``args``, as ``NarrowError`` keeps them
 
-    def __init__(self, kind: FormatErrorKind, position: int) -> None:
-        self.kind = kind
-        self.position = position
-        super().__init__(f"{kind.value} (format offset {position})")
+    kind = property(lambda self: self.args[0], doc="In which direction the counts disagree.")
+    position = property(lambda self: self.args[1], doc="Where in the format text the scan detected it.")
+
+    def __str__(self) -> str:
+        return f"{self.kind.value} (format offset {self.position})"
 
 
 def render(value) -> str:
@@ -65,22 +65,17 @@ def print_concat(*args) -> str:
 _TOKEN = re.compile(r"\{.?", re.DOTALL)
 
 
-def _escape(literal: str) -> str:
-    return literal.replace("%", "%%")
-
-
 @functools.lru_cache(maxsize=256)
 def _compile(fmt: str) -> tuple[str, tuple[int, ...]]:
     """The host ``%`` text of ``fmt`` (``%s`` fields) and its placeholder offsets."""
-    host, slots, done = [], [], 0
+    literals, slots, done = [], [], 0
     for token in _TOKEN.finditer(fmt):
         if token.group() == "{}":
-            host.append(_escape(fmt[done:token.start()]))
-            host.append("%s")
+            literals.append(fmt[done:token.start()])
             slots.append(token.start())
             done = token.end()
-    host.append(_escape(fmt[done:]))
-    return "".join(host), tuple(slots)
+    literals.append(fmt[done:])
+    return "%s".join(text.replace("%", "%%") for text in literals), tuple(slots)
 
 
 def format_render(fmt, *args) -> str:

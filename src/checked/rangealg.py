@@ -71,10 +71,14 @@ greater = operator.gt
 class RangeError(IndexError):
     """An index or bound failed the span's length check."""
 
-    def __init__(self, attempted, length: int) -> None:
-        self.attempted = attempted
-        self.length = length
-        super().__init__(f"index {attempted} out of range for span of length {length}")
+    def __init__(self, attempted, length: int, /) -> None:
+        pass  # the arguments are kept in ``args``, as ``NarrowError`` keeps them
+
+    attempted = property(lambda self: self.args[0])
+    length = property(lambda self: self.args[1])
+
+    def __str__(self) -> str:
+        return f"index {self.attempted} out of range for span of length {self.length}"
 
 
 class RangeCategory(Enum):

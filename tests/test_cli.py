@@ -7,7 +7,7 @@ import pytest
 from checked import cli
 from checked.cli import BENCH_CSV_HEADER, BENCH_SCENARIOS, main, run_bench
 from checked.demos import DEMO_NAMES, demo_cases, run_demo
-from checked.narrowing import I32, ConstraintError
+from checked.narrowing import I32, ConstraintError, NarrowError
 from checked.reflectlayout import register_record, registered_record_names
 
 
@@ -95,7 +95,7 @@ class TestBench:
                      "span-index", "span-sort", "convert-checked", "format-render",
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
-                     "span-nested", "record-register")
+                     "span-nested", "record-register", "convert-refused")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             record = run_bench(scenario, 20000)
@@ -136,6 +136,17 @@ class TestBench:
         monkeypatch.setitem(I32.checks, I32, lambda value: False)
         with pytest.raises(RuntimeError, match="per-value test"):
             run_bench("convert-same", 1000)
+
+    def test_convert_refused_times_a_refusal(self):
+        # The set-up checks that its value is refused; a value u16 holds
+        # stops the run.
+        setup = cli._BENCHES["convert-refused"][0]
+        space = dict(vars(cli))
+        exec(setup, space)
+        with pytest.raises(NarrowError):
+            cli.convert(space["v"], cli.U16)
+        with pytest.raises(RuntimeError, match="fits u16"):
+            exec(setup.replace("70000", "7000"), space)
 
     @pytest.mark.parametrize("iters", [0, -1])
     def test_run_bench_refuses_no_iterations(self, iters):

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import random
 
 import pytest
@@ -25,6 +27,7 @@ from checked import (
     NumericTraits,
     common_type,
     compare_lt,
+    convert,
     register_numeric_type,
     supported_types,
     traits_of,
@@ -142,6 +145,31 @@ class TestTruth:
     def test_an_untyped_zero_is_false(self):
         assert not Number(0) and not Number(0.0) and not Number(-0.0)
         assert Number(-1) and Number(2**63) and Number(math.nan) and Number(math.inf)
+
+
+class TestCopyAndPickle:
+    """A ``NumType`` copies and pickles as its interned instance, so a copied
+    or unpickled ``Number`` keeps its type's rows."""
+
+    # A slotted class such as Number pickles from protocol 2 on (the default is 4).
+    _COPIES = [copy.copy, copy.deepcopy] + [
+        lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+
+    @pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
+    def test_a_type_copies_as_itself(self, t):
+        assert all(duplicate(t) is t for duplicate in self._COPIES)
+        assert pickle.loads(pickle.dumps(t, protocol=0)) is t
+
+    def test_a_copied_number_keeps_its_type(self):
+        for duplicate in self._COPIES:
+            twin = duplicate(Number(5, I32))
+            assert twin.numtype is I32 and twin.value == 5
+            assert twin + twin == Number(10) and twin < Number(6, U8) and convert(twin, U16) == 5
+
+    def test_a_registered_type_copies_as_itself(self, registry):
+        i128 = register_numeric_type("i128", NumericKind.SIGNED_INT, 127, 16)
+        assert all(duplicate(i128) is i128 for duplicate in self._COPIES)
+        assert pickle.loads(pickle.dumps(Number(2**100, i128))).numtype is i128
 
 
 class TestAssign:
