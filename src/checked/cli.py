@@ -250,6 +250,13 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "try:\n    convert(v, U16)\nexcept NarrowError:\n    pass",
         "try:\n    if not 0 <= v <= 65535:\n        raise ValueError(v)\nexcept ValueError:\n    pass",
     ),
+    # 4096 bytes, each value 16 times in a scrambled order (37 is coprime to
+    # 256): the in-place sort counts the window of u8 elements.
+    "sort-bytes": (
+        "data = bytes((i * 37) % 256 for i in range(4096))",
+        "sort(Span(bytearray(data)))",
+        "sorted(data)",
+    ),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -770,6 +770,13 @@ class Number:
     def __bool__(self) -> bool:
         return bool(self._value)
 
+    def __getstate__(self):  # a copy or an unpickled Number is checked in again
+        return self._value, self._type
+
+    def __setstate__(self, state) -> None:  # by convert_to's source rule: NaN is an f32 value
+        value, of = state
+        self._value, self._type = convert_to(value, of, of), numeric_type(of)
+
     __add__, __radd__ = _arithmetic(1)
     __sub__, __rsub__ = _arithmetic(2)
     __mul__, __rmul__ = _arithmetic(3)

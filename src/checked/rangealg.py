@@ -15,10 +15,12 @@ plus a length) or forward (repeatable iteration plus an ordered write-back),
 declared by a ``range_category`` class attribute or inferred structurally.
 ``sort`` picks the random-access path whenever it applies, because that
 constraint set strictly contains the forward one, and reports which path
-ran.  Both paths sort a copy and write it back in one pass.  Ranges
+ran.  Both paths sort a copy and write it back in one pass; a long enough
+window of u8 elements, at most 256 values, is counted, not compared.  Ranges
 satisfying neither category, element types the predicate cannot order, and
 a read-only ``memoryview`` store are rejected with ``ConstraintError``
-before anything is touched; a ``Span`` write checks only its index.
+before anything is touched.  A ``Span`` write checks only its index, and
+refuses a read-only store in the same way.
 
 How each store type is viewed, read and written back is one row of
 ``_STORES``, keyed by exact type: a span over an exact ``Buffer`` views its
@@ -37,7 +39,7 @@ from __future__ import annotations
 import functools
 import operator
 from array import array
-from collections import deque
+from collections import Counter, deque
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -66,6 +68,9 @@ __all__ = [
 
 less = operator.lt
 greater = operator.gt
+# The shortest u8 window sorted by counting: comparing a shorter one is faster (BENCH_29.json).
+_COUNT_MIN = 1024
+_BYTES = [bytes((k,)) for k in range(256)]
 
 
 class RangeError(IndexError):
@@ -260,12 +265,18 @@ class Span:
         return self._storage[self._offset + self.check(index)]
 
     def __setitem__(self, index, value) -> None:
-        if type(index) is int and 0 <= index < self._length:
-            self._storage[self._offset + index] = value
-        elif type(index) is Number and (index := index._type.to[U32](index._value)) < self._length:
-            self._storage[self._offset + index] = value
-        else:
-            self._storage[self._offset + self.check(index)] = value
+        try:  # costs nothing in 3.11+ until a raise
+            if type(index) is int and 0 <= index < self._length:
+                self._storage[self._offset + index] = value
+            elif type(index) is Number and (index := index._type.to[U32](index._value)) < self._length:
+                self._storage[self._offset + index] = value
+            else:
+                self._storage[self._offset + self.check(index)] = value
+        except ConstraintError:  # the index check's (a TypeError too): it keeps precedence
+            raise
+        except TypeError:  # the store's own: a read-only memoryview's is a ConstraintError
+            _refuse_read_only(self._storage)
+            raise
 
     def __iter__(self):
         # each element is read when it is reached, so writes are seen
@@ -372,13 +383,20 @@ def _sort_window(r, pred: Callable) -> int:
     """Sort a random-access range through its backing store; returns its length.
 
     A ``Span`` is read and written between its offset and its length, with
-    no per-element check: construction proved those bounds.  The row says
-    how the sorted window is packed for one slice assignment; without a
-    packing, or a row, it is written back element by element.
+    no per-element check: construction proved those bounds.  Under ``less``
+    or ``greater``, ``_COUNT_MIN`` or more u8 elements (of an exact ``bytearray``
+    or ``array('B')``) are counted, not compared.  The row says how the sorted
+    window is packed for one slice assignment; without a packing, or a row,
+    it is written back element by element.
     """
     store, lo, n, (_, pack) = _window(r)
     buf = _read_window(store, lo, n)
-    _host_sort(buf, pred)
+    if n >= _COUNT_MIN and (pred is less or pred is greater) and (
+            type(store) is bytearray or type(store) is array and store.typecode == "B"):
+        counts = Counter(buf)
+        buf = b"".join([_BYTES[k] * counts[k] for k in sorted(counts, reverse=pred is greater)])
+    else:
+        _host_sort(buf, pred)
     if pack is list:
         store[lo:lo + n] = buf
     elif pack is not None:

@@ -149,16 +149,76 @@ class TestTruth:
 
 class TestCopyAndPickle:
     """A ``NumType`` copies and pickles as its interned instance, so a copied
-    or unpickled ``Number`` keeps its type's rows."""
+    or unpickled ``Number`` keeps its type's rows; a ``Number`` is checked
+    in again by ``convert_to``'s source rule, so a forged value is refused."""
 
-    # A slotted class such as Number pickles from protocol 2 on (the default is 4).
     _COPIES = [copy.copy, copy.deepcopy] + [
-        lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
 
     @pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
     def test_a_type_copies_as_itself(self, t):
         assert all(duplicate(t) is t for duplicate in self._COPIES)
-        assert pickle.loads(pickle.dumps(t, protocol=0)) is t
+
+    @pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
+    def test_a_number_copies_at_every_protocol(self, t):
+        values = (t.min, t.max, 0, 1) if t.min is not None else (-1.5, 0.5, -0.0, math.inf, -math.inf)
+        for n in map(Number, values, [t] * len(values)):
+            for duplicate in self._COPIES:
+                twin = duplicate(n)
+                assert type(twin) is Number and twin.numtype is t
+                assert type(twin.value) is type(n.value) and twin.value == n.value
+                assert math.copysign(1, twin.value) == math.copysign(1, n.value)
+
+    def test_a_nan_of_f32_round_trips(self):
+        inf = Number(math.inf, F32)
+        nan = inf - inf  # a value of f32, though Number(nan, F32) refuses it
+        with pytest.raises(NarrowError):
+            Number(math.nan, F32)
+        for duplicate in self._COPIES:
+            twin = duplicate(nan)
+            assert twin.numtype is F32 and math.isnan(twin.value)
+
+    def test_a_forged_protocol_2_value_is_refused(self):
+        good = pickle.dumps(Number(5, I8), protocol=2)
+        assert good.count(b"K\x05") == 1
+        with pytest.raises(NarrowError):
+            pickle.loads(good.replace(b"K\x05", b"M,\x01"))  # 300
+
+    @staticmethod
+    def _forged(number, value):
+        """``number``'s type with ``value`` written into the slot, past every check."""
+        forged = object.__new__(Number)
+        forged._value, forged._type = value, number.numtype
+        return forged
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("number, forged, error", [
+        (Number(5, I8), 300, NarrowError), (Number(5, U8), -1, NarrowError),
+        (Number(5, I8), 5.0, NarrowError), (Number(0.5, F32), 0.1, NarrowError),
+        (Number(0.5, SF16), 70000.0, NarrowError), (Number(1, I8), True, ConstraintError)])
+    def test_a_forged_value_is_refused(self, protocol, number, forged, error):
+        assert pickle.loads(pickle.dumps(self._forged(number, number.value), protocol=protocol)) == number
+        bad = pickle.dumps(self._forged(number, forged), protocol=protocol)
+        with pytest.raises(error):
+            pickle.loads(bad)
+        with pytest.raises(error):
+            copy.deepcopy(self._forged(number, forged))
+
+    def test_an_earlier_slot_state_pickle_is_refused(self):
+        # Number(5, i8) at protocol 2 before a Number had a state of its own:
+        # its slots were restored unchecked, so such a pickle is no longer read.
+        old = (b"\x80\x02cchecked.narrowing\nNumber\nq\x00)\x81q\x01N}q\x02(X\x05\x00\x00\x00_typeq\x03"
+               b"cchecked.narrowing\nnumeric_type\nq\x04X\x02\x00\x00\x00i8q\x05\x85q\x06Rq\x07"
+               b"X\x06\x00\x00\x00_valueq\x08K\x05u\x86q\tb.")
+        with pytest.raises(ConstraintError):
+            pickle.loads(old)
+
+    def test_a_number_subclass_copies_as_its_class(self):
+        class Sub(Number):
+            __slots__ = ()
+
+        for twin in (copy.copy(Sub(5, U8)), copy.deepcopy(Sub(5, U8))):
+            assert type(twin) is Sub and twin.numtype is U8 and twin.value == 5
 
     def test_a_copied_number_keeps_its_type(self):
         for duplicate in self._COPIES:

@@ -25,6 +25,7 @@ from checked import (
     sort_forward,
     sort_random_access,
 )
+from checked import rangealg
 
 
 class TestCategories:
@@ -460,6 +461,87 @@ class TestStoreTable:
                     sorter(r)
                 assert type(info.value) is ConstraintError
         assert list(store) == data
+
+
+class TestCountingSort:
+    """A u8 window of ``_COUNT_MIN`` or more elements under ``less`` or
+    ``greater`` is sorted by counting; it equals ``sorted()`` on a copy."""
+
+    N = rangealg._COUNT_MIN
+    U8_STORES = {"bytearray": bytearray, "array-B": lambda d: array("B", d)}
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """The window lengths the comparison sort sorted during the test."""
+        lengths = []
+
+        def host_sort(buf, pred):
+            lengths.append(len(buf))
+            real_host_sort(buf, pred)
+
+        real_host_sort = rangealg._host_sort
+        monkeypatch.setattr(rangealg, "_host_sort", host_sort)
+        return lengths
+
+    @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
+    @pytest.mark.parametrize("kind", sorted(U8_STORES))
+    @pytest.mark.parametrize("n", [N - 1, N, N + 1, 4096])
+    def test_equals_sorted_on_a_copy(self, n, kind, pred, compared):
+        rng = random.Random(n)
+        data = [rng.randrange(256) for _ in range(n + 37)]
+        lo, hi = 17, 17 + n
+        store = self.U8_STORES[kind](data)
+        assert sort(Span(store, lo, hi), pred) == (SortPath.RANDOM_ACCESS, n)
+        assert list(store) == data[:lo] + sorted(data[lo:hi], reverse=pred is greater) + data[hi:]
+        assert compared == ([n] if n < self.N else [])
+
+    @pytest.mark.parametrize("kind", sorted(U8_STORES))
+    def test_nested_span_and_whole_store(self, kind, compared):
+        rng = random.Random(5)
+        data = [rng.randrange(256) for _ in range(self.N + 64)]
+        store = self.U8_STORES[kind](data)
+        window = Span(Span(store, 8, self.N + 56), 3, self.N + 3)  # the base store's [11, N + 11)
+        assert sort(window, greater) == (SortPath.RANDOM_ACCESS, self.N)
+        lo, hi = 11, self.N + 11
+        assert list(store) == data[:lo] + sorted(data[lo:hi], reverse=True) + data[hi:]
+        assert sort(store) == (SortPath.RANDOM_ACCESS, len(data))
+        assert list(store) == sorted(data)
+        assert sort_random_access(store, greater) is None and list(store) == sorted(data, reverse=True)
+        assert compared == []
+
+    class _Bytes(bytearray):
+        pass
+
+    @pytest.mark.parametrize("make, pred", [
+        (bytearray, lambda a, b: a < b),
+        (lambda d: array("b", [v - 128 for v in d]), less),
+        (lambda d: array("i", d), greater),
+        (_Bytes, less),
+        (lambda d: memoryview(bytearray(d)), less),
+    ], ids=["custom-pred", "array-b", "array-i", "bytearray-subclass", "memoryview"])
+    def test_other_windows_are_compared(self, make, pred, compared):
+        rng = random.Random(9)
+        data = [rng.randrange(256) for _ in range(self.N + 10)]
+        store = make(data)
+        expected = sorted(store[5:self.N + 5], reverse=pred is greater)
+        assert sort(Span(store, 5, self.N + 5), pred) == (SortPath.RANDOM_ACCESS, self.N)
+        assert list(store[5:self.N + 5]) == expected and compared == [self.N]
+
+    @pytest.mark.parametrize("kind", sorted(U8_STORES))
+    def test_short_unchecked_window_is_refused_untouched(self, kind):
+        store = self.U8_STORES[kind](range(200, 0, -1))
+        with pytest.raises(IndexError, match="too short") as info:
+            sort(Span.unchecked(store, self.N))
+        assert type(info.value) is IndexError and list(store) == list(range(200, 0, -1))
+
+    @given(st.binary(min_size=N, max_size=3 * N), st.data())
+    def test_random_windows(self, data, draw):
+        lo = draw.draw(st.integers(0, len(data) - self.N))
+        hi = draw.draw(st.integers(lo + self.N, len(data)))
+        pred = draw.draw(st.sampled_from([less, greater]))
+        for store in (bytearray(data), array("B", data)):
+            assert sort(Span(store, lo, hi), pred) == (SortPath.RANDOM_ACCESS, hi - lo)
+            assert bytes(store) == data[:lo] + bytes(sorted(data[lo:hi], reverse=pred is greater)) + data[hi:]
 
 
 class TestSortProperties:

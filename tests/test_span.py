@@ -322,12 +322,31 @@ class TestIndexing:
         s[0] = -1
         assert data[10] == -1
 
-    def test_write_to_read_only_memory_raises_the_stores_error(self):
-        # A write checks only its index: the memoryview refuses the value.
-        data = memoryview(b"ab")
-        with pytest.raises(TypeError, match="read-only"):
-            Span(data)[0] = 1
-        assert bytes(data) == b"ab"
+    @pytest.mark.parametrize("index", [0, 1, Number(1, U8)], ids=["0", "1", "Number"])
+    def test_write_to_read_only_memory_raises_constraint_error(self, index):
+        data = memoryview(b"abc")
+        for s in (Span(data), Span(data, 1, 3), Span(Span(data), 1, 3), Span.unchecked(data, 3)):
+            with pytest.raises(ConstraintError, match="^memoryview store is read-only$") as info:
+                s[index] = 1
+            assert type(info.value) is ConstraintError
+        assert bytes(data) == b"abc"
+
+    @pytest.mark.parametrize("index, error", [(2, RangeError), (-1, NarrowError), (Number(9, U8), RangeError),
+                                              (True, ConstraintError), (None, ConstraintError)])
+    def test_a_read_only_stores_index_error_keeps_precedence(self, index, error):
+        data = memoryview(b"abc")
+        with pytest.raises(error) as info:
+            Span(data, 1, 3)[index] = 1
+        assert "read-only" not in str(info.value) and bytes(data) == b"abc"
+
+    def test_a_writable_stores_type_error_passes_through(self):
+        s = Span(memoryview(bytearray(b"abc")))
+        with pytest.raises(TypeError, match="invalid type") as info:
+            s[0] = "x"
+        assert type(info.value) is TypeError
+        with pytest.raises(TypeError, match="integer") as info:
+            Span(bytearray(b"abc"))[0] = "x"
+        assert type(info.value) is TypeError
 
     def test_indexing_by_another_spans_element(self):
         sa = Span(hundred())
