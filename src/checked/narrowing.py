@@ -16,12 +16,15 @@ narrow gets one closure with its bounds or its cast bound in, which returns
 the converted value or raises ``NarrowError``.  Each ``NumType`` holds its
 pair decisions in rows keyed by the other ``NumType`` (``to``, ``checks``,
 ``plans``).  ``convert`` dispatches on the target, then on the value's
-exact type: a bare int or float costs one row lookup plus one call, an
-exact int in an integer target's range only a range test.
+exact type: an exact int in an integer target's range costs only a range
+test, a bare float one row lookup plus one call, and any other int its
+``deduced_type`` first.
 ``narrow_checker`` exposes the staged form directly: it returns ``None``
 for pairs that can never narrow, so hot paths can skip per-value work
 entirely.  ``convert_to`` raises ``NarrowError`` instead of ever returning
-a changed value.
+a changed value.  Every checked entry point reads a bare value by one rule,
+``_exact``: ``bool`` and non-numbers raise ``ConstraintError``, and an
+``int`` or ``float`` subclass is read as the exact number it holds.
 
 Every way of getting a value into a ``Number`` is checked as its type
 pair's converter checks it, so a value that would not survive the
@@ -491,6 +494,14 @@ def will_narrow(value, source: TypeSpec, target: TypeSpec) -> bool:
     return False if chk is None else chk(value)
 
 
+def _exact(value):
+    """The exact ``int`` or ``float`` that ``value`` holds, a subclass's own
+    methods unused; ``bool`` and every non-number raise ``ConstraintError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConstraintError(f"{type(value).__name__} is outside the supported numeric set")
+    return int.__int__(value) if isinstance(value, int) else float.__float__(value)
+
+
 def convert_to(value, source: TypeSpec, target: TypeSpec):
     """Convert ``value`` between supported types without changing it.
 
@@ -504,9 +515,7 @@ def convert_to(value, source: TypeSpec, target: TypeSpec):
     src = source if type(source) is NumType else numeric_type(source)
     dst = target if type(target) is NumType else numeric_type(target)
     if type(value) is not int and type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConstraintError(f"{type(value).__name__} is outside the supported numeric set")
-        value = int.__int__(value) if isinstance(value, int) else float.__float__(value)
+        value = _exact(value)
     if src.min is None:  # a float type; NaN is a value of every float type
         held = value != value or src.cast(value) == value
     else:
@@ -523,11 +532,11 @@ def convert(value, target):
     type has raises ``ConstraintError``), takes the pair's checked
     converter, which can raise ``NarrowError``; any other target is built
     with ``target(value)`` and fails with the constructor's own error.  Then the value's exact type
-    decides: an int in an integer target's range is returned as it is, an
-    int on the i32 rung takes the i32 row and a float the f64 row.  A
-    ``Number`` (its subclasses too) takes its own type's row, an int or float
-    subclass is converted anew as the exact number it holds, and any other
-    value has its ``deduced_type``, which refuses ``bool`` and non-numbers.
+    decides: an int in an integer target's range is returned as it is, any
+    other int takes the row of its ``deduced_type`` and a float the f64 row.
+    A ``Number`` (its subclasses too) takes its own type's row; any other
+    value is converted anew as the exact number it holds, and ``bool`` and
+    non-numbers are refused.
     """
     if type(target) is not NumType:
         if isinstance(target, (str, NumericTraits)):
@@ -539,15 +548,12 @@ def convert(value, target):
         lo = target.min
         if lo is not None and lo <= value <= target.max:
             return value
-        if -(1 << 31) <= value < (1 << 31):
-            return I32.to[target](value)
-    elif kind is float:
+        return deduced_type(value).to[target](value)
+    if kind is float:
         return F64.to[target](value)
     if isinstance(value, Number):
         return value._type.to[target](value._value)
-    if kind is not int and kind is not bool and isinstance(value, (int, float)):
-        return convert(int.__int__(value) if isinstance(value, int) else float.__float__(value), target)
-    return deduced_type(value).to[target](value)
+    return convert(_exact(value), target)
 
 
 def deduced_type(value) -> NumType:
@@ -562,11 +568,10 @@ def deduced_type(value) -> NumType:
     refused outright.
     """
     if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConstraintError(f"{type(value).__name__} is outside the supported numeric set")
-        if isinstance(value, float):
+        if type(value) is not float:
+            value = _exact(value)
+        if type(value) is float:
             return F64
-        value = int.__int__(value)  # a subclass counts as the int it holds
     if I32.min <= value <= I32.max:
         return I32
     if I64.min <= value <= I64.max:

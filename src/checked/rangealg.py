@@ -111,10 +111,10 @@ def is_power_of_two(n: int) -> bool:
 class Buffer:
     """Fixed-size element storage whose size constraint is checked up front.
 
-    The size must be a power of two and at least 1024; violations raise
-    ``ConstraintError`` when the buffer is created, before any storage is
-    allocated, so no runtime error handler is ever needed.  Elements start
-    as ``element_type()``.
+    The size, an int read as the exact int it holds, must be a power of
+    two and at least 1024; violations raise ``ConstraintError`` when the
+    buffer is created, before any storage is allocated, so no runtime error
+    handler is ever needed.  Elements start as ``element_type()``.
     """
 
     MIN_SIZE = 1024
@@ -126,6 +126,7 @@ class Buffer:
     def __init__(self, element_type: Callable, size: int):
         if not isinstance(size, int) or isinstance(size, bool):
             raise ConstraintError("buffer size must be an integer constant")
+        size = int.__int__(size)  # a subclass's own operators cannot pass a refused size
         if size < self.MIN_SIZE:
             raise ConstraintError(f"buffer too small: {size} < {self.MIN_SIZE}")
         if not is_power_of_two(size):

@@ -3,6 +3,7 @@ import random
 import re
 import struct
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum, IntEnum
 from fractions import Fraction
 from types import MappingProxyType
@@ -23,6 +24,7 @@ from checked import (
     U32,
     U64,
     NARROWING_MATRIX,
+    Buffer,
     CheckedOverflowError,
     ConstraintError,
     NarrowError,
@@ -446,6 +448,23 @@ class TestConvertDispatchFastPath:
         with pytest.raises(NarrowError):
             convert(_Code.BIG, U8)
 
+    def test_an_int_outside_the_target_is_deduced_once(self, monkeypatch):
+        from checked import narrowing
+
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return deduced_type(value)
+
+        monkeypatch.setattr(narrowing, "deduced_type", counted)
+        assert convert(123, U16) == 123 and calls == []
+        with pytest.raises(NarrowError) as info:
+            convert(70000, U16)
+        assert calls == [70000] and info.value.args == (70000, I32, U16)
+        calls.clear()
+        assert convert(3, F64) == 3.0 and calls == [3]
+
 
 class TestSubclassesAreReadAsTheNumberTheyHold:
     """A subclass's own operators cannot pass a value that the checks refuse."""
@@ -539,6 +558,93 @@ class TestOnlyANumberIsANumber:
             convert(Sub(300, U16), U8)
         with pytest.raises(NarrowError):
             Span(list(range(8)), Sub(-1, I8))
+
+
+class _Size(IntEnum):
+    TWO = 2
+    BUFFER = 2048
+
+
+class _Pretender(_Liar):
+    """A ``_Liar`` that is never below anything, and whose ``&`` says it is a
+    power of two."""
+
+    def __lt__(self, other):
+        return False
+
+    def __and__(self, other):
+        return 0
+
+
+_NOT_NUMBERS = [True, None, "3", 3j, Fraction(3), Decimal(3)]
+_STORE = list(range(8))
+# Every entry point that takes a bare value, the value in each of its places.
+_INTAKE = {
+    "convert": lambda v: convert(v, U16),
+    "convert_to": lambda v: convert_to(v, I32, I16),
+    "deduced_type": deduced_type,
+    "Number": Number,
+    "Number-u16": lambda v: Number(v, U16),
+    "assign": lambda v: Number(0, U16).assign(v),
+    "Span-count": lambda v: Span(_STORE, v),
+    "Span-low": lambda v: Span(_STORE, v, 2),
+    "Span-high": lambda v: Span(_STORE, 0, v),
+    "Span-index": lambda v: Span(_STORE)[v],
+    "Span-write": lambda v: Span(list(_STORE)).__setitem__(v, 0),
+    "Span.unchecked": lambda v: Span.unchecked(_STORE, v),
+    "Span.check": lambda v: Span(_STORE).check(v),
+}
+
+
+class TestOneIntakeRule:
+    """Every entry point takes a bare value by one rule: ``bool`` and
+    non-numbers are refused with one message, and an int subclass is read as
+    the exact int it holds."""
+
+    @pytest.mark.parametrize("value", _NOT_NUMBERS, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("entry", _INTAKE)
+    def test_a_non_number_is_refused_with_one_message(self, entry, value):
+        if value is None and entry in ("Span-count", "Span-high"):
+            # None is the absent argument: ``Span(r, None)`` is all of ``r``,
+            # and ``Span(r, n, None)`` is ``Span(r, n)``.
+            assert len(_INTAKE[entry](value)) == (len(_STORE) if entry == "Span-count" else 0)
+            return
+        with pytest.raises(ConstraintError) as info:
+            _INTAKE[entry](value)
+        assert type(info.value) is ConstraintError
+        assert str(info.value) == f"{type(value).__name__} is outside the supported numeric set"
+
+    @pytest.mark.parametrize("value", _NOT_NUMBERS, ids=lambda v: type(v).__name__)
+    def test_a_bare_operand_is_no_number(self, value):
+        for call in (lambda: Number(1) + value, lambda: value + Number(1)):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert type(info.value) is TypeError
+
+    @pytest.mark.parametrize("two", [_Size.TWO, _Pretender(2)], ids=["IntEnum", "liar"])
+    def test_a_span_reads_a_subclass_as_the_int_it_holds(self, two):
+        assert [len(Span(_STORE, two)), len(Span(_STORE, two, 8)), len(Span(_STORE, 0, two))] == [2, 6, 2]
+        assert Span(_STORE)[two] == 2 and len(Span.unchecked(_STORE, two)) == 2
+        assert Span(_STORE).check(two) == 2 and type(Span(_STORE).check(two)) is int
+        spans = [Span(list(_STORE)) for _ in range(2)]
+        spans[0][two], spans[1][2] = -1, -1
+        assert list(spans[0]) == list(spans[1])
+
+    @pytest.mark.parametrize("entry", [e for e in _INTAKE if e.startswith("Span")])
+    def test_a_lying_subclass_is_refused_by_the_int_it_holds(self, entry):
+        with pytest.raises(NarrowError):
+            _INTAKE[entry](_Pretender(-1))
+        if entry != "Span.unchecked":  # the one entry point that takes the extent on trust
+            with pytest.raises(RangeError):
+                _INTAKE[entry](_Pretender(9))
+
+    def test_a_buffer_size_is_read_as_the_int_it_holds(self):
+        assert len(Buffer(int, _Size.BUFFER)) == 2048
+        for size, problem in ((100, "buffer too small: 100 < 1024"),
+                              (3000, "size not binary: 3000 is not a power of two")):
+            with pytest.raises(ConstraintError) as info:
+                Buffer(int, _Pretender(size))
+            assert str(info.value) == problem
 
 
 class _Int(int):
