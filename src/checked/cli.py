@@ -160,6 +160,8 @@ _PLAIN_OFFSETS = (
     "x = (layout, (offset + alignment - 1) // alignment * alignment)"
 )
 
+_RANDOM_BYTES_LIST = "import random\nrng = random.Random(4096)\ndata = [rng.randrange(256) for _ in range(4096)]"
+
 # Per scenario: the set-up, the measured statement and the baseline statement
 # (None: the measured time is its own baseline), run in this module's globals.
 # The span data is 64 distinct values in a fixed scrambled order (37 is
@@ -257,6 +259,12 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "sort(Span(bytearray(data)))",
         "sorted(data)",
     ),
+    # 4096 seeded random values in range(256), as `views` draws a window's:
+    # the list is scanned for exact ints, checked into bytes and counted.
+    "sort-ints": (_RANDOM_BYTES_LIST, "sort(Span(list(data)))", "sorted(data)"),
+    # The same list ending in 256: the gate's worst case, both scans of every
+    # element before the comparison sort runs.
+    "sort-wide": (_RANDOM_BYTES_LIST + "\ndata[-1] = 256", "sort(Span(list(data)))", "sorted(data)"),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -15,12 +15,15 @@ plus a length) or forward (repeatable iteration plus an ordered write-back),
 declared by a ``range_category`` class attribute or inferred structurally.
 ``sort`` picks the random-access path whenever it applies, because that
 constraint set strictly contains the forward one, and reports which path
-ran.  Both paths sort a copy and write it back in one pass; a long enough
-window of u8 elements, at most 256 values, is counted, not compared.  Ranges
-satisfying neither category, element types the predicate cannot order, and
-a read-only ``memoryview`` store are rejected with ``ConstraintError``
-before anything is touched.  A ``Span`` write checks only its index, and
-refuses a read-only store in the same way.
+ran.  Both paths sort a copy and write it back in one pass; under ``less``
+or ``greater``, ``_COUNT_MIN`` or more exact ints in ``range(256)`` are
+counted, not compared.  An exact ``bytearray`` or ``array('B')`` store
+proves that alone, another integer ``array`` proves exact ints for
+``bytes()`` to range-check in C, and any other window is scanned for exact
+ints before that check.  Ranges satisfying neither category, element types
+the predicate cannot order, and a read-only ``memoryview`` store are
+rejected with ``ConstraintError`` before anything is touched.  A ``Span``
+write checks only its index, and refuses a read-only store in the same way.
 
 How each store type is viewed, read and written back is one row of
 ``_STORES``, keyed by exact type: a span over an exact ``Buffer`` views its
@@ -68,8 +71,10 @@ __all__ = [
 
 less = operator.lt
 greater = operator.gt
-# The shortest u8 window sorted by counting: comparing a shorter one is faster (BENCH_29.json).
+# The shortest window of bytes sorted by counting, one for every store: a u8 store counts faster
+# from about 1024 elements (BENCH_29.json), a list of random bytes from about 2048 (BENCH_32.json).
 _COUNT_MIN = 1024
+_INT_CODES = frozenset("bBhHiIlLqQ")  # the array typecodes whose elements are exact ints
 _BYTES = [bytes((k,)) for k in range(256)]
 
 
@@ -171,6 +176,9 @@ def register_spanable(cls: type) -> type:
     global _SPANABLE_TYPES
     if not isinstance(cls, type):
         raise ConstraintError("register_spanable expects a type")
+    for member in ("__getitem__", "__len__"):  # what every Span reads
+        if not hasattr(cls, member):
+            raise ConstraintError(f"{cls.__name__} does not provide {member}")
     if cls not in _SPANABLE_TYPES:
         _SPANABLE_TYPES += (cls,)
     return cls
@@ -196,9 +204,11 @@ class Span:
 
     ``Span(r)`` views all of ``r``; ``Span(r, n)`` views the first ``n``
     elements (``n`` may not exceed the range size); ``Span(r, lo, hi)``
-    views ``[lo:hi)``.  Counts and bounds accept any numeric value and are
-    converted with ``convert(value, U32)``, so ``Span(a, -500)`` raises
-    ``NarrowError`` rather than producing an enormous view.
+    views ``[lo:hi)``.  With no high bound the low one is a count, so
+    ``Span(r, 3, None)`` views ``r[:3]``, not the slice ``r[3:None]``.
+    Counts and bounds accept any numeric value and are converted with
+    ``convert(value, U32)``, so ``Span(a, -500)`` raises ``NarrowError``
+    rather than producing an enormous view.
     """
 
     __slots__ = ("_storage", "_offset", "_length")
@@ -346,18 +356,16 @@ def _host_sort(buf: list, pred: Callable) -> None:
 
 def _read_window(store, lo: int, n: int) -> list:
     """``store[lo:lo + n]`` as a new list, in one slice if the store has a row."""
-    if type(store) not in _STORES:
-        return list(map(store.__getitem__, range(lo, lo + n)))
-    buf = store[lo:lo + n]
-    if type(buf) is not list:  # a slice of an array, bytearray or memoryview
-        buf = list(buf)
-    # Short only under a Span.unchecked, or a store that shrank since.
-    if len(buf) != n:
-        raise IndexError(
-            f"{type(store).__name__} of length {len(store)} is too short "
-            f"for {n} elements at offset {lo}"
-        )
-    return buf
+    try:
+        buf = store[lo:lo + n] if type(store) in _STORES else list(map(store.__getitem__, range(lo, lo + n)))
+    except IndexError:  # the item access of a store whose length overstates
+        buf = ()
+    if len(buf) == n:  # else short: that length, a Span.unchecked, or a store that shrank since
+        return buf if type(buf) is list else list(buf)  # a slice of an array, bytearray or memoryview
+    raise IndexError(
+        f"{type(store).__name__} of length {len(store)} is too short "
+        f"for {n} elements at offset {lo}"
+    )
 
 
 def _refuse_read_only(store) -> None:
@@ -380,24 +388,44 @@ def _window(r) -> tuple:
     return store, lo, n, row
 
 
+def _counted(store, buf: list, pred: Callable) -> Optional[bytes]:
+    """``buf``, read out of ``store``, sorted by counting, or None to compare it.
+
+    The proofs run in the module docstring's order, and the exact-type scan
+    before ``bytes()``, so no method of a ``bool``, an ``IntEnum`` member or
+    another int subclass runs: such a window is compared, its types kept.
+    """
+    if len(buf) < _COUNT_MIN or not (pred is less or pred is greater):
+        return None
+    cls = type(store)
+    if not (cls is bytearray or cls is array and store.typecode == "B"):
+        try:
+            if not (cls is array and store.typecode in _INT_CODES or (  # O(1) before the scan
+                    type(buf[0]) is int and -1 < buf[0] < 256 and set(map(type, buf)) == {int})):
+                return None
+            bytes(buf)  # refuses an int outside range(256)
+        except (TypeError, ValueError):  # an unhashable class in the scan; an int out of range
+            return None
+    counts = Counter(buf)
+    return b"".join([_BYTES[k] * counts[k] for k in sorted(counts, reverse=pred is greater)])
+
+
 def _sort_window(r, pred: Callable) -> int:
     """Sort a random-access range through its backing store; returns its length.
 
     A ``Span`` is read and written between its offset and its length, with
-    no per-element check: construction proved those bounds.  Under ``less``
-    or ``greater``, ``_COUNT_MIN`` or more u8 elements (of an exact ``bytearray``
-    or ``array('B')``) are counted, not compared.  The row says how the sorted
-    window is packed for one slice assignment; without a packing, or a row,
-    it is written back element by element.
+    no per-element check: construction proved those bounds.  A window that
+    ``_counted`` proves to hold bytes is counted, any other compared.  The row
+    says how the sorted window is packed for one slice assignment; without a
+    packing, or a row, it is written back element by element.
     """
     store, lo, n, (_, pack) = _window(r)
     buf = _read_window(store, lo, n)
-    if n >= _COUNT_MIN and (pred is less or pred is greater) and (
-            type(store) is bytearray or type(store) is array and store.typecode == "B"):
-        counts = Counter(buf)
-        buf = b"".join([_BYTES[k] * counts[k] for k in sorted(counts, reverse=pred is greater)])
-    else:
+    counted = _counted(store, buf, pred)
+    if counted is None:
         _host_sort(buf, pred)
+    else:  # raw bytes are an array's elements only under typecode 'B'
+        buf = list(counted) if pack is array and store.typecode != "B" else counted
     if pack is list:
         store[lo:lo + n] = buf
     elif pack is not None:
@@ -411,7 +439,11 @@ def _sort_window(r, pred: Callable) -> int:
 def _sort_copy(r, pred: Callable) -> int:
     """Sort any forward range by copying out and writing back; returns its length."""
     buf = list(r)
-    _host_sort(buf, pred)
+    counted = _counted(r, buf, pred)
+    if counted is None:
+        _host_sort(buf, pred)
+    else:
+        buf = list(counted)
     write_back = getattr(r, "write_back", None)
     if callable(write_back):
         write_back(buf)

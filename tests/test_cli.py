@@ -4,7 +4,7 @@ import platform
 
 import pytest
 
-from checked import cli
+from checked import cli, less, rangealg
 from checked.cli import BENCH_CSV_HEADER, BENCH_SCENARIOS, main, run_bench
 from checked.demos import DEMO_NAMES, demo_cases, run_demo
 from checked.narrowing import I32, ConstraintError, NarrowError
@@ -90,15 +90,28 @@ class TestBench:
         assert scenario == "raw-arith" and int(iters) == 10000
         assert float(ns) > 0 and float(baseline) > 0
 
+    SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide")  # a 4096-element sort per iteration
+
+    @pytest.mark.parametrize("scenario, counted", [("sort-ints", True), ("sort-wide", False)])
+    def test_sort_scenarios_take_their_paths(self, scenario, counted):
+        """`sort-ints` sorts a list by counting, and `sort-wide`, whose last
+        element is 256, fails the gate after both scans and is compared."""
+        space = {}
+        exec(cli._BENCHES[scenario][0], space)
+        data = space["data"]
+        assert len(data) == 4096 and max(data[:-1]) < 256 and set(map(type, data)) == {int}
+        assert (rangealg._counted(data, data, less) is not None) is counted
+
     def test_all_scenarios_run(self):
         scenarios = ("convert-same", "convert-narrowable", "number-arith", "number-arith-bare", "raw-arith",
                      "span-index", "span-sort", "convert-checked", "format-render",
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
-                     "span-nested", "record-register", "convert-refused", "sort-bytes")
+                     "span-nested", "record-register", "convert-refused", "sort-bytes", "sort-ints",
+                     "sort-wide")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
-            iters = 200 if scenario == "sort-bytes" else 20000  # a 4096-element sort per iteration
+            iters = 200 if scenario in self.SORTS_4096 else 20000
             record = run_bench(scenario, iters)
             assert record.iters == iters
             assert record.ns_per_op >= 0 and record.baseline_ns_per_op > 0

@@ -2,9 +2,11 @@ import operator
 import random
 from array import array
 from collections import Counter
+from enum import IntEnum
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from checked import (
     Buffer,
@@ -194,8 +196,8 @@ class RawChunk:
 register_random_access(RawChunk)
 
 
-def _buffer(items):
-    buf = Buffer(int, 1024)
+def _buffer(items, size=1024):
+    buf = Buffer(int, size)
     for i, v in enumerate(items):
         buf[i] = v
     return buf
@@ -463,9 +465,33 @@ class TestStoreTable:
         assert list(store) == data
 
 
+class _One(IntEnum):
+    ONE = 1
+
+
+class _Int(int):
+    pass
+
+
+class _EqualityMeta(type):
+    def __eq__(cls, other):  # with no __hash__, so its classes are unhashable
+        return cls is other
+
+
+class _UnhashableClassInt(int, metaclass=_EqualityMeta):
+    pass
+
+
+def _array_limits(code):
+    """The least and greatest int an ``array`` of ``code`` holds."""
+    bits = 8 * array(code).itemsize
+    return (-(1 << bits - 1), (1 << bits - 1) - 1) if code.islower() else (0, (1 << bits) - 1)
+
+
 class TestCountingSort:
-    """A u8 window of ``_COUNT_MIN`` or more elements under ``less`` or
-    ``greater`` is sorted by counting; it equals ``sorted()`` on a copy."""
+    """A window of ``_COUNT_MIN`` or more exact ints in range(256) under
+    ``less`` or ``greater`` is sorted by counting; it equals ``sorted()`` on a
+    copy."""
 
     N = rangealg._COUNT_MIN
     U8_STORES = {"bytearray": bytearray, "array-B": lambda d: array("B", d)}
@@ -512,13 +538,38 @@ class TestCountingSort:
     class _Bytes(bytearray):
         pass
 
+    # Exact ints in range(256) in any store, proved by the store's type and a
+    # value check, or by the exact-type scan and a value check.
     @pytest.mark.parametrize("make, pred", [
-        (bytearray, lambda a, b: a < b),
-        (lambda d: array("b", [v - 128 for v in d]), less),
         (lambda d: array("i", d), greater),
         (_Bytes, less),
         (lambda d: memoryview(bytearray(d)), less),
-    ], ids=["custom-pred", "array-b", "array-i", "bytearray-subclass", "memoryview"])
+        (list, greater),
+        (lambda d: _buffer(d, 2048), less),
+        (lambda d: Span([0, *d, 0], 1, len(d) + 1), greater),
+    ], ids=["array-i", "bytearray-subclass", "memoryview", "list", "Buffer", "nested"])
+    def test_other_byte_windows_are_counted(self, make, pred, compared):
+        rng = random.Random(9)
+        data = [rng.randrange(256) for _ in range(self.N + 10)]
+        window, forward = Span(make(data), 5, self.N + 5), Span(make(data), 5, self.N + 5)
+        expected = sorted(window, reverse=pred is greater)
+        assert sort(window, pred) == (SortPath.RANDOM_ACCESS, self.N)
+        linked = LinkedList(forward)
+        assert sort(linked, pred) == (SortPath.FORWARD_COPY, self.N)
+        assert list(window) == list(linked) == expected and compared == []
+
+    @pytest.mark.parametrize("make, pred", [
+        (bytearray, lambda a, b: a < b),
+        (lambda d: array("b", [v - 128 for v in d]), less),
+        (lambda d: array("i", d[:-6] + [256] + d[-5:]), less),
+        (lambda d: d[:-6] + [-1] + d[-5:], greater),
+        (lambda d: d[:500] + [True] + d[501:], less),
+        (lambda d: d[:500] + [_One.ONE] + d[501:], greater),
+        (lambda d: d[:500] + [_Int(1)] + d[501:], less),
+        (lambda d: d[:500] + [1.0] + d[501:], greater),
+        (lambda d: d[:500] + [_UnhashableClassInt(1)] + d[501:], less),
+    ], ids=["custom-pred", "array-b", "array-i-256", "list-negative", "bool", "IntEnum", "int-subclass",
+            "float", "unhashable-class"])
     def test_other_windows_are_compared(self, make, pred, compared):
         rng = random.Random(9)
         data = [rng.randrange(256) for _ in range(self.N + 10)]
@@ -526,6 +577,25 @@ class TestCountingSort:
         expected = sorted(store[5:self.N + 5], reverse=pred is greater)
         assert sort(Span(store, 5, self.N + 5), pred) == (SortPath.RANDOM_ACCESS, self.N)
         assert list(store[5:self.N + 5]) == expected and compared == [self.N]
+        assert list(map(type, store[5:self.N + 5])) == list(map(type, expected))
+
+    @pytest.mark.parametrize("length", [1034, 2048])
+    def test_registered_store_whose_length_overstates(self, length, registry):
+        """A registered store's own item access fails past its real end: the
+        sorts and ``LinkedList(span)`` raise the library's ``IndexError``, as
+        for a short store with a row, and write nothing."""
+        class Overstated(_Vec):
+            def __len__(self):
+                return length
+
+        register_spanable(Overstated)
+        data = list(range(1024, 0, -1))
+        store = Overstated(data)
+        for make in (lambda: store, lambda: Span(store), lambda: LinkedList(Span(store))):
+            with pytest.raises(IndexError, match=f"Overstated of length {length} is too short "
+                                                 f"for {length} elements at offset 0") as info:
+                sort(make())
+            assert type(info.value) is IndexError and list(store) == data
 
     @pytest.mark.parametrize("kind", sorted(U8_STORES))
     def test_short_unchecked_window_is_refused_untouched(self, kind):
@@ -533,6 +603,45 @@ class TestCountingSort:
         with pytest.raises(IndexError, match="too short") as info:
             sort(Span.unchecked(store, self.N))
         assert type(info.value) is IndexError and list(store) == list(range(200, 0, -1))
+
+    # name -> (the range to sort over a window's values, the least and
+    # greatest int its store holds, or None when it holds any object)
+    GATE_STORES = {
+        "list": (lambda d: Span([0, *d, 0], 1, len(d) + 1), None),
+        "Buffer": (lambda d: Span(_buffer(d, 2048), 0, len(d)), None),
+        "nested Span": (lambda d: Span(Span([0, 0, *d, 0], 1, len(d) + 3), 1, len(d) + 1), None),
+        "LinkedList": (LinkedList, None),
+        "bytearray": (lambda d: Span(bytearray(d)), (0, 255)),
+        "memoryview": (lambda d: Span(memoryview(bytearray(d))), (0, 255)),
+        **{f"array {code!r}": (lambda d, code=code: Span(array(code, d)), _array_limits(code))
+           for code in "bBhHiIlLqQ"},
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([N - 1, N, N + 1, N + 300]),
+           bounds=st.sampled_from([(0, 255), (0, 256), (-1, 255), (-300, 600)]),
+           odd=st.sampled_from([None, True, _One.ONE, _Int(1), _UnhashableClassInt(1), 1.0]),
+           at=st.integers(0, N - 2), seed=st.integers(0, 2**32 - 1),
+           pred=st.sampled_from([less, greater]))
+    def test_gate_equals_sorted(self, n, bounds, odd, at, seed, pred):
+        """Every store, counted or compared, sorts as ``sorted()`` does on a
+        copy, down to each element's type; a window is counted exactly when
+        it has ``_COUNT_MIN`` or more elements, all exact ints in range(256)."""
+        rng = random.Random(seed)
+        data = [rng.randint(*bounds) for _ in range(n)]
+        if odd is not None:
+            data[at] = odd
+        for name, (make, limits) in self.GATE_STORES.items():
+            values = data if limits is None else [min(max(int(v), limits[0]), limits[1]) for v in data]
+            r = make(values)
+            copy = list(r)
+            expected = sorted(copy, reverse=pred is greater)
+            counted = n >= self.N and all(type(v) is int and 0 <= v < 256 for v in copy)
+            with mock.patch.object(rangealg, "_host_sort", wraps=rangealg._host_sort) as host_sort:
+                sort(r, pred)
+            assert list(r) == expected, name
+            assert list(map(type, r)) == list(map(type, expected)), name
+            assert host_sort.called is not counted, name
 
     @given(st.binary(min_size=N, max_size=3 * N), st.data())
     def test_random_windows(self, data, draw):

@@ -123,6 +123,20 @@ class TestConstruction:
         with pytest.raises(ConstraintError, match="expects a type"):
             register_spanable(42)
 
+    @pytest.mark.parametrize("missing", ["__getitem__", "__len__"])
+    def test_a_class_a_span_cannot_read_is_refused(self, missing, registry):
+        """Every Span reads its store's length and items: a class without one
+        is refused when it is registered, not when a Span is built over it."""
+        members = {"__getitem__": lambda self, i: 0, "__len__": lambda self: 1}
+        del members[missing]
+        cls = type("Partial", (), members)
+        with pytest.raises(ConstraintError, match=f"Partial does not provide {missing}") as info:
+            register_spanable(cls)
+        assert type(info.value) is ConstraintError
+        assert not is_spanable(cls())
+        with pytest.raises(ConstraintError, match="not a contiguous range"):
+            Span(cls())
+
 
 LEN = 1024  # every store below holds 0 .. LEN - 1, in order
 
