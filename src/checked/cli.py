@@ -260,11 +260,14 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "sorted(data)",
     ),
     # 4096 seeded random values in range(256), as `views` draws a window's:
-    # the list is scanned for exact ints, checked into bytes and counted.
+    # the list is scanned for exact ints, counted, and its counts' keys checked.
     "sort-ints": (_RANDOM_BYTES_LIST, "sort(Span(list(data)))", "sorted(data)"),
-    # The same list ending in 256: the gate's worst case, both scans of every
-    # element before the comparison sort runs.
+    # The same list ending in 256: the gate's worst case, the scan and the
+    # count of every element before the comparison sort runs.
     "sort-wide": (_RANDOM_BYTES_LIST + "\ndata[-1] = 256", "sort(Span(list(data)))", "sorted(data)"),
+    # The same values in an array('i'), as `views` sorts one window in five:
+    # its type proves exact ints, it is counted and packed from raw 'i' items.
+    "sort-array": (_RANDOM_BYTES_LIST + "\nfrom array import array", "sort(Span(array('i', data)))", "sorted(data)"),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

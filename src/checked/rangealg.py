@@ -17,13 +17,15 @@ declared by a ``range_category`` class attribute or inferred structurally.
 constraint set strictly contains the forward one, and reports which path
 ran.  Both paths sort a copy and write it back in one pass; under ``less``
 or ``greater``, ``_COUNT_MIN`` or more exact ints in ``range(256)`` are
-counted, not compared.  An exact ``bytearray`` or ``array('B')`` store
-proves that alone, another integer ``array`` proves exact ints for
-``bytes()`` to range-check in C, and any other window is scanned for exact
-ints before that check.  Ranges satisfying neither category, element types
-the predicate cannot order, and a read-only ``memoryview`` store are
-rejected with ``ConstraintError`` before anything is touched.  A ``Span``
-write checks only its index, and refuses a read-only store in the same way.
+counted, not compared, proved in C by identity alone: an exact
+``bytearray`` or ``array('B')`` store; else an exact-int first element in
+range, then an integer ``array`` store or ``type(v) is int`` for each, then
+the counts' keys; the result is packed from raw items.  Ranges satisfying
+neither category, element types the predicate cannot order, a
+``memoryview`` not 1-D of one native code, and a store no write can change
+(read-only, or with no ``__setitem__``) are rejected with
+``ConstraintError`` before anything is touched.  A ``Span`` write checks
+only its index, and refuses such a store alike.
 
 How each store type is viewed, read and written back is one row of
 ``_STORES``, keyed by exact type: a span over an exact ``Buffer`` views its
@@ -44,6 +46,7 @@ import operator
 from array import array
 from collections import Counter, deque
 from enum import Enum
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from .narrowing import U32, ConstraintError, Number, convert
@@ -75,7 +78,10 @@ greater = operator.gt
 # from about 1024 elements (BENCH_29.json), a list of random bytes from about 2048 (BENCH_32.json).
 _COUNT_MIN = 1024
 _INT_CODES = frozenset("bBhHiIlLqQ")  # the array typecodes whose elements are exact ints
-_BYTES = [bytes((k,)) for k in range(256)]
+_BYTE_VALUES = frozenset(range(256))
+_ORDERS = (range(256), range(255, -1, -1))  # the byte values as ``less`` and as ``greater`` sorts them
+_VIEW_CODES = frozenset("cbB?hHiIlLqQnNPfd")  # the formats a 1-D memoryview reads on every Python
+_NOT_CONTIGUOUS = "%s is not a contiguous range"
 
 
 class RangeError(IndexError):
@@ -156,19 +162,25 @@ class Buffer:
         return f"Buffer({name}, {len(self._items)})"
 
 
-# Backing stores, one row per exact type: (the list a span views in the
-# store's place, or None; how a sorted window is packed for one slice
-# assignment: ``list`` takes the sorted list as it is, another type is called
-# with the store's typecode, None writes element by element).  A store with a
-# row is read in one slice.  A Span over an exact Buffer views its list: one
-# frame per index, and the list's own iteration and slices (a Span.unchecked
-# slices through the Buffer).  Immutable str/bytes/tuple have no row.
+def _memory(view: memoryview) -> memoryview:
+    """``view`` as a span keeps it: only 1-D, of one native single code."""
+    if view.ndim == 1 and view.format.lstrip("@") in _VIEW_CODES:
+        return view
+    raise ConstraintError(_NOT_CONTIGUOUS % f"memoryview of format {view.format!r} and ndim {view.ndim}")
+
+
+# Backing stores, one row per exact type: (what a span views in the store's
+# place, or None; how a sorted window is packed for one slice assignment:
+# ``list`` takes the sorted list as it is, another type is called with the
+# store's typecode, None writes element by element).  A store with a row is
+# read in one slice.  A Span over an exact Buffer views its list (a
+# Span.unchecked slices through the Buffer), one over a memoryview the view
+# once its shape passes.  Immutable str/bytes/tuple have no row.
 _STORES: dict = {list: (None, list), bytearray: (None, list), array: (None, array),
-                 memoryview: (None, None), Buffer: (operator.attrgetter("_items"), list)}
+                 memoryview: (_memory, None), Buffer: (operator.attrgetter("_items"), list)}
 # The one registry of contiguous ranges (by ``isinstance``, so subclasses
 # too), which the sort dispatch also reads as "random access".
 _SPANABLE_TYPES: tuple[type, ...] = tuple(_STORES)
-_NOT_CONTIGUOUS = "%s is not a contiguous range"
 
 
 def register_spanable(cls: type) -> type:
@@ -247,7 +259,7 @@ class Span:
         if not is_spanable(storage):
             raise ConstraintError(_NOT_CONTIGUOUS % type(storage).__name__)
         span = object.__new__(cls)
-        span._storage = storage
+        span._storage = _memory(storage) if type(storage) is memoryview else storage
         span._offset = 0
         span._length = _as_unsigned(count)
         return span
@@ -285,8 +297,8 @@ class Span:
                 self._storage[self._offset + self.check(index)] = value
         except ConstraintError:  # the index check's (a TypeError too): it keeps precedence
             raise
-        except TypeError:  # the store's own: a read-only memoryview's is a ConstraintError
-            _refuse_read_only(self._storage)
+        except TypeError:  # the store's own: one that no write can change raises ConstraintError
+            _require_writable(self._storage)
             raise
 
     def __iter__(self):
@@ -368,15 +380,18 @@ def _read_window(store, lo: int, n: int) -> list:
     )
 
 
-def _refuse_read_only(store) -> None:
-    """A read-only ``memoryview`` is random access, but no sort can write it."""
-    if type(store) is memoryview and store.readonly:
+def _require_writable(store) -> None:
+    """Refuse a store no sort or ``Span`` write can change: a read-only ``memoryview``,
+    or a class with no ``__setitem__``."""
+    if type(store) is memoryview and _memory(store).readonly:
         raise ConstraintError("memoryview store is read-only")
+    if not hasattr(type(store), "__setitem__"):
+        raise ConstraintError(f"{type(store).__name__} does not provide __setitem__")
 
 
 def _window(r) -> tuple:
     """The sorts' window, ``(store, offset, length, row)``, of a ``Span`` or a whole
-    range (through its row's view column; no row: ``(None, None)``), read-only refused."""
+    range (through its row's view column; no row: ``(None, None)``), its store writable."""
     if isinstance(r, Span):
         store, lo, n = r._storage, r._offset, r._length
         row = _STORES.get(type(store), (None, None))
@@ -384,30 +399,35 @@ def _window(r) -> tuple:
         row = _STORES.get(type(r), (None, None))
         store = r if row[0] is None else row[0](r)
         lo, n = 0, len(store)
-    _refuse_read_only(store)
+    _require_writable(store)
     return store, lo, n, row
 
 
-def _counted(store, buf: list, pred: Callable) -> Optional[bytes]:
-    """``buf``, read out of ``store``, sorted by counting, or None to compare it.
-
-    The proofs run in the module docstring's order, and the exact-type scan
-    before ``bytes()``, so no method of a ``bool``, an ``IntEnum`` member or
-    another int subclass runs: such a window is compared, its types kept.
-    """
+def _counted(store, buf: list, pred: Callable) -> Optional[list]:
+    """How often each byte value is in ``buf`` (read out of ``store``), in ``pred``'s
+    order, or None to compare ``buf``.  The proof runs in the module docstring's
+    order and tests types by identity, so no ``__hash__`` or ``__eq__`` of an element
+    or its class runs: a ``bool``, an ``IntEnum`` member or an int subclass makes the
+    window compared, its types kept.  ``Counter`` then counts exact ints."""
     if len(buf) < _COUNT_MIN or not (pred is less or pred is greater):
         return None
     cls = type(store)
     if not (cls is bytearray or cls is array and store.typecode == "B"):
-        try:
-            if not (cls is array and store.typecode in _INT_CODES or (  # O(1) before the scan
-                    type(buf[0]) is int and -1 < buf[0] < 256 and set(map(type, buf)) == {int})):
-                return None
-            bytes(buf)  # refuses an int outside range(256)
-        except (TypeError, ValueError):  # an unhashable class in the scan; an int out of range
+        if not (type(buf[0]) is int and -1 < buf[0] < 256 and (  # O(1): a wide window fails fast
+                cls is array and store.typecode in _INT_CODES
+                or all(map(operator.is_, map(type, buf), repeat(int))))):
             return None
-    counts = Counter(buf)
-    return b"".join([_BYTES[k] * counts[k] for k in sorted(counts, reverse=pred is greater)])
+    counts = Counter(buf)  # of exact ints, so only their range is left to check
+    if not counts.keys() <= _BYTE_VALUES:
+        return None
+    return list(map(counts.get, _ORDERS[pred is greater], repeat(0)))
+
+
+@functools.lru_cache(maxsize=None)  # built on first use: importing builds no table
+def _items(code: str, reverse: bool) -> list:
+    """The byte values, in sort order, as raw items of an ``array`` of ``code``, taken from the
+    unsigned code of its size: 0-127, all that an ``array('b')`` counts, read alike in both."""
+    return [array(code.upper(), (k,)).tobytes() for k in _ORDERS[reverse]]
 
 
 def _sort_window(r, pred: Callable) -> int:
@@ -415,17 +435,19 @@ def _sort_window(r, pred: Callable) -> int:
 
     A ``Span`` is read and written between its offset and its length, with
     no per-element check: construction proved those bounds.  A window that
-    ``_counted`` proves to hold bytes is counted, any other compared.  The row
-    says how the sorted window is packed for one slice assignment; without a
-    packing, or a row, it is written back element by element.
+    ``_counted`` counts is joined in C from raw items (an exact integer
+    ``array``'s own, which ``array(code, raw)`` copies in; else bytes).  The
+    row says how the sorted window is packed for one slice assignment;
+    without a packing, or a row, it is written back element by element.
     """
     store, lo, n, (_, pack) = _window(r)
     buf = _read_window(store, lo, n)
-    counted = _counted(store, buf, pred)
-    if counted is None:
+    counts = _counted(store, buf, pred)
+    if counts is None:
         _host_sort(buf, pred)
-    else:  # raw bytes are an array's elements only under typecode 'B'
-        buf = list(counted) if pack is array and store.typecode != "B" else counted
+    else:
+        code = store.typecode if pack is array else "B"
+        buf = b"".join(map(operator.mul, _items(code, pred is greater), counts))
     if pack is list:
         store[lo:lo + n] = buf
     elif pack is not None:
@@ -438,13 +460,15 @@ def _sort_window(r, pred: Callable) -> int:
 
 def _sort_copy(r, pred: Callable) -> int:
     """Sort any forward range by copying out and writing back; returns its length."""
+    write_back = getattr(r, "write_back", None)
+    if not callable(write_back):  # written item by item: refused before the read if it cannot be
+        _require_writable(r._storage if isinstance(r, Span) else r)
     buf = list(r)
-    counted = _counted(r, buf, pred)
-    if counted is None:
+    counts = _counted(r, buf, pred)
+    if counts is None:
         _host_sort(buf, pred)
     else:
-        buf = list(counted)
-    write_back = getattr(r, "write_back", None)
+        buf = list(b"".join(map(operator.mul, _items("B", pred is greater), counts)))
     if callable(write_back):
         write_back(buf)
     else:
@@ -474,8 +498,6 @@ def sort_forward(r, pred: Callable = less) -> None:
     """
     if category_of(r) is None:
         raise ConstraintError("range is not forward-iterable with write-back")
-    if isinstance(r, (Span, memoryview)):  # the ranges a read-only memoryview backs
-        _refuse_read_only(r if type(r) is memoryview else r._storage)
     _sort_copy(r, pred)
 
 

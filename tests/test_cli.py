@@ -1,6 +1,7 @@
 import gc
 import json
 import platform
+from array import array
 
 import pytest
 
@@ -90,17 +91,19 @@ class TestBench:
         assert scenario == "raw-arith" and int(iters) == 10000
         assert float(ns) > 0 and float(baseline) > 0
 
-    SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide")  # a 4096-element sort per iteration
+    SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide", "sort-array")  # a 4096-element sort per iteration
 
-    @pytest.mark.parametrize("scenario, counted", [("sort-ints", True), ("sort-wide", False)])
-    def test_sort_scenarios_take_their_paths(self, scenario, counted):
-        """`sort-ints` sorts a list by counting, and `sort-wide`, whose last
-        element is 256, fails the gate after both scans and is compared."""
+    @pytest.mark.parametrize("scenario, store, counted", [("sort-ints", list, True), ("sort-wide", list, False),
+                                                          ("sort-array", lambda d: array("i", d), True)])
+    def test_sort_scenarios_take_their_paths(self, scenario, store, counted):
+        """`sort-ints` sorts a list by counting, `sort-wide`, whose last
+        element is 256, fails the gate at its counts' keys and is compared,
+        and `sort-array` counts an `array('i')`, proved by its type."""
         space = {}
         exec(cli._BENCHES[scenario][0], space)
         data = space["data"]
         assert len(data) == 4096 and max(data[:-1]) < 256 and set(map(type, data)) == {int}
-        assert (rangealg._counted(data, data, less) is not None) is counted
+        assert (rangealg._counted(store(data), data, less) is not None) is counted
 
     def test_all_scenarios_run(self):
         scenarios = ("convert-same", "convert-narrowable", "number-arith", "number-arith-bare", "raw-arith",
@@ -108,7 +111,7 @@ class TestBench:
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
                      "span-nested", "record-register", "convert-refused", "sort-bytes", "sort-ints",
-                     "sort-wide")
+                     "sort-wide", "sort-array")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             iters = 200 if scenario in self.SORTS_4096 else 20000

@@ -1,3 +1,4 @@
+import ctypes
 import operator
 import random
 from array import array
@@ -366,6 +367,22 @@ class _Registered(_IndexLog, _Vec):
     """Registered as spanable by the test that uses it."""
 
 
+class _NoWrites:
+    """A store with item reads and a length but no ``__setitem__``; it counts
+    its reads.  Registered as spanable by the test that uses it."""
+
+    def __init__(self, items):
+        self._items = list(items)
+        self.reads = 0
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self._items[index]
+
+
 def _logged_buffer(items):
     store = _LoggedBuffer(int, 1024)
     for i, v in enumerate(items):
@@ -380,6 +397,7 @@ STORE_TABLE = {
     "bytearray": (bytearray, False),
     **{f"array {code!r}": (lambda d, code=code: array(code, d), False) for code in "bBhHiIlLqQfd"},
     "memoryview": (lambda d: memoryview(array("i", d)), False),
+    "memoryview '@i'": (lambda d: memoryview(array("i", d)).cast("B").cast("@i"), False),
     "Buffer": (_buffer, False),
     "Buffer subclass": (_logged_buffer, True),
     "list subclass": (_LoggedList, True),
@@ -445,6 +463,60 @@ class TestStoreTable:
             assert sort(r) == (path, len(self.DATA))
             assert list(r) == sorted(self.DATA)
 
+    def test_store_without_setitem(self, registry):
+        """A registered store with no ``__setitem__`` backs a Span and is read
+        like any store, but every sort and every Span write refuses it before
+        reading it, and it is left as it was."""
+        register_spanable(_NoWrites)
+        data, n = self.DATA, len(self.DATA)
+        store = _NoWrites(data)
+        assert category_of(store) is RangeCategory.RANDOM_ACCESS and is_spanable(store)
+        assert list(Span(store, 1, 4)) == data[1:4]
+        store.reads = 0
+        for r in (store, Span(store), Span(store, 1, n - 1), Span.unchecked(store, n)):
+            for sorter in (sort, sort_random_access, sort_forward):
+                with pytest.raises(ConstraintError, match="^_NoWrites does not provide __setitem__$") as info:
+                    sorter(r)
+                assert type(info.value) is ConstraintError
+        with pytest.raises(ConstraintError, match="^_NoWrites does not provide __setitem__$") as info:
+            Span(store, 1, 4)[0] = 7
+        assert type(info.value) is ConstraintError
+        assert store.reads == 0 and store._items == data
+
+    # memoryviews that are not 1-D of one native single code
+    ODD_VIEWS = {
+        "2-D": lambda: memoryview(bytearray(range(8))).cast("B", (2, 4)),
+        "0-D": lambda: memoryview(ctypes.c_int32(5)),
+        "big-endian": lambda: memoryview((ctypes.c_int32.__ctype_be__ * 3)(3, 1, 2)),
+        "explicit order": lambda: memoryview((ctypes.c_uint8 * 3)(3, 1, 2)),
+    }
+
+    @pytest.mark.parametrize("name", list(ODD_VIEWS))
+    def test_memoryview_of_another_shape_or_format(self, name):
+        """``Span()``, ``Span.unchecked`` and the sorts refuse such a view with
+        ``ConstraintError`` (the view's own errors were ``NotImplementedError``
+        and ``TypeError``), and it is left as it was."""
+        view = self.ODD_VIEWS[name]()
+        before = view.tobytes()
+        assert category_of(view) is RangeCategory.RANDOM_ACCESS and is_spanable(view)
+        for refused in (Span, lambda v: Span(v, 1), lambda v: Span.unchecked(v, 1),
+                        sort, sort_random_access, sort_forward):
+            with pytest.raises(ConstraintError, match=f"^memoryview of format '{view.format}' and ndim {view.ndim} "
+                                                      "is not a contiguous range$"):
+                refused(view)
+        assert view.tobytes() == before
+
+    def test_numpy_views(self):
+        """A numpy array's view reads a native code when its byte order is
+        native, and is refused otherwise."""
+        numpy = pytest.importorskip("numpy")
+        native = numpy.array([3, 1, 2], "=i4")
+        swapped = numpy.array([3, 1, 2], ">i4" if numpy.little_endian else "<i4")
+        assert sort(memoryview(native)) == (SortPath.RANDOM_ACCESS, 3) and native.tolist() == [1, 2, 3]
+        with pytest.raises(ConstraintError, match="is not a contiguous range"):
+            sort(memoryview(swapped))
+        assert swapped.tolist() == [3, 1, 2]
+
     @pytest.mark.parametrize("make", [lambda d: memoryview(bytes(d)),
                                       lambda d: memoryview(array("i", d)).toreadonly()],
                              ids=["bytes", "array"])
@@ -479,6 +551,20 @@ class _EqualityMeta(type):
 
 
 class _UnhashableClassInt(int, metaclass=_EqualityMeta):
+    pass
+
+
+class _IntEqualMeta(type):
+    """Its classes hash as ``int`` and equal it, so a set of classes merges them into ``int``."""
+
+    def __hash__(cls):
+        return hash(int)
+
+    def __eq__(cls, other):
+        return other is int or cls is other
+
+
+class _IntEqualClassInt(int, metaclass=_IntEqualMeta):
     pass
 
 
@@ -568,8 +654,9 @@ class TestCountingSort:
         (lambda d: d[:500] + [_Int(1)] + d[501:], less),
         (lambda d: d[:500] + [1.0] + d[501:], greater),
         (lambda d: d[:500] + [_UnhashableClassInt(1)] + d[501:], less),
+        (lambda d: d[:500] + [_IntEqualClassInt(1)] + d[501:], greater),
     ], ids=["custom-pred", "array-b", "array-i-256", "list-negative", "bool", "IntEnum", "int-subclass",
-            "float", "unhashable-class"])
+            "float", "unhashable-class", "int-equal-class"])
     def test_other_windows_are_compared(self, make, pred, compared):
         rng = random.Random(9)
         data = [rng.randrange(256) for _ in range(self.N + 10)]
@@ -578,6 +665,28 @@ class TestCountingSort:
         assert sort(Span(store, 5, self.N + 5), pred) == (SortPath.RANDOM_ACCESS, self.N)
         assert list(store[5:self.N + 5]) == expected and compared == [self.N]
         assert list(map(type, store[5:self.N + 5])) == list(map(type, expected))
+
+    @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
+    @pytest.mark.parametrize("code", sorted(rangealg._INT_CODES))
+    def test_every_integer_typecode(self, code, pred, compared):
+        """An integer ``array`` window of values in range(256) that its code
+        holds is counted and packed from the code's raw items: it equals
+        ``sorted()`` of a copy, and the store keeps its typecode and length.
+        A negative value, or one of 256 and up, makes it compared."""
+        rng = random.Random(code)
+        least, greatest = _array_limits(code)
+        for odd in (None, -1, 256, least, greatest):
+            if odd is not None and (0 <= odd < 256 or not least <= odd <= greatest):
+                continue
+            data = [rng.randint(0, min(greatest, 255)) for _ in range(rng.randint(self.N + 3, 1300))]
+            if odd is not None:
+                data[rng.randrange(3, len(data))] = odd
+            store = array(code, data)
+            compared.clear()
+            assert sort(Span(store, 3, len(data)), pred) == (SortPath.RANDOM_ACCESS, len(data) - 3)
+            assert store.typecode == code and len(store) == len(data)
+            assert store.tolist() == data[:3] + sorted(data[3:], reverse=pred is greater)
+            assert compared == ([] if odd is None else [len(data) - 3])
 
     @pytest.mark.parametrize("length", [1034, 2048])
     def test_registered_store_whose_length_overstates(self, length, registry):
@@ -620,7 +729,7 @@ class TestCountingSort:
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([N - 1, N, N + 1, N + 300]),
            bounds=st.sampled_from([(0, 255), (0, 256), (-1, 255), (-300, 600)]),
-           odd=st.sampled_from([None, True, _One.ONE, _Int(1), _UnhashableClassInt(1), 1.0]),
+           odd=st.sampled_from([None, True, _One.ONE, _Int(1), _UnhashableClassInt(1), _IntEqualClassInt(1), 1.0]),
            at=st.integers(0, N - 2), seed=st.integers(0, 2**32 - 1),
            pred=st.sampled_from([less, greater]))
     def test_gate_equals_sorted(self, n, bounds, odd, at, seed, pred):
