@@ -268,6 +268,9 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     # The same values in an array('i'), as `views` sorts one window in five:
     # its type proves exact ints, it is counted and packed from raw 'i' items.
     "sort-array": (_RANDOM_BYTES_LIST + "\nfrom array import array", "sort(Span(array('i', data)))", "sorted(data)"),
+    # The same values in a memoryview of a bytearray: its format proves u8 elements, counted and
+    # written back in one slice of raw items cast to the view's format.
+    "sort-view": (_RANDOM_BYTES_LIST, "sort(Span(memoryview(bytearray(data))))", "sorted(data)"),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -17,23 +17,23 @@ declared by a ``range_category`` class attribute or inferred structurally.
 constraint set strictly contains the forward one, and reports which path
 ran.  Both paths sort a copy and write it back in one pass; under ``less``
 or ``greater``, ``_COUNT_MIN`` or more exact ints in ``range(256)`` are
-counted, not compared, proved in C by identity alone: an exact
-``bytearray`` or ``array('B')`` store; else an exact-int first element in
-range, then an integer ``array`` store or ``type(v) is int`` for each, then
-the counts' keys; the result is packed from raw items.  Ranges satisfying
+counted, not compared, proved in C by identity alone: an exact-int first
+element in range, then the store's element type (an integer one holds only
+exact ints) or ``type(v) is int`` for each, then the counts' keys; the
+result is packed from raw items of the store's item size.  Ranges satisfying
 neither category, element types the predicate cannot order, a
 ``memoryview`` not 1-D of one native code, and a store no write can change
 (read-only, or with no ``__setitem__``) are rejected with
 ``ConstraintError`` before anything is touched.  A ``Span`` write checks
 only its index, and refuses such a store alike.
 
-How each store type is viewed, read and written back is one row of
-``_STORES``, keyed by exact type: a span over an exact ``Buffer`` views its
-list, as a nested span views its base store; a subclass or a registered
-type has no row and keeps its own item access.  A span's bounds are proved
-once, when it is built, so the sorts read and write the backing store
-directly, through the window ``_window`` resolves; ``Span()`` and
-``LinkedList(span)`` read its fields inline, one Python frame cheaper.
+How each store type is viewed, read, written back and typed is one row
+of ``_STORES``, keyed by exact type: a span over an exact ``Buffer`` views
+its list, as a nested span views its base store; a subclass or a registered
+type has no row, no element type, and keeps its own item access.  A span's
+bounds are proved once, when it is built, so the sorts read and write the
+backing store directly; ``Span()``, ``LinkedList(span)`` and the in-place
+sort read its fields inline, one Python frame cheaper.
 
 Spans may be shared across threads, but element access is not synchronized
 here, and a sort mutates the caller's range: don't touch it concurrently.
@@ -43,13 +43,15 @@ from __future__ import annotations
 
 import functools
 import operator
+import struct
+import sys
 from array import array
 from collections import Counter, deque
 from enum import Enum
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
-from .narrowing import U32, ConstraintError, Number, convert
+from .narrowing import F32, F64, U8, U32, ConstraintError, Number, convert, numeric_type
 
 __all__ = [
     "RangeError",
@@ -77,10 +79,11 @@ greater = operator.gt
 # The shortest window of bytes sorted by counting, one for every store: a u8 store counts faster
 # from about 1024 elements (BENCH_29.json), a list of random bytes from about 2048 (BENCH_32.json).
 _COUNT_MIN = 1024
-_INT_CODES = frozenset("bBhHiIlLqQ")  # the array typecodes whose elements are exact ints
 _BYTE_VALUES = frozenset(range(256))
 _ORDERS = (range(256), range(255, -1, -1))  # the byte values as ``less`` and as ``greater`` sorts them
-_VIEW_CODES = frozenset("cbB?hHiIlLqQnNPfd")  # the formats a 1-D memoryview reads on every Python
+# Each code a 1-D memoryview reads on every Python (as an array typecode too) -> its elements' type.
+_ELEMENTS = {c: numeric_type(f"{'iu'[c.isupper()]}{8 * struct.calcsize(c)}") for c in "bBhHiIlLqQnNP"}
+_ELEMENTS.update({"f": F32, "d": F64, "c": None, "?": None})
 _NOT_CONTIGUOUS = "%s is not a contiguous range"
 
 
@@ -163,21 +166,26 @@ class Buffer:
 
 
 def _memory(view: memoryview) -> memoryview:
-    """``view`` as a span keeps it: only 1-D, of one native single code."""
-    if view.ndim == 1 and view.format.lstrip("@") in _VIEW_CODES:
+    """``view`` as a span keeps it: only 1-D, of one native code in ``_ELEMENTS``."""
+    if view.ndim == 1 and view.format.lstrip("@") in _ELEMENTS:
         return view
     raise ConstraintError(_NOT_CONTIGUOUS % f"memoryview of format {view.format!r} and ndim {view.ndim}")
 
 
 # Backing stores, one row per exact type: (what a span views in the store's
 # place, or None; how a sorted window is packed for one slice assignment:
-# ``list`` takes the sorted list as it is, another type is called with the
-# store's typecode, None writes element by element).  A store with a row is
-# read in one slice.  A Span over an exact Buffer views its list (a
-# Span.unchecked slices through the Buffer), one over a memoryview the view
-# once its shape passes.  Immutable str/bytes/tuple have no row.
-_STORES: dict = {list: (None, list), bytearray: (None, list), array: (None, array),
-                 memoryview: (_memory, None), Buffer: (operator.attrgetter("_items"), list)}
+# ``list`` as it is, ``array`` in an array of the store's typecode,
+# ``memoryview`` as counted raw items cast to its format, None element by
+# element; ``element(store)``, the elements' NumType, or None for any
+# objects).  A store with a row is read in one slice.  A Span over an exact
+# Buffer views its list (a Span.unchecked slices through it), one over a
+# memoryview the view once its shape passes.  Immutable str/bytes/tuple have no row.
+_NO_ROW = (None, None, lambda store: None)
+_STORES: dict = {list: (None, list, _NO_ROW[2]), bytearray: (None, list, lambda store: U8),
+                 array: (None, array, lambda store: _ELEMENTS.get(store.typecode)),
+                 memoryview: (_memory, memoryview,
+                              lambda v: _ELEMENTS.get(v.format.lstrip("@")) if v.ndim == 1 else None),
+                 Buffer: (operator.attrgetter("_items"), list, _NO_ROW[2])}
 # The one registry of contiguous ranges (by ``isinstance``, so subclasses
 # too), which the sort dispatch also reads as "random access".
 _SPANABLE_TYPES: tuple[type, ...] = tuple(_STORES)
@@ -389,20 +397,6 @@ def _require_writable(store) -> None:
         raise ConstraintError(f"{type(store).__name__} does not provide __setitem__")
 
 
-def _window(r) -> tuple:
-    """The sorts' window, ``(store, offset, length, row)``, of a ``Span`` or a whole
-    range (through its row's view column; no row: ``(None, None)``), its store writable."""
-    if isinstance(r, Span):
-        store, lo, n = r._storage, r._offset, r._length
-        row = _STORES.get(type(store), (None, None))
-    else:
-        row = _STORES.get(type(r), (None, None))
-        store = r if row[0] is None else row[0](r)
-        lo, n = 0, len(store)
-    _require_writable(store)
-    return store, lo, n, row
-
-
 def _counted(store, buf: list, pred: Callable) -> Optional[list]:
     """How often each byte value is in ``buf`` (read out of ``store``), in ``pred``'s
     order, or None to compare ``buf``.  The proof runs in the module docstring's
@@ -411,12 +405,11 @@ def _counted(store, buf: list, pred: Callable) -> Optional[list]:
     window compared, its types kept.  ``Counter`` then counts exact ints."""
     if len(buf) < _COUNT_MIN or not (pred is less or pred is greater):
         return None
-    cls = type(store)
-    if not (cls is bytearray or cls is array and store.typecode == "B"):
-        if not (type(buf[0]) is int and -1 < buf[0] < 256 and (  # O(1): a wide window fails fast
-                cls is array and store.typecode in _INT_CODES
-                or all(map(operator.is_, map(type, buf), repeat(int))))):
-            return None
+    element = _STORES.get(type(store), _NO_ROW)[2](store)
+    if not (type(buf[0]) is int and -1 < buf[0] < 256 and (  # O(1): a wide window fails fast
+            element is not None and element.min is not None  # an integer element: only exact ints
+            or all(map(operator.is_, map(type, buf), repeat(int))))):
+        return None
     counts = Counter(buf)  # of exact ints, so only their range is left to check
     if not counts.keys() <= _BYTE_VALUES:
         return None
@@ -424,34 +417,45 @@ def _counted(store, buf: list, pred: Callable) -> Optional[list]:
 
 
 @functools.lru_cache(maxsize=None)  # built on first use: importing builds no table
-def _items(code: str, reverse: bool) -> list:
-    """The byte values, in sort order, as raw items of an ``array`` of ``code``, taken from the
-    unsigned code of its size: 0-127, all that an ``array('b')`` counts, read alike in both."""
-    return [array(code.upper(), (k,)).tobytes() for k in _ORDERS[reverse]]
+def _items(size: int, reverse: bool) -> list:
+    """The byte values, in sort order, as native raw items of ``size`` bytes: 0-127, all that a
+    signed element counts, read alike as signed and as unsigned."""
+    return [k.to_bytes(size, sys.byteorder) for k in _ORDERS[reverse]]
+
+
+def _sorted(store, buf: list, pred: Callable, size: int):
+    """``buf``, read out of ``store``, sorted under ``pred``: compared in place, or, when
+    ``_counted`` counts it, joined in C as ``bytes`` of raw items of ``size`` bytes."""
+    if (counts := _counted(store, buf, pred)) is None:
+        _host_sort(buf, pred)
+        return buf
+    return b"".join(map(operator.mul, _items(size, pred is greater), counts))
 
 
 def _sort_window(r, pred: Callable) -> int:
     """Sort a random-access range through its backing store; returns its length.
 
     A ``Span`` is read and written between its offset and its length, with
-    no per-element check: construction proved those bounds.  A window that
-    ``_counted`` counts is joined in C from raw items (an exact integer
-    ``array``'s own, which ``array(code, raw)`` copies in; else bytes).  The
-    row says how the sorted window is packed for one slice assignment;
+    no per-element check: construction proved those bounds.  The store's row
+    packs the sorted window for one slice assignment (a counted one from raw
+    items of its item size, an ``array``'s or a ``memoryview``'s, else bytes);
     without a packing, or a row, it is written back element by element.
     """
-    store, lo, n, (_, pack) = _window(r)
-    buf = _read_window(store, lo, n)
-    counts = _counted(store, buf, pred)
-    if counts is None:
-        _host_sort(buf, pred)
-    else:
-        code = store.typecode if pack is array else "B"
-        buf = b"".join(map(operator.mul, _items(code, pred is greater), counts))
+    if isinstance(r, Span):
+        store, lo, n = r._storage, r._offset, r._length
+    else:  # a whole range, through its row's view column
+        store = r if (view := _STORES.get(type(r), _NO_ROW)[0]) is None else view(r)
+        lo, n = 0, len(store)
+    _require_writable(store)
+    pack = _STORES.get(type(store), _NO_ROW)[1]
+    size = store.itemsize if pack is array or pack is memoryview else 1
+    buf = _sorted(store, _read_window(store, lo, n), pred, size)
     if pack is list:
         store[lo:lo + n] = buf
-    elif pack is not None:
-        store[lo:lo + n] = pack(store.typecode, buf)
+    elif pack is array:
+        store[lo:lo + n] = array(store.typecode, buf)
+    elif pack is memoryview and type(buf) is bytes:  # counted: raw items of the view's format
+        store[lo:lo + n] = memoryview(buf).cast(store.format)
     else:
         for i, v in enumerate(buf, lo):
             store[i] = v
@@ -463,14 +467,9 @@ def _sort_copy(r, pred: Callable) -> int:
     write_back = getattr(r, "write_back", None)
     if not callable(write_back):  # written item by item: refused before the read if it cannot be
         _require_writable(r._storage if isinstance(r, Span) else r)
-    buf = list(r)
-    counts = _counted(r, buf, pred)
-    if counts is None:
-        _host_sort(buf, pred)
-    else:
-        buf = list(b"".join(map(operator.mul, _items("B", pred is greater), counts)))
+    buf = _sorted(r, list(r), pred, 1)
     if callable(write_back):
-        write_back(buf)
+        write_back(list(buf) if type(buf) is bytes else buf)  # a counted window's bytes read as ints
     else:
         for i, v in enumerate(buf):
             r[i] = v

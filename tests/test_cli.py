@@ -91,14 +91,16 @@ class TestBench:
         assert scenario == "raw-arith" and int(iters) == 10000
         assert float(ns) > 0 and float(baseline) > 0
 
-    SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide", "sort-array")  # a 4096-element sort per iteration
+    SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide", "sort-array", "sort-view")  # a 4096-element sort each
 
     @pytest.mark.parametrize("scenario, store, counted", [("sort-ints", list, True), ("sort-wide", list, False),
-                                                          ("sort-array", lambda d: array("i", d), True)])
+                                                          ("sort-array", lambda d: array("i", d), True),
+                                                          ("sort-view", lambda d: memoryview(bytearray(d)), True)])
     def test_sort_scenarios_take_their_paths(self, scenario, store, counted):
         """`sort-ints` sorts a list by counting, `sort-wide`, whose last
         element is 256, fails the gate at its counts' keys and is compared,
-        and `sort-array` counts an `array('i')`, proved by its type."""
+        and `sort-array` and `sort-view` count an `array('i')` and a
+        `memoryview` of a `bytearray`, proved by their element types."""
         space = {}
         exec(cli._BENCHES[scenario][0], space)
         data = space["data"]
@@ -111,7 +113,7 @@ class TestBench:
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
                      "span-nested", "record-register", "convert-refused", "sort-bytes", "sort-ints",
-                     "sort-wide", "sort-array")
+                     "sort-wide", "sort-array", "sort-view")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             iters = 200 if scenario in self.SORTS_4096 else 20000

@@ -1,6 +1,7 @@
 import ctypes
 import operator
 import random
+import struct
 from array import array
 from collections import Counter
 from enum import IntEnum
@@ -10,6 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from checked import (
+    F32,
+    F64,
+    U8,
     Buffer,
     ConstraintError,
     LinkedList,
@@ -568,10 +572,73 @@ class _IntEqualClassInt(int, metaclass=_IntEqualMeta):
     pass
 
 
-def _array_limits(code):
-    """The least and greatest int an ``array`` of ``code`` holds."""
-    bits = 8 * array(code).itemsize
+INT_CODES = "bBhHiIlLqQnNP"  # the integer item codes a memoryview reads; all but the last three are array's
+
+
+def _limits(code):
+    """The least and greatest int an item of ``code`` holds, at ``struct``'s native size."""
+    bits = 8 * struct.calcsize(code)
     return (-(1 << bits - 1), (1 << bits - 1) - 1) if code.islower() else (0, (1 << bits) - 1)
+
+
+def _view(code, data):
+    """A writable 1-D memoryview of format ``code`` over ``data``."""
+    return memoryview(bytearray(struct.pack(f"{len(data)}{code}", *data))).cast(code)
+
+
+class TestElementTable:
+    """Each store row's element type, checked against ``struct`` and ``array``."""
+
+    ELEMENTS = rangealg._ELEMENTS
+
+    def test_keys_are_the_formats_a_span_takes(self):
+        assert set(self.ELEMENTS) == set(INT_CODES + "fdc?")
+        for code in self.ELEMENTS:
+            assert memoryview(bytes(8)).cast(code).format == code
+            assert len(Span(memoryview(bytearray(8)).cast(code))) == 8 // struct.calcsize(code)
+
+    @pytest.mark.parametrize("code", INT_CODES + "fd")
+    def test_byte_size(self, code):
+        element = self.ELEMENTS[code]
+        assert element.byte_size == struct.calcsize(code)
+        if code in "bBhHiIlLqQfd":
+            assert element.byte_size == array(code).itemsize
+
+    @pytest.mark.parametrize("code", INT_CODES)
+    def test_integer_limits(self, code):
+        """``min`` and ``max`` are what the code holds: they round-trip, and one
+        past either does not (``array`` raises ``OverflowError``; for the codes
+        ``array`` lacks, ``struct`` raises or, for a negative ``'P'``, wraps)."""
+        element = self.ELEMENTS[code]
+        if code in "nNP":
+            def holds(value):
+                try:
+                    return struct.unpack(code, struct.pack(code, value)) == (value,)
+                except struct.error:
+                    return False
+
+            assert holds(element.min) and holds(element.max)
+            assert not holds(element.min - 1) and not holds(element.max + 1)
+        else:
+            assert array(code, [element.min, element.max]).tolist() == [element.min, element.max]
+            for past in (element.min - 1, element.max + 1):
+                with pytest.raises(OverflowError):
+                    array(code, [past])
+
+    def test_floats_bytes_and_bools(self):
+        assert self.ELEMENTS["f"] is F32 and self.ELEMENTS["d"] is F64
+        assert self.ELEMENTS["c"] is None and self.ELEMENTS["?"] is None
+
+    def test_rows(self):
+        element = {cls: row[2] for cls, row in rangealg._STORES.items()}
+        assert element[bytearray](bytearray(3)) is U8
+        assert element[list]([1, 2]) is None and element[Buffer](Buffer(int, 1024)) is None
+        for code in "bBhHiIlLqQfd":
+            assert element[array](array(code)) is self.ELEMENTS[code]
+            assert element[memoryview](memoryview(array(code))) is element[array](array(code))
+        assert element[memoryview](memoryview(array("i")).cast("B").cast("@i")) is self.ELEMENTS["i"]
+        assert element[memoryview](memoryview(bytearray(8)).cast("B", (2, 4))) is None
+        assert element[memoryview](memoryview(b"ab").cast("c")) is None
 
 
 class TestCountingSort:
@@ -593,6 +660,19 @@ class TestCountingSort:
 
         real_host_sort = rangealg._host_sort
         monkeypatch.setattr(rangealg, "_host_sort", host_sort)
+        return lengths
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The windows the counting gate scanned element by element (``all``)."""
+        lengths = []
+
+        def scan(items):
+            items = list(items)
+            lengths.append(len(items))
+            return all(items)
+
+        monkeypatch.setattr(rangealg, "all", scan, raising=False)
         return lengths
 
     @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
@@ -667,26 +747,31 @@ class TestCountingSort:
         assert list(map(type, store[5:self.N + 5])) == list(map(type, expected))
 
     @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
-    @pytest.mark.parametrize("code", sorted(rangealg._INT_CODES))
-    def test_every_integer_typecode(self, code, pred, compared):
-        """An integer ``array`` window of values in range(256) that its code
-        holds is counted and packed from the code's raw items: it equals
-        ``sorted()`` of a copy, and the store keeps its typecode and length.
-        A negative value, or one of 256 and up, makes it compared."""
+    @pytest.mark.parametrize("kind, code", [("array", c) for c in "bBhHiIlLqQ"]
+                             + [("memoryview", c) for c in INT_CODES])
+    def test_every_integer_typecode(self, kind, code, pred, compared, scans):
+        """An integer ``array`` or 1-D ``memoryview`` holds only exact ints, so
+        a window of values in range(256) that its code holds is counted with no
+        identity scan and packed from raw items of the code's size: it equals
+        ``sorted()`` of a copy, and the store keeps its code and length.  A
+        negative value, or one of 256 and up, makes it compared."""
         rng = random.Random(code)
-        least, greatest = _array_limits(code)
+        least, greatest = _limits(code)
         for odd in (None, -1, 256, least, greatest):
             if odd is not None and (0 <= odd < 256 or not least <= odd <= greatest):
                 continue
             data = [rng.randint(0, min(greatest, 255)) for _ in range(rng.randint(self.N + 3, 1300))]
             if odd is not None:
                 data[rng.randrange(3, len(data))] = odd
-            store = array(code, data)
+            store = array(code, data) if kind == "array" else _view(code, data)
             compared.clear()
             assert sort(Span(store, 3, len(data)), pred) == (SortPath.RANDOM_ACCESS, len(data) - 3)
-            assert store.typecode == code and len(store) == len(data)
+            assert (store.typecode if kind == "array" else store.format) == code and len(store) == len(data)
             assert store.tolist() == data[:3] + sorted(data[3:], reverse=pred is greater)
             assert compared == ([] if odd is None else [len(data) - 3])
+        assert scans == []
+        sort(list(range(256)) * 4, pred)  # an untyped window of the same ints is scanned
+        assert scans == [1024]
 
     @pytest.mark.parametrize("length", [1034, 2048])
     def test_registered_store_whose_length_overstates(self, length, registry):
@@ -722,8 +807,9 @@ class TestCountingSort:
         "LinkedList": (LinkedList, None),
         "bytearray": (lambda d: Span(bytearray(d)), (0, 255)),
         "memoryview": (lambda d: Span(memoryview(bytearray(d))), (0, 255)),
-        **{f"array {code!r}": (lambda d, code=code: Span(array(code, d)), _array_limits(code))
+        **{f"array {code!r}": (lambda d, code=code: Span(array(code, d)), _limits(code))
            for code in "bBhHiIlLqQ"},
+        **{f"memoryview {code!r}": (lambda d, code=code: Span(_view(code, d)), _limits(code)) for code in "hnP"},
     }
 
     @settings(max_examples=40, deadline=None)
