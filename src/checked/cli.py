@@ -260,10 +260,10 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "sorted(data)",
     ),
     # 4096 seeded random values in range(256), as `views` draws a window's:
-    # the list is scanned for exact ints, counted, and its counts' keys checked.
+    # the list is proved exact ints by one marshal dump, then counted as bytes.
     "sort-ints": (_RANDOM_BYTES_LIST, "sort(Span(list(data)))", "sorted(data)"),
-    # The same list ending in 256: the gate's worst case, the scan and the
-    # count of every element before the comparison sort runs.
+    # The same list ending in 256: the dump's last record has a nonzero high
+    # byte, so the proof fails after the whole dump and the comparison sort runs.
     "sort-wide": (_RANDOM_BYTES_LIST + "\ndata[-1] = 256", "sort(Span(list(data)))", "sorted(data)"),
     # The same values in an array('i'), as `views` sorts one window in five:
     # its type proves exact ints, it is counted and packed from raw 'i' items.
@@ -271,6 +271,9 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     # The same values in a memoryview of a bytearray: its format proves u8 elements, counted and
     # written back in one slice of raw items cast to the view's format.
     "sort-view": (_RANDOM_BYTES_LIST, "sort(Span(memoryview(bytearray(data))))", "sorted(data)"),
+    # The same list as a LinkedList, as `views` sorts every forward task: its
+    # copy is proved by one marshal dump, counted and written back.
+    "sort-linked": (_RANDOM_BYTES_LIST, "sort(LinkedList(data))", "sorted(data)"),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -17,10 +17,11 @@ declared by a ``range_category`` class attribute or inferred structurally.
 constraint set strictly contains the forward one, and reports which path
 ran.  Both paths sort a copy and write it back in one pass; under ``less``
 or ``greater``, ``_COUNT_MIN`` or more exact ints in ``range(256)`` are
-counted, not compared, proved in C by identity alone: an exact-int first
-element in range, then the store's element type (an integer one holds only
-exact ints) or ``type(v) is int`` for each, then the counts' keys; the
-result is packed from raw items of the store's item size.  Ranges satisfying
+counted, not compared, proved in C with no element's ``__eq__`` or
+``__hash__`` run: an exact-int first element in range, then the store's
+element type (an integer one holds only exact ints) and the counts' keys,
+or else one ``marshal`` dump of the window, read as bytes; the result is
+packed from raw items of the store's item size.  Ranges satisfying
 neither category, element types the predicate cannot order, a
 ``memoryview`` not 1-D of one native code, and a store no write can change
 (read-only, or with no ``__setitem__``) are rejected with
@@ -42,6 +43,7 @@ here, and a sort mutates the caller's range: don't touch it concurrently.
 from __future__ import annotations
 
 import functools
+import marshal
 import operator
 import struct
 import sys
@@ -175,11 +177,11 @@ def _memory(view: memoryview) -> memoryview:
 # Backing stores, one row per exact type: (what a span views in the store's
 # place, or None; how a sorted window is packed for one slice assignment:
 # ``list`` as it is, ``array`` in an array of the store's typecode,
-# ``memoryview`` as counted raw items cast to its format, None element by
-# element; ``element(store)``, the elements' NumType, or None for any
-# objects).  A store with a row is read in one slice.  A Span over an exact
-# Buffer views its list (a Span.unchecked slices through it), one over a
-# memoryview the view once its shape passes.  Immutable str/bytes/tuple have no row.
+# ``memoryview`` as raw items cast to its format, None element by element;
+# ``element(store)``, the elements' NumType, or None for any objects).  A
+# store with a row is read in one slice.  A Span over an exact Buffer views
+# its list (a Span.unchecked slices through it), one over a memoryview the
+# view once its shape passes.  Immutable str/bytes/tuple have no row.
 _NO_ROW = (None, None, lambda store: None)
 _STORES: dict = {list: (None, list, _NO_ROW[2]), bytearray: (None, list, lambda store: U8),
                  array: (None, array, lambda store: _ELEMENTS.get(store.typecode)),
@@ -398,21 +400,26 @@ def _require_writable(store) -> None:
 
 
 def _counted(store, buf: list, pred: Callable) -> Optional[list]:
-    """How often each byte value is in ``buf`` (read out of ``store``), in ``pred``'s
-    order, or None to compare ``buf``.  The proof runs in the module docstring's
-    order and tests types by identity, so no ``__hash__`` or ``__eq__`` of an element
-    or its class runs: a ``bool``, an ``IntEnum`` member or an int subclass makes the
-    window compared, its types kept.  ``Counter`` then counts exact ints."""
+    """How often each byte value is in ``buf`` (read out of ``store``), in ``pred``'s order, or
+    None to compare ``buf``, its types kept.  ``marshal`` version 2 proves a window of any objects:
+    it writes an exact int of i32, and nothing else, as ``i`` and 4 little-endian bytes, with no
+    back-reference and no element's ``__eq__``, ``__hash__`` or ``__index__`` run."""
     if len(buf) < _COUNT_MIN or not (pred is less or pred is greater):
         return None
+    if not (type(buf[0]) is int and -1 < buf[0] < 256):  # O(1): a wide window fails fast
+        return None
     element = _STORES.get(type(store), _NO_ROW)[2](store)
-    if not (type(buf[0]) is int and -1 < buf[0] < 256 and (  # O(1): a wide window fails fast
-            element is not None and element.min is not None  # an integer element: only exact ints
-            or all(map(operator.is_, map(type, buf), repeat(int))))):
-        return None
-    counts = Counter(buf)  # of exact ints, so only their range is left to check
-    if not counts.keys() <= _BYTE_VALUES:
-        return None
+    if element is not None and element.min is not None:  # an integer element: only exact ints
+        if not (counts := Counter(buf)).keys() <= _BYTE_VALUES:
+            return None
+    else:  # n records ``i`` whose top three bytes are 0 are n exact ints in range(256)
+        try:
+            raw, n = marshal.dumps(buf, 2), len(buf)
+        except ValueError:  # an int subclass, an IntEnum member, a cycle
+            return None
+        if raw[5::5] != b"i" * n or not raw[7::5] == raw[8::5] == raw[9::5] == bytes(n):
+            return None
+        counts = Counter(raw[6::5])  # the window as bytes
     return list(map(counts.get, _ORDERS[pred is greater], repeat(0)))
 
 
@@ -438,8 +445,9 @@ def _sort_window(r, pred: Callable) -> int:
     A ``Span`` is read and written between its offset and its length, with
     no per-element check: construction proved those bounds.  The store's row
     packs the sorted window for one slice assignment (a counted one from raw
-    items of its item size, an ``array``'s or a ``memoryview``'s, else bytes);
-    without a packing, or a row, it is written back element by element.
+    items of its item size, an ``array``'s or a ``memoryview``'s, else bytes;
+    a compared ``memoryview`` one by ``struct``); without a row, it is written
+    back element by element.
     """
     if isinstance(r, Span):
         store, lo, n = r._storage, r._offset, r._length
@@ -454,8 +462,9 @@ def _sort_window(r, pred: Callable) -> int:
         store[lo:lo + n] = buf
     elif pack is array:
         store[lo:lo + n] = array(store.typecode, buf)
-    elif pack is memoryview and type(buf) is bytes:  # counted: raw items of the view's format
-        store[lo:lo + n] = memoryview(buf).cast(store.format)
+    elif pack is memoryview:  # raw items of the view's format: counted, or packed by ``struct``
+        raw = buf if type(buf) is bytes else struct.pack(f"{n}{store.format.lstrip('@')}", *buf)
+        store[lo:lo + n] = memoryview(raw).cast(store.format)
     else:
         for i, v in enumerate(buf, lo):
             store[i] = v
@@ -548,7 +557,7 @@ class LinkedList:
 
         A live iterator raises ``RuntimeError`` afterwards, as after ``append``.
         """
-        values = list(values)
+        values = values if type(values) is list else list(values)
         if len(values) != len(self._items):
             raise ValueError(f"expected {len(self._items)} values, got {len(values)}")
         self._items.clear()

@@ -5,7 +5,7 @@ from array import array
 
 import pytest
 
-from checked import cli, less, rangealg
+from checked import LinkedList, cli, less, rangealg
 from checked.cli import BENCH_CSV_HEADER, BENCH_SCENARIOS, main, run_bench
 from checked.demos import DEMO_NAMES, demo_cases, run_demo
 from checked.narrowing import I32, ConstraintError, NarrowError
@@ -91,16 +91,19 @@ class TestBench:
         assert scenario == "raw-arith" and int(iters) == 10000
         assert float(ns) > 0 and float(baseline) > 0
 
-    SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide", "sort-array", "sort-view")  # a 4096-element sort each
+    # a 4096-element sort each
+    SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide", "sort-array", "sort-view", "sort-linked")
 
     @pytest.mark.parametrize("scenario, store, counted", [("sort-ints", list, True), ("sort-wide", list, False),
                                                           ("sort-array", lambda d: array("i", d), True),
-                                                          ("sort-view", lambda d: memoryview(bytearray(d)), True)])
+                                                          ("sort-view", lambda d: memoryview(bytearray(d)), True),
+                                                          ("sort-linked", LinkedList, True)])
     def test_sort_scenarios_take_their_paths(self, scenario, store, counted):
-        """`sort-ints` sorts a list by counting, `sort-wide`, whose last
-        element is 256, fails the gate at its counts' keys and is compared,
-        and `sort-array` and `sort-view` count an `array('i')` and a
-        `memoryview` of a `bytearray`, proved by their element types."""
+        """`sort-ints` and `sort-linked` sort a list and a `LinkedList` by
+        counting, `sort-wide`, whose last element is 256, fails the gate at
+        its dump's last record and is compared, and `sort-array` and
+        `sort-view` count an `array('i')` and a `memoryview` of a
+        `bytearray`, proved by their element types."""
         space = {}
         exec(cli._BENCHES[scenario][0], space)
         data = space["data"]
@@ -113,7 +116,7 @@ class TestBench:
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
                      "span-nested", "record-register", "convert-refused", "sort-bytes", "sort-ints",
-                     "sort-wide", "sort-array", "sort-view")
+                     "sort-wide", "sort-array", "sort-view", "sort-linked")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             iters = 200 if scenario in self.SORTS_4096 else 20000

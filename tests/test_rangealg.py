@@ -5,6 +5,7 @@ import struct
 from array import array
 from collections import Counter
 from enum import IntEnum
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -664,15 +665,15 @@ class TestCountingSort:
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        """The windows the counting gate scanned element by element (``all``)."""
+        """The windows the counting gate proved by a ``marshal`` dump."""
         lengths = []
 
-        def scan(items):
-            items = list(items)
+        def dumps(items, version):
             lengths.append(len(items))
-            return all(items)
+            return real_dumps(items, version)
 
-        monkeypatch.setattr(rangealg, "all", scan, raising=False)
+        real_dumps = rangealg.marshal.dumps
+        monkeypatch.setattr(rangealg, "marshal", SimpleNamespace(dumps=dumps))
         return lengths
 
     @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
@@ -735,8 +736,9 @@ class TestCountingSort:
         (lambda d: d[:500] + [1.0] + d[501:], greater),
         (lambda d: d[:500] + [_UnhashableClassInt(1)] + d[501:], less),
         (lambda d: d[:500] + [_IntEqualClassInt(1)] + d[501:], greater),
+        (lambda d: d[:500] + [True, 0.0] + d[502:], less),  # records of 1 and 9 bytes: two of 5 in all
     ], ids=["custom-pred", "array-b", "array-i-256", "list-negative", "bool", "IntEnum", "int-subclass",
-            "float", "unhashable-class", "int-equal-class"])
+            "float", "unhashable-class", "int-equal-class", "bool-then-float"])
     def test_other_windows_are_compared(self, make, pred, compared):
         rng = random.Random(9)
         data = [rng.randrange(256) for _ in range(self.N + 10)]
@@ -746,13 +748,90 @@ class TestCountingSort:
         assert list(store[5:self.N + 5]) == expected and compared == [self.N]
         assert list(map(type, store[5:self.N + 5])) == list(map(type, expected))
 
+    def test_gate_runs_no_method_of_an_element_or_its_class(self, compared):
+        """An int subclass and its metaclass record each ``__eq__``, ``__hash__``
+        and ``__index__`` call: the gate makes none, and the window, in place or
+        forward, is compared with its types kept."""
+        calls = []
+
+        class Meta(type):
+            def __eq__(cls, other):
+                calls.append("type.__eq__")
+                return other is int or cls is other
+
+            def __hash__(cls):
+                calls.append("type.__hash__")
+                return hash(int)
+
+        class Recording(int, metaclass=Meta):
+            def __eq__(self, other):
+                calls.append("__eq__")
+                return int(self) == other
+
+            def __hash__(self):
+                calls.append("__hash__")
+                return int.__hash__(self)
+
+            def __index__(self):
+                calls.append("__index__")
+                return int(self)
+
+        data = list(range(256)) * 4 + [7] * 10
+        data[500] = Recording(1)
+        expected = sorted(data[5:self.N + 5])
+        for r in (Span(list(data), 5, self.N + 5), LinkedList(data[5:self.N + 5])):
+            sort(r, less)
+            assert list(r) == expected and list(map(type, r)) == list(map(type, expected))
+        assert calls == [] and compared == [self.N, self.N]
+
+    _CYCLE = [1]
+    _CYCLE.append(_CYCLE)
+
+    @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
+    @pytest.mark.parametrize("odd", [_CYCLE, b"i\0\0\0"], ids=["self-referential-list", "bytes-i000"])
+    def test_windows_that_marshal_oddly_are_refused(self, odd, pred, compared):
+        """A self-referential list makes the dump raise; a ``bytes`` element that
+        reads as an int record shifts every record after it.  Neither window is
+        counted: an int cannot be compared with either, so both sorts refuse it
+        with ``ConstraintError`` and leave it as it was."""
+        data = list(range(256)) * 4 + [7] * 10
+        data[500] = odd
+        for r in (Span(list(data), 5, self.N + 5), LinkedList(data[5:self.N + 5])):
+            with pytest.raises(ConstraintError, match="not ordered by the sort predicate"):
+                sort(r, pred)
+            assert list(r) == data[5:self.N + 5]
+        assert compared == [self.N, self.N]
+
+    @pytest.mark.parametrize("code", INT_CODES + "fdc?")
+    def test_compared_memoryview_windows(self, code, compared):
+        """A compared window of a 1-D memoryview of each format (under
+        ``_COUNT_MIN``, under a custom predicate, or holding a value outside
+        range(256) or no exact int) is packed by ``struct`` into one slice: it
+        equals ``sorted()`` of a copy, and the store keeps its format and length."""
+        rng = random.Random(code)
+        least, greatest = _limits(code) if code in INT_CODES else (-300, 600)
+        draw = {"c": lambda: bytes([rng.randrange(256)]), "?": lambda: rng.random() < 0.5,
+                "f": lambda: rng.randint(-300, 600) / 4, "d": lambda: rng.randint(-300, 600) / 4}.get(
+            code, lambda: rng.randint(max(least, -300), min(greatest, 600)))
+        ways = [(self.N - 1, less), (self.N + 5, lambda a, b: a > b)] + [(self.N + 5, greater)] * (code != "B")
+        for n, pred in ways:
+            data = [draw() for _ in range(n + 3)]
+            if code in INT_CODES and pred is greater:
+                data[-1] = least if least < 0 else greatest  # outside range(256)
+            store = _view(code, data)
+            compared.clear()
+            assert sort(Span(store, 3, n + 3), pred) == (SortPath.RANDOM_ACCESS, n)
+            assert store.format == code and len(store) == n + 3
+            assert store.tolist() == data[:3] + sorted(data[3:], reverse=pred is not less)
+            assert compared == [n]
+
     @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
     @pytest.mark.parametrize("kind, code", [("array", c) for c in "bBhHiIlLqQ"]
                              + [("memoryview", c) for c in INT_CODES])
     def test_every_integer_typecode(self, kind, code, pred, compared, scans):
         """An integer ``array`` or 1-D ``memoryview`` holds only exact ints, so
         a window of values in range(256) that its code holds is counted with no
-        identity scan and packed from raw items of the code's size: it equals
+        ``marshal`` dump and packed from raw items of the code's size: it equals
         ``sorted()`` of a copy, and the store keeps its code and length.  A
         negative value, or one of 256 and up, makes it compared."""
         rng = random.Random(code)
@@ -770,7 +849,7 @@ class TestCountingSort:
             assert store.tolist() == data[:3] + sorted(data[3:], reverse=pred is greater)
             assert compared == ([] if odd is None else [len(data) - 3])
         assert scans == []
-        sort(list(range(256)) * 4, pred)  # an untyped window of the same ints is scanned
+        sort(list(range(256)) * 4, pred)  # an untyped window of the same ints is dumped
         assert scans == [1024]
 
     @pytest.mark.parametrize("length", [1034, 2048])
