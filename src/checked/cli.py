@@ -260,10 +260,10 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
         "sorted(data)",
     ),
     # 4096 seeded random values in range(256), as `views` draws a window's:
-    # the list is proved exact ints by one marshal dump, then counted as bytes.
+    # `bytes` of the list and one marshal dump prove it exact ints, then it is counted.
     "sort-ints": (_RANDOM_BYTES_LIST, "sort(Span(list(data)))", "sorted(data)"),
-    # The same list ending in 256: the dump's last record has a nonzero high
-    # byte, so the proof fails after the whole dump and the comparison sort runs.
+    # The same list ending in 256: `bytes` of it stops at that last element,
+    # after a pass over the whole window, and the comparison sort runs.
     "sort-wide": (_RANDOM_BYTES_LIST + "\ndata[-1] = 256", "sort(Span(list(data)))", "sorted(data)"),
     # The same values in an array('i'), as `views` sorts one window in five:
     # its type proves exact ints, it is counted and packed from raw 'i' items.
@@ -272,7 +272,7 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     # written back in one slice of raw items cast to the view's format.
     "sort-view": (_RANDOM_BYTES_LIST, "sort(Span(memoryview(bytearray(data))))", "sorted(data)"),
     # The same list as a LinkedList, as `views` sorts every forward task: its
-    # copy is proved by one marshal dump, counted and written back.
+    # copy is proved by `bytes` of it and one marshal dump, counted and written back.
     "sort-linked": (_RANDOM_BYTES_LIST, "sort(LinkedList(data))", "sorted(data)"),
 }
 

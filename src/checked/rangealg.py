@@ -20,8 +20,9 @@ or ``greater``, ``_COUNT_MIN`` or more exact ints in ``range(256)`` are
 counted, not compared, proved in C with no element's ``__eq__`` or
 ``__hash__`` run: an exact-int first element in range, then the store's
 element type (an integer one holds only exact ints) and the counts' keys,
-or else one ``marshal`` dump of the window, read as bytes; the result is
-packed from raw items of the store's item size.  Ranges satisfying
+or ``bytes`` of the window and one ``marshal`` dump of it (a non-int's
+``__index__`` may run, and from 3.12 an element's ``__buffer__``); the
+result is packed from raw items of the store's item size.  Ranges satisfying
 neither category, element types the predicate cannot order, a
 ``memoryview`` not 1-D of one native code, and a store no write can change
 (read-only, or with no ``__setitem__``) are rejected with
@@ -400,10 +401,11 @@ def _require_writable(store) -> None:
 
 
 def _counted(store, buf: list, pred: Callable) -> Optional[list]:
-    """How often each byte value is in ``buf`` (read out of ``store``), in ``pred``'s order, or
-    None to compare ``buf``, its types kept.  ``marshal`` version 2 proves a window of any objects:
-    it writes an exact int of i32, and nothing else, as ``i`` and 4 little-endian bytes, with no
-    back-reference and no element's ``__eq__``, ``__hash__`` or ``__index__`` run."""
+    """How often each byte value is in ``buf`` (read out of ``store``), in ``pred``'s order, or None
+    to compare ``buf``, its types kept.  ``bytes(buf)`` stops at the first element not an int in
+    range(256), so a ``marshal`` version 2 dump after it nests nothing: it writes an exact int as ``i``
+    and 4 bytes, any other object with another first byte, so ``n`` 5-byte slots all starting ``i``
+    are ``n`` exact ints.  Only a non-int's ``__index__``, and from 3.12 a ``__buffer__``, may run."""
     if len(buf) < _COUNT_MIN or not (pred is less or pred is greater):
         return None
     if not (type(buf[0]) is int and -1 < buf[0] < 256):  # O(1): a wide window fails fast
@@ -412,14 +414,14 @@ def _counted(store, buf: list, pred: Callable) -> Optional[list]:
     if element is not None and element.min is not None:  # an integer element: only exact ints
         if not (counts := Counter(buf)).keys() <= _BYTE_VALUES:
             return None
-    else:  # n records ``i`` whose top three bytes are 0 are n exact ints in range(256)
+    else:
         try:
-            raw, n = marshal.dumps(buf, 2), len(buf)
-        except ValueError:  # an int subclass, an IntEnum member, a cycle
+            window, raw = bytes(buf), marshal.dumps(buf, 2)
+        except Exception:  # a non-int, a value out of range, an int subclass, or what ``__index__`` raised
             return None
-        if raw[5::5] != b"i" * n or not raw[7::5] == raw[8::5] == raw[9::5] == bytes(n):
+        if raw[5::5] != b"i" * len(buf):  # the first record not of an exact int starts a slot
             return None
-        counts = Counter(raw[6::5])  # the window as bytes
+        counts = Counter(window)
     return list(map(counts.get, _ORDERS[pred is greater], repeat(0)))
 
 

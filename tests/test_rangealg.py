@@ -2,6 +2,7 @@ import ctypes
 import operator
 import random
 import struct
+import sys
 from array import array
 from collections import Counter
 from enum import IntEnum
@@ -736,7 +737,7 @@ class TestCountingSort:
         (lambda d: d[:500] + [1.0] + d[501:], greater),
         (lambda d: d[:500] + [_UnhashableClassInt(1)] + d[501:], less),
         (lambda d: d[:500] + [_IntEqualClassInt(1)] + d[501:], greater),
-        (lambda d: d[:500] + [True, 0.0] + d[502:], less),  # records of 1 and 9 bytes: two of 5 in all
+        (lambda d: d[:500] + [True, 0.0] + d[502:], less),  # ``bytes`` stops at the float
     ], ids=["custom-pred", "array-b", "array-i-256", "list-negative", "bool", "IntEnum", "int-subclass",
             "float", "unhashable-class", "int-equal-class", "bool-then-float"])
     def test_other_windows_are_compared(self, make, pred, compared):
@@ -789,18 +790,84 @@ class TestCountingSort:
 
     @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
     @pytest.mark.parametrize("odd", [_CYCLE, b"i\0\0\0"], ids=["self-referential-list", "bytes-i000"])
-    def test_windows_that_marshal_oddly_are_refused(self, odd, pred, compared):
-        """A self-referential list makes the dump raise; a ``bytes`` element that
-        reads as an int record shifts every record after it.  Neither window is
-        counted: an int cannot be compared with either, so both sorts refuse it
-        with ``ConstraintError`` and leave it as it was."""
+    def test_windows_that_marshal_oddly_are_refused(self, odd, pred, compared, scans):
+        """A self-referential list would make the dump raise, and a ``bytes``
+        element that reads as an int record would shift every record after it;
+        ``bytes`` of the window stops at either, so neither is dumped or
+        counted.  An int cannot be compared with either, so both sorts refuse
+        the window with ``ConstraintError`` and leave it as it was."""
         data = list(range(256)) * 4 + [7] * 10
         data[500] = odd
         for r in (Span(list(data), 5, self.N + 5), LinkedList(data[5:self.N + 5])):
             with pytest.raises(ConstraintError, match="not ordered by the sort predicate"):
                 sort(r, pred)
             assert list(r) == data[5:self.N + 5]
+        assert compared == [self.N, self.N] and scans == []
+
+    def test_nothing_nested_or_large_is_dumped(self, compared, scans):
+        """``bytes`` of the window stops at the first element not an int in
+        range(256), before the dump: a window ending in 2**16 references to one
+        ``[0]`` through a chain of shared pairs is refused with
+        ``ConstraintError`` and left as it was, and a window of one large int
+        repeated is compared; neither is dumped, on either sort path."""
+        shared = [0]
+        for _ in range(16):
+            shared = [shared, shared]
+        nested = [0] * (self.N - 1) + [shared]
+        for r in (Span(list(nested)), LinkedList(nested)):
+            with pytest.raises(ConstraintError, match="not ordered by the sort predicate"):
+                sort(r)
+            assert list(r) == nested
+        large = [0] + [10 ** 400] * self.N
+        for r in (Span(list(large)), LinkedList(large)):
+            sort(r, greater)
+            assert list(r) == large[1:] + [0]
+        assert scans == [] and compared == [self.N] * 2 + [self.N + 1] * 2
+
+    def test_what_an_index_raises_makes_the_window_compared(self, compared):
+        """``bytes`` of the window runs a non-int element's ``__index__``: what
+        it raises, whatever its type, makes the window compared, in place and
+        forward, with its types kept."""
+        class Indexed:  # ordered among ints by its value
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                raise RuntimeError("no index")
+
+            def __lt__(self, other):
+                return self.value < other
+
+            def __gt__(self, other):
+                return self.value > other
+
+        data = list(range(256)) * 4 + [7] * 10
+        data[500] = odd = Indexed(100)
+        expected = sorted(data[5:self.N + 5], reverse=True)
+        for r in (Span(list(data), 5, self.N + 5), LinkedList(data[5:self.N + 5])):
+            sort(r, greater)
+            assert list(r) == expected and list(r).count(odd) == 1
         assert compared == [self.N, self.N]
+
+    def test_dump_runs_an_int_subclass_buffer_from_3_12(self, compared):
+        """From Python 3.12 ``marshal`` writes an object defining ``__buffer__``
+        (PEP 688) as that buffer's bytes, so the dump runs an int subclass's
+        ``__buffer__`` once; earlier, it refuses the subclass without running
+        it.  Either way the subclass's slot does not start with ``i``, and the
+        window is compared with its types kept."""
+        calls = []
+
+        class Buffered(int):
+            def __buffer__(self, flags):
+                calls.append(flags)
+                return memoryview(b"")
+
+        data = list(range(256)) * 4 + [7] * 10
+        data[500] = Buffered(1)
+        expected = sorted(data[5:self.N + 5])
+        sort(r := Span(list(data), 5, self.N + 5))
+        assert list(r) == expected and list(map(type, r)) == list(map(type, expected))
+        assert len(calls) == (sys.version_info >= (3, 12)) and compared == [self.N]
 
     @pytest.mark.parametrize("code", INT_CODES + "fdc?")
     def test_compared_memoryview_windows(self, code, compared):
