@@ -13,6 +13,12 @@ Verbs:
   ``--json`` reports, the relative change of its fastest loop, and both
   ``ratio_median`` readings (``n/a`` in a report that has none); a
   scenario missing from either file is marked.  It only reports.
+* ``bench diff --src OLD_SRC SCENARIO... [--iters N] [--repeat K]``: time
+  each scenario's statement under this package and under the ``checked``
+  package in ``OLD_SRC`` (imported in the same process under another name),
+  in K rounds that alternate which tree runs first; CSV of the median
+  new/old ratio of the rounds, its quartiles, and the rounds the new tree
+  won.
 * ``demo WHICH``: run a scripted transcript against its recorded
   expectations.
 * ``layout NAME``: print a registered record's member descriptors.
@@ -28,6 +34,8 @@ collector is paused while timing.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import platform
 import statistics
@@ -160,7 +168,8 @@ _PLAIN_OFFSETS = (
     "x = (layout, (offset + alignment - 1) // alignment * alignment)"
 )
 
-_RANDOM_BYTES_LIST = "import random\nrng = random.Random(4096)\ndata = [rng.randrange(256) for _ in range(4096)]"
+_RANDOM_BYTES = "import random\nrng = random.Random({0})\ndata = [rng.randrange(256) for _ in range({0})]"
+_RANDOM_BYTES_LIST = _RANDOM_BYTES.format(4096)
 
 # Per scenario: the set-up, the measured statement and the baseline statement
 # (None: the measured time is its own baseline), run in this module's globals.
@@ -274,6 +283,10 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     # The same list as a LinkedList, as `views` sorts every forward task: its
     # copy is proved by `bytes` of it and one marshal dump, counted and written back.
     "sort-linked": (_RANDOM_BYTES_LIST, "sort(LinkedList(data))", "sorted(data)"),
+    # 600 seeded random values in range(256) in an array('i'): under the counting threshold, so the
+    # window is compared and packed back from raw 'i' items by ``struct``.
+    "sort-array-compared": (_RANDOM_BYTES.format(600) + "\nfrom array import array",
+                            "sort(Span(array('i', data)))", "sorted(data)"),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)
@@ -379,6 +392,55 @@ def cmd_bench_diff(old_path: str, new_path: str) -> int:
     return 0
 
 
+BENCH_SRC_DIFF_CSV_HEADER = "scenario,iters,rounds,ratio_median,ratio_q1,ratio_q3,rounds_won"
+_OLD_TREE = "_checked_old"  # the package name the other tree is imported under
+
+
+def _load_tree(src: str) -> dict:
+    """The globals of the ``cli`` module of the ``checked`` package in the directory ``src``,
+    imported afresh under ``_OLD_TREE``: the names each bench statement binds, from that tree."""
+    package = Path(src) / "checked"
+    if not (package / "__init__.py").is_file():
+        raise ValueError(f"no checked package in {src}")
+    for name in [name for name in sys.modules if name.partition(".")[0] == _OLD_TREE]:
+        del sys.modules[name]
+    spec = importlib.util.spec_from_file_location(_OLD_TREE, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = sys.modules[_OLD_TREE] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return vars(importlib.import_module(f"{_OLD_TREE}.cli"))
+
+
+def _paired_ratios(scenario: str, iters: int, repeat: int, old: dict) -> list[float]:
+    """New over old ns of ``scenario``'s statement, one per round; the tree that runs first
+    alternates, so a drift of the host's speed falls on both alike."""
+    setup, statement, _ = _BENCHES[scenario]
+    timers = [timeit.Timer(statement, setup, globals=space) for space in (globals(), old)]
+    ratios = []
+    for k in range(repeat):
+        ns = {tree: timers[tree].timeit(iters) for tree in ((0, 1), (1, 0))[k % 2]}
+        ratios.append(ns[0] / ns[1])
+    return ratios
+
+
+def cmd_bench_diff_src(src: str, scenarios: list[str], iters: int, repeat: int) -> int:
+    try:
+        old = _load_tree(src)
+    except (ValueError, ImportError) as exc:
+        return _usage_error(str(exc))
+    print(BENCH_SRC_DIFF_CSV_HEADER)
+    for name in scenarios:
+        try:
+            ratios = _paired_ratios(name, iters, repeat, old)
+        except NameError as exc:  # this tree's statement names what the other tree's cli lacks
+            return _usage_error(f"{name} does not run on the tree in {src}: {exc}")
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if repeat > 1 else ratios * 3
+        won = sum(ratio < 1 for ratio in ratios)
+        print(format_render("{},{},{},{},{},{},{}", name, iters, repeat,
+                            f"{median:.3f}", f"{q1:.3f}", f"{q3:.3f}", won))
+    return 0
+
+
 # --- demo and layout ---------------------------------------------------------
 
 def cmd_demo(which: str) -> int:
@@ -430,8 +492,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="time a checked path against its baseline")
     bench.add_argument("scenario", choices=BENCH_SCENARIOS + ("all", "diff"))
     bench.add_argument("reports", nargs="*", metavar="REPORT", help="diff only: OLD.json NEW.json")
+    bench.add_argument("--src", nargs="+", metavar=("OLD_SRC", "SCENARIO"),
+                       help="diff only: time these scenarios against the checked package in OLD_SRC")
     bench.add_argument("--iters", type=int, default=1_000_000)
-    bench.add_argument("--repeat", type=int, default=1, help="rounds of statement then baseline; rows report the fastest")
+    bench.add_argument("--repeat", type=int, default=1,
+                       help="rounds of statement then baseline, or with --src of both trees; rows report the fastest")
     bench.add_argument("--json", metavar="PATH", help="also write min and median ns and ratios here")
 
     demo = sub.add_parser("demo", help="run a scripted transcript")
@@ -450,6 +515,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_narrow_check(args.from_type, args.to_type, args.value)
         return cmd_narrow_table()
     if args.command == "bench":
+        if args.scenario != "diff" and args.src is not None:
+            return _usage_error("--src is for bench diff")
+        if args.scenario == "diff" and args.src is not None:
+            src, *scenarios = args.src + args.reports
+            unknown = [name for name in scenarios if name not in BENCH_SCENARIOS]
+            if not scenarios or unknown:
+                listed = " ".join(unknown) or "none"
+                return _usage_error(f"bench diff --src OLD_SRC takes scenarios, not: {listed}")
+            if args.iters <= 0 or args.repeat <= 0:
+                return _usage_error("--iters and --repeat must be positive")
+            return cmd_bench_diff_src(src, scenarios, args.iters, args.repeat)
         if args.scenario == "diff":
             if len(args.reports) != 2:
                 return _usage_error("bench diff takes two reports: OLD.json NEW.json")

@@ -15,15 +15,17 @@ plus a length) or forward (repeatable iteration plus an ordered write-back),
 declared by a ``range_category`` class attribute or inferred structurally.
 ``sort`` picks the random-access path whenever it applies, because that
 constraint set strictly contains the forward one, and reports which path
-ran.  Both paths sort a copy and write it back in one pass; under ``less``
-or ``greater``, ``_COUNT_MIN`` or more exact ints in ``range(256)`` are
-counted, not compared, proved in C with no element's ``__eq__`` or
-``__hash__`` run: an exact-int first element in range, then the store's
-element type (an integer one holds only exact ints) and the counts' keys,
-or ``bytes`` of the window and one ``marshal`` dump of it (a non-int's
-``__index__`` may run, and from 3.12 an element's ``__buffer__``); the
-result is packed from raw items of the store's item size.  Ranges satisfying
-neither category, element types the predicate cannot order, a
+ran.  Both paths read the window as its store slices it, sort it apart
+from the store and write it back in one pass; only a compared window is
+copied into a ``list``.  Under ``less`` or ``greater``, ``_COUNT_MIN`` or
+more exact ints in ``range(256)`` are counted, not compared, proved in C
+with no element's ``__eq__`` or ``__hash__`` run: an exact-int first element
+in range, then the store's element type (an integer one holds only exact
+ints) and the counts' keys, or ``bytes`` of the window and one ``marshal``
+dump of it (a non-int's ``__index__`` may run, and from 3.12 an element's
+``__buffer__``); the result is packed from raw items of the store's item
+size, as a compared ``array``'s or ``memoryview``'s is by ``struct``.
+Ranges satisfying neither category, element types the predicate cannot order, a
 ``memoryview`` not 1-D of one native code, and a store no write can change
 (read-only, or with no ``__setitem__``) are rejected with
 ``ConstraintError`` before anything is touched.  A ``Span`` write checks
@@ -326,6 +328,9 @@ class Span:
 
 # Iterable but unsortable: mappings and sets have no element order, the rest are immutable.
 _NOT_RANGES = (dict, set, frozenset, str, bytes, tuple, range)
+# Bound once for the sort path: before 3.12 an enum member load costs about 100-200 ns.
+_RANDOM_ACCESS, _FORWARD = RangeCategory.RANDOM_ACCESS, RangeCategory.FORWARD
+_IN_PLACE, _COPIED = SortPath.RANDOM_ACCESS, SortPath.FORWARD_COPY
 
 
 def category_of(r) -> Optional[RangeCategory]:
@@ -338,7 +343,7 @@ def category_of(r) -> Optional[RangeCategory]:
     """
     cls = type(r)
     if cls is Span or cls in _STORES:  # subclasses take the probes below
-        return RangeCategory.RANDOM_ACCESS
+        return _RANDOM_ACCESS
     declared = getattr(cls, "range_category", None)
     if isinstance(declared, RangeCategory):
         return declared
@@ -377,14 +382,14 @@ def _host_sort(buf: list, pred: Callable) -> None:
         raise ConstraintError(f"elements are not ordered by the sort predicate: {exc}") from exc
 
 
-def _read_window(store, lo: int, n: int) -> list:
-    """``store[lo:lo + n]`` as a new list, in one slice if the store has a row."""
+def _read_window(store, lo: int, n: int):
+    """``store[lo:lo + n]`` as the store slices it if it has a row, else as a new list."""
     try:
         buf = store[lo:lo + n] if type(store) in _STORES else list(map(store.__getitem__, range(lo, lo + n)))
     except IndexError:  # the item access of a store whose length overstates
         buf = ()
     if len(buf) == n:  # else short: that length, a Span.unchecked, or a store that shrank since
-        return buf if type(buf) is list else list(buf)  # a slice of an array, bytearray or memoryview
+        return buf
     raise IndexError(
         f"{type(store).__name__} of length {len(store)} is too short "
         f"for {n} elements at offset {lo}"
@@ -400,13 +405,15 @@ def _require_writable(store) -> None:
         raise ConstraintError(f"{type(store).__name__} does not provide __setitem__")
 
 
-def _counted(store, buf: list, pred: Callable) -> Optional[list]:
-    """How often each byte value is in ``buf`` (read out of ``store``), in ``pred``'s order, or None
-    to compare ``buf``, its types kept.  ``bytes(buf)`` stops at the first element not an int in
-    range(256), so a ``marshal`` version 2 dump after it nests nothing: it writes an exact int as ``i``
-    and 4 bytes, any other object with another first byte, so ``n`` 5-byte slots all starting ``i``
-    are ``n`` exact ints.  Only a non-int's ``__index__``, and from 3.12 a ``__buffer__``, may run."""
-    if len(buf) < _COUNT_MIN or not (pred is less or pred is greater):
+def _counted(store, buf, pred: Callable) -> Optional[list]:
+    """How often each byte value is in ``buf``, ``_COUNT_MIN`` or more elements as ``store`` slices
+    them, in ``pred``'s order, or None to compare ``buf``, its types kept.  A window of an integer
+    element type is counted off its slice.  Any other that starts with an exact int is a list, and
+    ``bytes(buf)`` stops at its first element not an int in range(256), so a ``marshal`` version 2
+    dump after it nests nothing: it writes an exact int as ``i`` and 4 bytes, any other object with
+    another first byte, so ``n`` 5-byte slots all starting ``i`` are ``n`` exact ints.  Only a
+    non-int's ``__index__``, and from 3.12 a ``__buffer__``, may run."""
+    if not (pred is less or pred is greater):
         return None
     if not (type(buf[0]) is int and -1 < buf[0] < 256):  # O(1): a wide window fails fast
         return None
@@ -432,10 +439,11 @@ def _items(size: int, reverse: bool) -> list:
     return [k.to_bytes(size, sys.byteorder) for k in _ORDERS[reverse]]
 
 
-def _sorted(store, buf: list, pred: Callable, size: int):
-    """``buf``, read out of ``store``, sorted under ``pred``: compared in place, or, when
-    ``_counted`` counts it, joined in C as ``bytes`` of raw items of ``size`` bytes."""
-    if (counts := _counted(store, buf, pred)) is None:
+def _sorted(store, buf, pred: Callable, size: int):
+    """``buf``, a window as ``store`` slices it, sorted under ``pred``: compared in a list, the only
+    copy a typed window takes, or, when ``_counted`` counts it, joined in C as ``bytes`` of raw items."""
+    if len(buf) < _COUNT_MIN or (counts := _counted(store, buf, pred)) is None:
+        buf = buf if type(buf) is list else list(buf)
         _host_sort(buf, pred)
         return buf
     return b"".join(map(operator.mul, _items(size, pred is greater), counts))
@@ -446,30 +454,31 @@ def _sort_window(r, pred: Callable) -> int:
 
     A ``Span`` is read and written between its offset and its length, with
     no per-element check: construction proved those bounds.  The store's row
-    packs the sorted window for one slice assignment (a counted one from raw
-    items of its item size, an ``array``'s or a ``memoryview``'s, else bytes;
-    a compared ``memoryview`` one by ``struct``); without a row, it is written
-    back element by element.
+    packs the sorted window for one slice assignment (an ``array``'s or a
+    ``memoryview``'s as raw items of its code, counted or packed by ``struct``,
+    else as bytes or a list); without a row, it is written back element by
+    element.  Only such a store or a ``memoryview`` can refuse every write.
     """
     if isinstance(r, Span):
         store, lo, n = r._storage, r._offset, r._length
     else:  # a whole range, through its row's view column
         store = r if (view := _STORES.get(type(r), _NO_ROW)[0]) is None else view(r)
         lo, n = 0, len(store)
-    _require_writable(store)
     pack = _STORES.get(type(store), _NO_ROW)[1]
+    if pack is None or pack is memoryview:
+        _require_writable(store)
     size = store.itemsize if pack is array or pack is memoryview else 1
     buf = _sorted(store, _read_window(store, lo, n), pred, size)
     if pack is list:
         store[lo:lo + n] = buf
-    elif pack is array:
-        store[lo:lo + n] = array(store.typecode, buf)
-    elif pack is memoryview:  # raw items of the view's format: counted, or packed by ``struct``
-        raw = buf if type(buf) is bytes else struct.pack(f"{n}{store.format.lstrip('@')}", *buf)
-        store[lo:lo + n] = memoryview(raw).cast(store.format)
-    else:
+    elif pack is None:
         for i, v in enumerate(buf, lo):
             store[i] = v
+    else:  # an array of 'u' or 'w', which ``struct`` has no code for, takes its compared list as it is
+        code = store.typecode if pack is array else store.format.lstrip("@")
+        if type(buf) is not bytes and code in _ELEMENTS:
+            buf = struct.pack(f"{n}{code}", *buf)
+        store[lo:lo + n] = array(code, buf) if pack is array else memoryview(buf).cast(store.format)
     return n
 
 
@@ -495,7 +504,7 @@ def sort_random_access(r, pred: Callable = less) -> None:
     contract stays with the caller.  The range is sorted as a copy and
     written back in one pass, so a failing comparison leaves it untouched.
     """
-    if category_of(r) is not RangeCategory.RANDOM_ACCESS:
+    if category_of(r) is not _RANDOM_ACCESS:
         raise ConstraintError("range does not provide random access")
     _sort_window(r, pred)
 
@@ -518,11 +527,11 @@ def sort(r, pred: Callable = less) -> SortDispatchReport:
     the forward ones); otherwise the forward copy-out path runs.  A range
     satisfying neither is rejected.  The report records the decision.
     """
-    category = category_of(r)
-    if category is RangeCategory.RANDOM_ACCESS:
-        return SortDispatchReport(SortPath.RANDOM_ACCESS, _sort_window(r, pred))
-    if category is RangeCategory.FORWARD:
-        return SortDispatchReport(SortPath.FORWARD_COPY, _sort_copy(r, pred))
+    category = category_of(r)  # the report is made in C, not by ``NamedTuple``'s Python ``__new__``
+    if category is _RANDOM_ACCESS:
+        return tuple.__new__(SortDispatchReport, (_IN_PLACE, _sort_window(r, pred)))
+    if category is _FORWARD:
+        return tuple.__new__(SortDispatchReport, (_COPIED, _sort_copy(r, pred)))
     raise ConstraintError(
         f"{type(r).__name__} is neither a random-access nor a forward range"
     )

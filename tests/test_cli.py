@@ -1,7 +1,9 @@
 import gc
 import json
 import platform
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -91,8 +93,9 @@ class TestBench:
         assert scenario == "raw-arith" and int(iters) == 10000
         assert float(ns) > 0 and float(baseline) > 0
 
-    # a 4096-element sort each
-    SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide", "sort-array", "sort-view", "sort-linked")
+    # a sort of 4096 elements each, or 600
+    SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide", "sort-array", "sort-view", "sort-linked",
+                  "sort-array-compared")
 
     @pytest.mark.parametrize("scenario, store, counted", [("sort-ints", list, True), ("sort-wide", list, False),
                                                           ("sort-array", lambda d: array("i", d), True),
@@ -110,13 +113,25 @@ class TestBench:
         assert len(data) == 4096 and max(data[:-1]) < 256 and set(map(type, data)) == {int}
         assert (rangealg._counted(store(data), data, less) is not None) is counted
 
+    def test_sort_array_compared_is_under_the_counting_threshold(self, monkeypatch):
+        """`sort-array-compared` sorts 600 random bytes in an `array('i')`: too
+        few to count, so the gate is never entered and the window is compared."""
+        space = dict(vars(cli))
+        setup, statement, baseline = cli._BENCHES["sort-array-compared"]
+        exec(setup, space)
+        data = space["data"]
+        assert len(data) == 600 < rangealg._COUNT_MIN and max(data) < 256 and set(map(type, data)) == {int}
+        monkeypatch.setattr(rangealg, "_counted", lambda *args: pytest.fail("the gate was entered"))
+        exec(statement, space)
+        assert baseline == "sorted(data)"
+
     def test_all_scenarios_run(self):
         scenarios = ("convert-same", "convert-narrowable", "number-arith", "number-arith-bare", "raw-arith",
                      "span-index", "span-sort", "convert-checked", "format-render",
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
                      "span-nested", "record-register", "convert-refused", "sort-bytes", "sort-ints",
-                     "sort-wide", "sort-array", "sort-view", "sort-linked")
+                     "sort-wide", "sort-array", "sort-view", "sort-linked", "sort-array-compared")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             iters = 200 if scenario in self.SORTS_4096 else 20000
@@ -345,10 +360,72 @@ class TestBenchDiff:
         assert status == 2 and "not a bench --json report" in err
 
     @pytest.mark.parametrize("argv", [("bench", "diff"), ("bench", "diff", "a.json"),
-                                      ("bench", "diff", "a", "b", "c"), ("bench", "raw-arith", "extra")])
+                                      ("bench", "diff", "a", "b", "c"), ("bench", "raw-arith", "extra"),
+                                      ("bench", "diff", "--src", "src"),
+                                      ("bench", "diff", "--src", "src", "nope"),
+                                      ("bench", "diff", "span-sort.json", "--src", "src", "span-sort"),
+                                      ("bench", "span-sort", "--src", "src", "span-sort"),
+                                      ("bench", "diff", "--src", "src", "span-sort", "--iters", "0"),
+                                      ("bench", "diff", "--src", "no-such-tree", "span-sort")])
     def test_report_count_is_checked(self, capsys, argv):
         status, out, _ = run(capsys, *argv)
         assert status == 2 and out == ""
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding this checked package
+
+
+class TestBenchDiffSrc:
+    def test_rounds_alternate_and_report_paired_ratios(self, capsys, monkeypatch):
+        calls = []
+
+        class ScriptedTimer:
+            """Each tree's rounds take these ns per operation, in turn."""
+
+            script = {"new": iter((90, 120, 100, 80)), "old": iter((100, 100, 100, 100))}
+
+            def __init__(self, stmt, setup, globals):
+                assert (setup, stmt) == cli._BENCHES["span-sort"][:2]
+                self.tree = "new" if globals is vars(cli) else "old"
+                assert self.tree == "new" or globals["sort"].__module__ == "_checked_old.rangealg"
+
+            def timeit(self, number):
+                calls.append((self.tree, number))
+                return next(self.script[self.tree]) * number / 1e9
+
+        monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
+        status, out, err = run(capsys, "bench", "diff", "--src", SRC, "span-sort",
+                               "--iters", "10", "--repeat", "4")
+        assert status == 0 and err == ""
+        assert calls == [("new", 10), ("old", 10), ("old", 10), ("new", 10)] * 2
+        # the paired ratios are 0.9, 1.2, 1.0 and 0.8; two rounds are won
+        assert out.splitlines() == [cli.BENCH_SRC_DIFF_CSV_HEADER, "span-sort,10,4,0.950,0.875,1.050,2"]
+
+    @pytest.mark.parametrize("cli_source, problem", [(None, "No module named '_checked_old.cli'"),
+                                                     ("", "span-sort does not run on the tree in")])
+    def test_a_tree_that_cannot_run_a_scenario_is_a_usage_error(self, capsys, tmp_path, cli_source, problem):
+        (tmp_path / "checked").mkdir()
+        (tmp_path / "checked" / "__init__.py").write_text("", encoding="utf-8")
+        if cli_source is not None:
+            (tmp_path / "checked" / "cli.py").write_text(cli_source, encoding="utf-8")
+        status, out, err = run(capsys, "bench", "diff", "--src", str(tmp_path), "span-sort", "--iters", "10")
+        assert status == 2 and problem in err
+        assert out == ("" if cli_source is None else cli.BENCH_SRC_DIFF_CSV_HEADER + "\n")
+
+    def test_a_tree_against_itself_reads_about_one(self, capsys):
+        status, out, err = run(capsys, "bench", "diff", "--src", SRC, "span-sort", "sort-array-compared",
+                               "--iters", "1000", "--repeat", "9")
+        assert status == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == cli.BENCH_SRC_DIFF_CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["span-sort", "sort-array-compared"]
+        for line in lines[1:]:
+            _, iters, rounds, median, q1, q3, won = line.split(",")
+            assert (iters, rounds) == ("1000", "9") and 0 <= int(won) <= 9
+            assert float(q1) <= float(median) <= float(q3)
+            assert 0.9 <= float(median) <= 1.1, line
+        old = sys.modules["_checked_old.cli"]
+        assert old.sort is not cli.sort and old.sort.__module__ == "_checked_old.rangealg"
 
 
 class TestDemo:

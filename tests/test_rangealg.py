@@ -1,9 +1,10 @@
 import ctypes
 import operator
+import pickle
 import random
 import struct
 import sys
-from array import array
+from array import array, typecodes
 from collections import Counter
 from enum import IntEnum
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from checked import (
     ConstraintError,
     LinkedList,
     RangeCategory,
+    SortDispatchReport,
     SortPath,
     Span,
     category_of,
@@ -139,6 +141,16 @@ class TestDispatch:
         assert sort([5, 4, 3]).element_count == 3
         assert sort([]).element_count == 0
 
+    @pytest.mark.parametrize("make, path", [(list, SortPath.RANDOM_ACCESS),
+                                            (LinkedList, SortPath.FORWARD_COPY)], ids=["random-access", "forward"])
+    def test_report_is_a_sort_dispatch_report(self, make, path):
+        report, expected = sort(make([3, 1, 2])), SortDispatchReport(path, 3)
+        assert type(report) is SortDispatchReport and report == expected
+        assert report._fields == expected._fields == ("chosen_path", "element_count")
+        assert repr(report) == repr(expected) == f"SortDispatchReport(chosen_path={path!r}, element_count=3)"
+        copy = pickle.loads(pickle.dumps(report))
+        assert type(copy) is SortDispatchReport and copy == expected and copy.chosen_path is path
+
 
 class TestRejections:
     def test_random_access_sort_refuses_forward_range(self):
@@ -216,6 +228,7 @@ STORES = {
     "array": (lambda d: array("i", d), list),
     "bytearray": (bytearray, list),
     "memoryview": (lambda d: memoryview(array("i", d)), lambda m: m.tolist()),
+    "memoryview-bytearray": (lambda d: memoryview(bytearray(d)), lambda m: m.tolist()),
     "Buffer": (_buffer, list),
     "RawChunk": (RawChunk, lambda c: c._data),
 }
@@ -588,6 +601,16 @@ def _view(code, data):
     return memoryview(bytearray(struct.pack(f"{len(data)}{code}", *data))).cast(code)
 
 
+# kind -> a store of that kind holding ``data`` as items of ``code``
+TYPED_STORES = {"array": array, "memoryview": _view, "bytearray": lambda code, data: bytearray(data)}
+UNICODE_CODES = "u" + "w" * ("w" in typecodes)  # array's; 'w' from 3.13, which deprecates 'u'
+
+
+def _code_of(store):
+    """The typecode or format ``store`` reads its items as."""
+    return store.format if type(store) is memoryview else getattr(store, "typecode", "B")
+
+
 class TestElementTable:
     """Each store row's element type, checked against ``struct`` and ``array``."""
 
@@ -869,52 +892,59 @@ class TestCountingSort:
         assert list(r) == expected and list(map(type, r)) == list(map(type, expected))
         assert len(calls) == (sys.version_info >= (3, 12)) and compared == [self.N]
 
-    @pytest.mark.parametrize("code", INT_CODES + "fdc?")
-    def test_compared_memoryview_windows(self, code, compared):
-        """A compared window of a 1-D memoryview of each format (under
-        ``_COUNT_MIN``, under a custom predicate, or holding a value outside
-        range(256) or no exact int) is packed by ``struct`` into one slice: it
-        equals ``sorted()`` of a copy, and the store keeps its format and length."""
+    @pytest.mark.filterwarnings("ignore:The 'u' type code is deprecated:DeprecationWarning")
+    @pytest.mark.parametrize("kind, code", [("memoryview", c) for c in INT_CODES + "fdc?"]
+                             + [("array", c) for c in "bBhHiIlLqQfd" + UNICODE_CODES] + [("bytearray", "B")])
+    def test_compared_windows(self, kind, code, compared):
+        """A compared window of a 1-D memoryview of each format, an ``array`` of
+        each typecode or a ``bytearray`` (under ``_COUNT_MIN``, under a custom
+        predicate, or holding a value outside range(256) or no exact int) is
+        written back in one slice, packed by ``struct`` where it has the code:
+        it equals ``sorted()`` of a copy, the store keeps its type, code and
+        length, and the elements outside the window do not change."""
         rng = random.Random(code)
         least, greatest = _limits(code) if code in INT_CODES else (-300, 600)
         draw = {"c": lambda: bytes([rng.randrange(256)]), "?": lambda: rng.random() < 0.5,
-                "f": lambda: rng.randint(-300, 600) / 4, "d": lambda: rng.randint(-300, 600) / 4}.get(
+                "f": lambda: rng.randint(-300, 600) / 4, "d": lambda: rng.randint(-300, 600) / 4,
+                **dict.fromkeys(UNICODE_CODES, lambda: chr(rng.randrange(32, 0x3000)))}.get(
             code, lambda: rng.randint(max(least, -300), min(greatest, 600)))
         ways = [(self.N - 1, less), (self.N + 5, lambda a, b: a > b)] + [(self.N + 5, greater)] * (code != "B")
         for n, pred in ways:
-            data = [draw() for _ in range(n + 3)]
+            data = [draw() for _ in range(n + 6)]
             if code in INT_CODES and pred is greater:
-                data[-1] = least if least < 0 else greatest  # outside range(256)
-            store = _view(code, data)
+                data[-4] = least if least < 0 else greatest  # outside range(256), the window's last
+            store = TYPED_STORES[kind](code, data)
             compared.clear()
             assert sort(Span(store, 3, n + 3), pred) == (SortPath.RANDOM_ACCESS, n)
-            assert store.format == code and len(store) == n + 3
-            assert store.tolist() == data[:3] + sorted(data[3:], reverse=pred is not less)
+            assert type(store).__name__ == kind and _code_of(store) == code and len(store) == n + 6
+            assert list(store) == data[:3] + sorted(data[3:-3], reverse=pred is not less) + data[-3:]
             assert compared == [n]
 
     @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
     @pytest.mark.parametrize("kind, code", [("array", c) for c in "bBhHiIlLqQ"]
-                             + [("memoryview", c) for c in INT_CODES])
+                             + [("memoryview", c) for c in INT_CODES] + [("bytearray", "B")])
     def test_every_integer_typecode(self, kind, code, pred, compared, scans):
-        """An integer ``array`` or 1-D ``memoryview`` holds only exact ints, so
-        a window of values in range(256) that its code holds is counted with no
-        ``marshal`` dump and packed from raw items of the code's size: it equals
-        ``sorted()`` of a copy, and the store keeps its code and length.  A
-        negative value, or one of 256 and up, makes it compared."""
+        """An integer ``array``, 1-D ``memoryview`` or ``bytearray`` holds only
+        exact ints, so a window of values in range(256) that its code holds is
+        counted off its slice, with no ``marshal`` dump, and packed from raw
+        items of the code's size: it equals ``sorted()`` of a copy, the store
+        keeps its type, code and length, and the elements outside the window
+        do not change.  A negative value, or one of 256 and up, makes it
+        compared."""
         rng = random.Random(code)
         least, greatest = _limits(code)
         for odd in (None, -1, 256, least, greatest):
             if odd is not None and (0 <= odd < 256 or not least <= odd <= greatest):
                 continue
-            data = [rng.randint(0, min(greatest, 255)) for _ in range(rng.randint(self.N + 3, 1300))]
+            data = [rng.randint(0, min(greatest, 255)) for _ in range(rng.randint(self.N + 6, 1300))]
             if odd is not None:
-                data[rng.randrange(3, len(data))] = odd
-            store = array(code, data) if kind == "array" else _view(code, data)
+                data[rng.randrange(3, len(data) - 3)] = odd
+            store = TYPED_STORES[kind](code, data)
             compared.clear()
-            assert sort(Span(store, 3, len(data)), pred) == (SortPath.RANDOM_ACCESS, len(data) - 3)
-            assert (store.typecode if kind == "array" else store.format) == code and len(store) == len(data)
-            assert store.tolist() == data[:3] + sorted(data[3:], reverse=pred is greater)
-            assert compared == ([] if odd is None else [len(data) - 3])
+            assert sort(Span(store, 3, len(data) - 3), pred) == (SortPath.RANDOM_ACCESS, len(data) - 6)
+            assert type(store).__name__ == kind and _code_of(store) == code and len(store) == len(data)
+            assert list(store) == data[:3] + sorted(data[3:-3], reverse=pred is greater) + data[-3:]
+            assert compared == ([] if odd is None else [len(data) - 6])
         assert scans == []
         sort(list(range(256)) * 4, pred)  # an untyped window of the same ints is dumped
         assert scans == [1024]
@@ -967,7 +997,8 @@ class TestCountingSort:
     def test_gate_equals_sorted(self, n, bounds, odd, at, seed, pred):
         """Every store, counted or compared, sorts as ``sorted()`` does on a
         copy, down to each element's type; a window is counted exactly when
-        it has ``_COUNT_MIN`` or more elements, all exact ints in range(256)."""
+        it has ``_COUNT_MIN`` or more elements, all exact ints in range(256),
+        and a shorter one never enters the counting gate."""
         rng = random.Random(seed)
         data = [rng.randint(*bounds) for _ in range(n)]
         if odd is not None:
@@ -978,11 +1009,13 @@ class TestCountingSort:
             copy = list(r)
             expected = sorted(copy, reverse=pred is greater)
             counted = n >= self.N and all(type(v) is int and 0 <= v < 256 for v in copy)
-            with mock.patch.object(rangealg, "_host_sort", wraps=rangealg._host_sort) as host_sort:
+            with mock.patch.object(rangealg, "_host_sort", wraps=rangealg._host_sort) as host_sort, \
+                    mock.patch.object(rangealg, "_counted", wraps=rangealg._counted) as gate:
                 sort(r, pred)
             assert list(r) == expected, name
             assert list(map(type, r)) == list(map(type, expected)), name
             assert host_sort.called is not counted, name
+            assert gate.called is (n >= self.N), name
 
     @given(st.binary(min_size=N, max_size=3 * N), st.data())
     def test_random_windows(self, data, draw):
