@@ -287,6 +287,8 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     # window is compared and packed back from raw 'i' items by ``struct``.
     "sort-array-compared": (_RANDOM_BYTES.format(600) + "\nfrom array import array",
                             "sort(Span(array('i', data)))", "sorted(data)"),
+    # i32 + f32: the i32 operand is converted into f32 and the sum rounded into f32.
+    "number-arith-f32": ("a, b = Number(3, I32), Number(0.5, F32)\np, q = 3, 0.5", "x = a + b", "x = p + q"),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)

@@ -13,12 +13,13 @@ Registration turns each pair into one converter with the check and the cast
 fused: a pair that can never narrow gets the builtin ``int`` or ``float``,
 which is the exact cast for any value of its source type; a pair that can
 narrow gets one closure with its bounds or its cast bound in, which returns
-the converted value or raises ``NarrowError``.  Each ``NumType`` holds its
-pair decisions in rows keyed by the other ``NumType`` (``to``, ``checks``,
-``plans``).  ``convert`` dispatches on the target, then on the value's
-exact type: an exact int in an integer target's range costs only a range
-test, a bare float one row lookup plus one call, and any other int its
-``deduced_type`` first.
+the converted value or raises ``NarrowError``, also where the cast raises.
+Into f32 or sf16 (or a type with their cast) it rounds a normal value itself,
+with the cast's constants.  Each ``NumType`` holds its pair decisions in rows
+keyed by the other ``NumType`` (``to``, ``checks``, ``plans``).  ``convert``
+dispatches on the target, then on the value's exact type: an exact int in an
+integer target's range costs only a range test, a bare float one row lookup
+plus one call, and any other int its ``deduced_type`` first.
 ``narrow_checker`` exposes the staged form directly: it returns ``None``
 for pairs that can never narrow, so hot paths can skip per-value work
 entirely.  ``convert_to`` raises ``NarrowError`` instead of ever returning
@@ -46,7 +47,8 @@ div, round_a, round_b)``: the common type, four operations on the raw
 values, and the comparison roundings (``None`` where the identity).  A
 ``Number`` operation is one row lookup and one call.  No plan converts or
 rounds an operand that the common type holds exactly, nor casts a result
-into f64.  The f32 and sf16 casts round once, from the exact value.
+into f64; it rounds a normal f32 or sf16 result as the converters do.  The
+f32 and sf16 casts round once, from the exact value.
 
 The supported set is the 8/16/32/64-bit signed and unsigned integers, the
 32/64-bit binary floats, and ``sf16``, a software-emulated bfloat16-style
@@ -247,6 +249,7 @@ def _rounding_cast(digits: int, min_exp: int, max_exp: int):
             return math.copysign((m + bias) - bias, d)
         return d if d != d else math.copysign(math.inf, d)
 
+    cast.normal = split, tiny, huge  # the converters and plans round this range themselves
     return cast
 
 
@@ -344,9 +347,23 @@ def _make_converter(src: NumType, dst: NumType) -> Callable:
     # float values exactly, so equality holds iff the target represents the
     # value.  NaN never compares equal, so it never passes this rule.
     cast = dst.cast
+    if hasattr(cast, "normal"):  # a rounding cast's normal range is rounded in this frame, by its own split
+        split, tiny, huge = cast.normal
+
+        def to_rounded(value):
+            d = float(value) if type(value) is int and -2**53 <= value <= 2**53 else value  # float() is exact here
+            d = (c := d * split) - (c - d) if type(d) is float and tiny <= abs(d) < huge else cast(value)
+            if d == value:
+                return d
+            raise NarrowError(value, src, dst)
+
+        return to_rounded
 
     def to_float(value):
-        result = cast(value)
+        try:
+            result = cast(value)
+        except (OverflowError, ValueError):  # a registered cast's own refusal
+            result = math.nan  # equal to no value
         if result == value:
             return result
         raise NarrowError(value, src, dst)
@@ -411,7 +428,7 @@ _OPERATIONS = (
 def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float_op):
     """One operation on a value of ``a`` and one of ``b``: the result in the
     common type ``c``, or the errors, in order, of converting both operands
-    first (the slow path re-runs the converters), then of the operation."""
+    first (an integer slow path re-runs the converters), then of the operation."""
     convert_a, convert_b = a.to[c], b.to[c]
     if c.kind is not NumericKind.FLOAT:
         lo, hi = c.min, c.max
@@ -435,22 +452,22 @@ def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float
     check_a = None if a.checks[c] is None else convert_a
     check_b = None if b.checks[c] is None else convert_b
     cast = None if c.cast is _cast_f64 else c.cast
-    inf = math.inf
+    split, tiny, huge = getattr(cast, "normal", (None, math.inf, math.inf))  # a rounding cast's, to round in frame
 
     def in_floats(x, y):
         u = x if check_a is None else check_a(x)
         v = y if check_b is None else check_b(y)
         try:
             r = float_op(u, v)
-        except ZeroDivisionError:
+            if cast is not None:
+                r = (s := r * split) - (s - r) if tiny <= abs(r) < huge else cast(r)
+        except (ZeroDivisionError, OverflowError, ValueError):  # or a registered cast's own refusal
             pass
         else:
-            if cast is not None:
-                r = cast(r)
-            # a non-finite result is an overflow only from finite operands
-            if -inf < r < inf or not (-inf < u < inf and -inf < v < inf):
+            # a non-finite result is an overflow only from finite operands (x - x is 0 iff x is finite)
+            if r - r == 0.0 or u - u != 0.0 or v - v != 0.0:
                 return r
-        _refuse(name, convert_a(x), convert_b(y))
+        _refuse(name, float(u), float(v))  # converted already; a pair that cannot narrow has ``float``
 
     return in_floats
 
@@ -517,7 +534,10 @@ def convert_to(value, source: TypeSpec, target: TypeSpec):
     if type(value) is not int and type(value) is not float:
         value = _exact(value)
     if src.min is None:  # a float type; NaN is a value of every float type
-        held = value != value or src.cast(value) == value
+        try:
+            held = value != value or src.cast(value) == value
+        except (OverflowError, ValueError):  # a registered cast's own refusal
+            held = False
     else:
         held = type(value) is int and src.min <= value <= src.max
     if not held:

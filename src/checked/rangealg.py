@@ -474,11 +474,15 @@ def _sort_window(r, pred: Callable) -> int:
     elif pack is None:
         for i, v in enumerate(buf, lo):
             store[i] = v
-    else:  # an array of 'u' or 'w', which ``struct`` has no code for, takes its compared list as it is
+    else:
         code = store.typecode if pack is array else store.format.lstrip("@")
-        if type(buf) is not bytes and code in _ELEMENTS:
-            buf = struct.pack(f"{n}{code}", *buf)
-        store[lo:lo + n] = array(code, buf) if pack is array else memoryview(buf).cast(store.format)
+        if code not in _ELEMENTS:  # 'u' or 'w', which ``struct`` has no code for; ``array('u')`` warns on 3.13
+            window = store[:0]
+            window.fromunicode("".join(buf))
+        else:
+            raw = buf if type(buf) is bytes else struct.pack(f"{n}{code}", *buf)
+            window = array(code, raw) if pack is array else memoryview(raw).cast(store.format)
+        store[lo:lo + n] = window
     return n
 
 

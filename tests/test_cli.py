@@ -131,7 +131,8 @@ class TestBench:
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
                      "span-nested", "record-register", "convert-refused", "sort-bytes", "sort-ints",
-                     "sort-wide", "sort-array", "sort-view", "sort-linked", "sort-array-compared")
+                     "sort-wide", "sort-array", "sort-view", "sort-linked", "sort-array-compared",
+                     "number-arith-f32")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             iters = 200 if scenario in self.SORTS_4096 else 20000

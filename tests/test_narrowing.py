@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 import struct
@@ -967,6 +968,191 @@ class TestRoundingCasts:
             for zero in (0.0, -0.0, sub / 4, -sub / 4):
                 assert _same(cast(zero), math.copysign(0.0, zero)), (zero, name)
             assert _same(cast(0), 0.0)
+
+
+def _inline_probes():
+    """Where a converter's or a plan's own rounding into f32 or sf16 meets the
+    cast, both signs: the smallest normal and one ulp (of f64, and of the type)
+    below it, the rounding midpoint to infinity and one ulp either side of it,
+    the largest finite value, ties at several exponents and one ulp either
+    side, with the powers of two and half-quanta whose sums are such ties,
+    zero, NaN, the infinities, and ints about 2**53 and beyond 2**63."""
+    values = [0.0, 1.0, 3, math.nan, math.inf, 2**53 - 1, 2**53, 2**53 + 1, 2**63 + 2**39 + 1]
+    for digits, min_exp, max_exp in _BINARY_FLOATS.values():
+        tiny, sub = 2.0 ** min_exp, 2.0 ** (min_exp - digits + 1)
+        huge = 2.0 ** (max_exp + 1) - 2.0 ** (max_exp - digits)
+        values += [tiny, math.nextafter(tiny, 0.0), tiny - sub, sub, huge, math.nextafter(huge, 0.0),
+                   math.nextafter(huge, math.inf), (2**digits - 1) * 2.0 ** (max_exp + 1 - digits)]
+        for e in (min_exp, min_exp + 1, -1, 0, digits, 60, max_exp):
+            half = 2.0 ** (e - digits)  # half the quantum at 2**e
+            tie = 2.0**e + half
+            values += [2.0**e, half, 3 * half, tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
+    return values + [-v for v in values]
+
+
+def _cast_then_compare(value, src, dst):
+    """The reference converter: ``dst.cast``, refused unless the value is unchanged."""
+    result = dst.cast(value)
+    if result == value:
+        return result
+    raise NarrowError(value, src, dst)
+
+
+def _op_reference(float_op, x, y, a, b, c):
+    """The reference plan operation: an operand is converted by the reference
+    where its pair can narrow, the result goes through ``c.cast``, and a zero
+    divisor, or a non-finite result from finite operands, is an overflow."""
+    u = _cast_then_compare(x, a, c) if can_narrow(a, c) else x
+    v = _cast_then_compare(y, b, c) if can_narrow(b, c) else y
+    try:
+        r = c.cast(float_op(u, v))
+    except ZeroDivisionError:
+        raise CheckedOverflowError("div", (u, v), "divide-by-zero") from None
+    if math.isfinite(r) or not (math.isfinite(u) and math.isfinite(v)):
+        return r
+    raise CheckedOverflowError("op", (u, v))
+
+
+class TestInlineRounding:
+    """The converters into f32 and sf16, and the plans with either as the
+    common type, round the cast's normal range in their own frame: every one
+    returns what the cast-then-compare reference returns, or raises its error.
+    ``bf16_test`` is registered with ``SF16.cast``, so it rounds in frame too.
+    At exactly the smallest normal the split and the cast agree, and at the
+    midpoint to infinity a converter refuses either way, so a bound moved by
+    one comparison shows in which values reach the cast, not in the outcome."""
+
+    @pytest.fixture
+    def targets(self, registry):
+        return F32, SF16, register_numeric_type("bf16_test", NumericKind.FLOAT, 8, 2, cast=SF16.cast)
+
+    def test_every_converter_into_the_rounded_types(self, targets):
+        probes = _inline_probes()
+        cases = 0
+        for dst in targets:
+            for src in supported_types():
+                if src.checks[dst] is None:  # the builtin ``float``, exact for a value of ``src``
+                    assert src.to[dst] is float
+                    continue
+                for value in probes:
+                    got = _outcome(src.to[dst], value)
+                    want = _outcome(_cast_then_compare, value, src, dst)
+                    assert _same(got, want), (value, src, dst, got, want)
+                    cases += 1
+        assert cases == (5 + 8 + 8) * len(probes)  # from i32, u32, i64, u64 and f64 into each; i16, u16, f32 too into sf16's
+
+    def test_every_plan_with_a_rounded_common_type(self, targets):
+        probes = _inline_probes()
+        values = {t: [v for v in probes if type(v) is (int if t.min is not None else float)
+                      and (t.min is None and (v != v or t.cast(v) == v) or t.min is not None and t.min <= v <= t.max)]
+                  for t in supported_types()}
+        ops = [(index, op) for index, op in enumerate((operator.add, operator.sub, operator.mul, operator.truediv), 1)]
+        pairs = [(a, b) for a in supported_types() for b in supported_types() if a.plans[b][0] in targets]
+        assert len(pairs) > 30
+        for a, b in pairs:
+            c = a.plans[b][0]
+            for x in values[a]:
+                for y in values[b]:
+                    for index, op in ops:
+                        got = _outcome(a.plans[b][index], x, y)
+                        want = _outcome(_op_reference, op, x, y, a, b, c)
+                        assert _same(got, want), (op, x, y, a, b, got, want)
+
+    def test_the_cast_sees_only_what_is_outside_the_normal_range(self, registry):
+        """A converter sends the cast zero, a subnormal, the midpoint to
+        infinity and beyond, NaN, an infinity, and an int beyond 2**53, and
+        nothing else; a plan sends it only such a result."""
+        seen = []
+
+        def probe(value):
+            seen.append(value)
+            return SF16.cast(value)
+
+        probe.normal = split, tiny, huge = SF16.cast.normal
+        t = register_numeric_type("probe_test", NumericKind.FLOAT, 8, 2, cast=probe)
+
+        def outside(v):
+            d = float(v) if type(v) is int and abs(v) <= 2**53 else v
+            return type(d) is not float or not tiny <= abs(d) < huge
+
+        probes = _inline_probes()
+        for src in supported_types():
+            if src.checks[t] is not None:
+                for value in probes:
+                    seen.clear()
+                    _outcome(src.to[t], value)
+                    assert seen == ([value] if outside(value) else []), (src, value)
+        values = [v for v in probes if type(v) is float and (v != v or probe(v) == v)]
+        for index, op in enumerate((operator.add, operator.sub, operator.mul, operator.truediv), 1):
+            for x in values:
+                for y in values:
+                    r = _outcome(op, x, y)
+                    seen.clear()
+                    _outcome(t.plans[t][index], x, y)
+                    want = [r] if type(r) is float and outside(r) else []
+                    assert len(seen) == len(want) and all(map(_same, seen, want)), (op, x, y, seen)
+
+    def test_the_constants_are_the_casts_own(self, targets):
+        """Each rounded type rounds in frame with its cast's own split, smallest
+        normal and rounding midpoint to infinity, and a type registered with
+        ``SF16.cast`` takes sf16's converters."""
+        for name, (digits, min_exp, max_exp) in _BINARY_FLOATS.items():
+            normal = (2.0 ** (53 - digits) + 1, 2.0**min_exp, 2.0 ** (max_exp + 1) - 2.0 ** (max_exp - digits))
+            assert numeric_type(name).cast.normal == normal
+        assert all(t.to[targets[2]].__code__ is t.to[SF16].__code__ for t in (I32, U64, F32, F64))
+        assert not hasattr(F64.cast, "normal")
+
+
+_F16_STRUCT = struct.Struct("<e")
+
+
+def _f16_cast(value):
+    """IEEE binary16 through ``struct``, which raises ``OverflowError`` past its range."""
+    return _F16_STRUCT.unpack(_F16_STRUCT.pack(float(value)))[0]
+
+
+def _picky_cast(value):
+    """An f32 cast that raises ``ValueError`` for a magnitude of 2**20 or more."""
+    if abs(value) >= 2**20:
+        raise ValueError("too large for this cast")
+    return F32.cast(value)
+
+
+class TestARegisteredCastsOwnErrors:
+    """A registered float cast's own ``OverflowError`` or ``ValueError`` is a
+    refusal: ``NarrowError`` from a converter and from ``convert_to``'s source
+    rule, and ``CheckedOverflowError`` from a ``Number`` operation's result."""
+
+    @pytest.fixture
+    def f16(self, registry):
+        return register_numeric_type("f16_test", NumericKind.FLOAT, 11, 2, cast=_f16_cast)
+
+    def test_conversions_refuse(self, f16):
+        calls = [lambda: Number(2.0**100, f16), lambda: convert(2.0**100, f16),
+                 lambda: convert_to(2.0**100, F64, f16), lambda: convert_to(2.0**100, f16, F64),
+                 lambda: convert(2**40, f16), lambda: Number(2**40, I64) + Number(1.0, f16)]
+        for call in calls:
+            with pytest.raises(NarrowError) as info:
+                call()
+            assert info.value.args[0] in (2.0**100, 2**40)
+        assert Number(65504.0, f16).value == 65504.0 and convert(2.0**-24, f16) == 2.0**-24
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul, operator.truediv])
+    def test_an_unrepresentable_result_overflows(self, f16, op):
+        with pytest.raises(CheckedOverflowError) as info:
+            op(Number(6e4, f16), Number(6e4 if op is not operator.truediv else 2.0**-24, f16))
+        assert info.value.operation == op.__name__.replace("truediv", "div")
+        assert info.value.reason == "result not representable"
+        assert (Number(6e4, f16) - Number(6e4, f16)).value == 0.0
+
+    def test_a_value_error_is_a_refusal(self, registry):
+        picky = register_numeric_type("picky_test", NumericKind.FLOAT, 24, 4, cast=_picky_cast)
+        for call in (lambda: Number(2.0**21, picky), lambda: convert_to(2.0**21, picky, F64)):
+            with pytest.raises(NarrowError):
+                call()
+        with pytest.raises(CheckedOverflowError):
+            Number(2.0**19, picky) * Number(4.0, picky)
+        assert (Number(2.0**19, picky) + Number(1.5, picky)).value == 2.0**19 + 1.5
 
 
 @pytest.fixture

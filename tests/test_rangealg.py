@@ -4,6 +4,7 @@ import pickle
 import random
 import struct
 import sys
+import warnings
 from array import array, typecodes
 from collections import Counter
 from enum import IntEnum
@@ -919,6 +920,22 @@ class TestCountingSort:
             assert type(store).__name__ == kind and _code_of(store) == code and len(store) == n + 6
             assert list(store) == data[:3] + sorted(data[3:-3], reverse=pred is not less) + data[-3:]
             assert compared == [n]
+
+    @pytest.mark.parametrize("n", [5, 1500])
+    @pytest.mark.parametrize("code", UNICODE_CODES)
+    def test_a_unicode_window_sorts_without_a_warning(self, code, n):
+        """A ``'u'`` or ``'w'`` window is written back from a slice of its store,
+        so the sort itself raises no warning as an error, on 3.13 too, where
+        building an ``array('u')`` is deprecated; only the caller's store is
+        built under ``catch_warnings``."""
+        data = [chr(0x3000 - 7 * i) for i in range(n + 4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            store = array(code, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sort(Span(store, 2, n + 2)) == (SortPath.RANDOM_ACCESS, n)
+        assert store.typecode == code and list(store) == data[:2] + sorted(data[2:-2]) + data[-2:]
 
     @pytest.mark.parametrize("pred", [less, greater], ids=["less", "greater"])
     @pytest.mark.parametrize("kind, code", [("array", c) for c in "bBhHiIlLqQ"]
