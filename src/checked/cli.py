@@ -6,19 +6,14 @@ Verbs:
 * ``narrow table``: the full can-narrow matrix for the supported types.
 * ``bench SCENARIO --iters N [--repeat K] [--json PATH]``: CSV timing of a
   checked path against its raw baseline (``all`` runs every scenario); each
-  row is the fastest of K rounds, each round timing the statement and then
-  its baseline, and ``--json`` also writes the medians and the median of
+  row is the fastest of K rounds, each round timing the statement and its
+  baseline once, and ``--json`` also writes the medians and the median of
   the per-round ratios.
-* ``bench diff OLD.json NEW.json``: CSV of each scenario's ratio in two
-  ``--json`` reports, the relative change of its fastest loop, and both
-  ``ratio_median`` readings (``n/a`` in a report that has none); a
-  scenario missing from either file is marked.  It only reports.
-* ``bench diff --src OLD_SRC SCENARIO... [--iters N] [--repeat K]``: time
-  each scenario's statement under this package and under the ``checked``
-  package in ``OLD_SRC`` (imported in the same process under another name),
-  in K rounds that alternate which tree runs first; CSV of the median
-  new/old ratio of the rounds, its quartiles, and the rounds the new tree
-  won.
+* ``bench diff OLD_SRC SCENARIO... [--iters N] [--repeat K]``: time each
+  scenario's statement under this package and under the ``checked`` package
+  in ``OLD_SRC`` (imported in the same process under another name); CSV of
+  the median new/old ratio of the K rounds, its quartiles, and the rounds
+  the new tree won.
 * ``demo WHICH``: run a scripted transcript against its recorded
   expectations.
 * ``layout NAME``: print a registered record's member descriptors.
@@ -28,7 +23,9 @@ Exit status: 0 on success, 1 when a contract violation was demonstrated
 plain UTF-8 text; bench output is CSV with a fixed header.  Commands are
 single-threaded.  Bench times each statement with ``timeit`` on whatever core
 the host gives us: the set-up runs once, outside the timed loop, and the
-collector is paused while timing.
+collector is paused while timing.  Both bench forms share one timing loop:
+which side runs first alternates from round to round, so a drift of the
+host's speed falls on both.
 """
 
 from __future__ import annotations
@@ -294,21 +291,33 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
 BENCH_SCENARIOS = tuple(_BENCHES)
 
 
-def _bench_times(scenario: str, iters: int, repeat: int) -> tuple[list[float], list[float]]:
-    """ns per operation of the measured and the baseline statement, one per
-    round; each round times the statement, then its baseline, so a spell of
-    host load falls on both."""
-    if iters <= 0 or repeat <= 0:
-        raise ValueError("iters and repeat must be positive")
+def _bench_times(scenario: str, iters: int, repeat: int, old: Optional[dict] = None) -> tuple[list, list]:
+    """ns per operation, one per round, of the scenario's statement and of its baseline, or
+    with ``old`` (another tree's ``cli`` globals) of the statement under this tree and under
+    that one.  Each round times both once, and which runs first alternates, so a drift of
+    the host's speed falls on both alike.  ``main`` checks that both counts are positive."""
     setup, statement, baseline = _BENCHES[scenario]
-    timers = [timeit.Timer(stmt, setup, globals=globals())
-              for stmt in (statement, baseline) if stmt is not None]
-    rounds = [[timer.timeit(iters) * 1e9 / iters for timer in timers] for _ in range(repeat)]
-    return [ns[0] for ns in rounds], [ns[-1] for ns in rounds]
+    if old is None:
+        timers = [timeit.Timer(stmt, setup, globals=globals()) for stmt in (statement, baseline) if stmt is not None]
+    else:
+        timers = [timeit.Timer(statement, setup, globals=space) for space in (globals(), old)]
+    times = [[] for _ in timers]
+    for k in range(repeat):
+        for i in reversed(range(len(timers))) if k % 2 else range(len(timers)):
+            times[i].append(timers[i].timeit(iters) * 1e9 / iters)
+    return times[0], times[-1]
+
+
+def _ratio_quartiles(measured: list, baseline: list) -> list:
+    """The quartiles of the per-round ratios, inclusive method: the middle one is their median."""
+    ratios = [m / b for m, b in zip(measured, baseline)]
+    return statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
 
 
 def run_bench(scenario: str, iters: int) -> BenchRecord:
     """Time one scenario and its baseline; usable directly from tests."""
+    if iters <= 0:
+        raise ValueError("iters must be positive")
     (measured,), (baseline,) = _bench_times(scenario, iters, 1)
     return BenchRecord(scenario, iters, measured, baseline)
 
@@ -342,7 +351,7 @@ def cmd_bench(scenario: str, iters: int, repeat: int, json_path: Optional[str]) 
             "ns_min": min(measured), "ns_median": statistics.median(measured),
             "baseline_ns_min": min(baseline), "baseline_ns_median": statistics.median(baseline),
             "ratio": min(measured) / min(baseline),
-            "ratio_median": statistics.median(m / b for m, b in zip(measured, baseline)),
+            "ratio_median": _ratio_quartiles(measured, baseline)[1],
         }
     if json_path is not None:
         report = {"python": platform.python_version(), "platform": platform.platform(),
@@ -356,54 +365,13 @@ def cmd_bench(scenario: str, iters: int, repeat: int, json_path: Optional[str]) 
     return 0
 
 
-BENCH_DIFF_CSV_HEADER = "scenario,old_ratio,new_ratio,ns_min_change,old_ratio_median,new_ratio_median"
-
-
-def _read_bench_json(path: str) -> dict:
-    """``{scenario: (ratio, ns_min, ratio_median or None)}`` from a ``bench
-    --json`` report; a file that cannot be read or does not have that shape
-    raises ``ValueError``."""
-    try:
-        with open(path, encoding="utf-8") as report:
-            scenarios = json.load(report)["scenarios"]
-        rows = {name: (float(row["ratio"]), float(row["ns_min"]),
-                       float(row["ratio_median"]) if "ratio_median" in row else None)
-                for name, row in scenarios.items()}
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{path} is not a bench --json report: {detail}") from None
-    return rows
-
-
-def cmd_bench_diff(old_path: str, new_path: str) -> int:
-    try:
-        old, new = _read_bench_json(old_path), _read_bench_json(new_path)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    print(BENCH_DIFF_CSV_HEADER)
-    for name in {**old, **new}:
-        rows = (old.get(name), new.get(name))
-        ratios = ["missing" if row is None else f"{row[0]:.3f}" for row in rows]
-        medians = ["missing" if row is None else "n/a" if row[2] is None else f"{row[2]:.3f}"
-                   for row in rows]
-        both = None not in rows and old[name][1] > 0
-        change = f"{new[name][1] / old[name][1] - 1:+.1%}" if both else "n/a"
-        print(format_render("{},{},{},{},{},{}", name, *ratios, change, *medians))
-    return 0
-
-
 BENCH_SRC_DIFF_CSV_HEADER = "scenario,iters,rounds,ratio_median,ratio_q1,ratio_q3,rounds_won"
 _OLD_TREE = "_checked_old"  # the package name the other tree is imported under
 
 
-def _load_tree(src: str) -> dict:
-    """The globals of the ``cli`` module of the ``checked`` package in the directory ``src``,
-    imported afresh under ``_OLD_TREE``: the names each bench statement binds, from that tree."""
-    package = Path(src) / "checked"
-    if not (package / "__init__.py").is_file():
-        raise ValueError(f"no checked package in {src}")
+def _load_tree(package: Path) -> dict:
+    """The globals of the ``cli`` module of the ``checked`` package ``package``, imported
+    afresh under ``_OLD_TREE``: the names each bench statement binds, from that tree."""
     for name in [name for name in sys.modules if name.partition(".")[0] == _OLD_TREE]:
         del sys.modules[name]
     spec = importlib.util.spec_from_file_location(_OLD_TREE, package / "__init__.py",
@@ -413,31 +381,22 @@ def _load_tree(src: str) -> dict:
     return vars(importlib.import_module(f"{_OLD_TREE}.cli"))
 
 
-def _paired_ratios(scenario: str, iters: int, repeat: int, old: dict) -> list[float]:
-    """New over old ns of ``scenario``'s statement, one per round; the tree that runs first
-    alternates, so a drift of the host's speed falls on both alike."""
-    setup, statement, _ = _BENCHES[scenario]
-    timers = [timeit.Timer(statement, setup, globals=space) for space in (globals(), old)]
-    ratios = []
-    for k in range(repeat):
-        ns = {tree: timers[tree].timeit(iters) for tree in ((0, 1), (1, 0))[k % 2]}
-        ratios.append(ns[0] / ns[1])
-    return ratios
-
-
 def cmd_bench_diff_src(src: str, scenarios: list[str], iters: int, repeat: int) -> int:
+    package = Path(src) / "checked"
+    if not (package / "__init__.py").is_file():
+        return _usage_error(f"no checked package in {src}")
     try:
-        old = _load_tree(src)
-    except (ValueError, ImportError) as exc:
-        return _usage_error(str(exc))
+        old = _load_tree(package)
+    except Exception as exc:  # whatever the tree's own import raises
+        return _usage_error(f"cannot import the checked package in {src}: {type(exc).__name__}: {exc}")
     print(BENCH_SRC_DIFF_CSV_HEADER)
     for name in scenarios:
         try:
-            ratios = _paired_ratios(name, iters, repeat, old)
+            new_ns, old_ns = _bench_times(name, iters, repeat, old)
         except NameError as exc:  # this tree's statement names what the other tree's cli lacks
             return _usage_error(f"{name} does not run on the tree in {src}: {exc}")
-        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if repeat > 1 else ratios * 3
-        won = sum(ratio < 1 for ratio in ratios)
+        q1, median, q3 = _ratio_quartiles(new_ns, old_ns)
+        won = sum(new < old for new, old in zip(new_ns, old_ns))
         print(format_render("{},{},{},{},{},{},{}", name, iters, repeat,
                             f"{median:.3f}", f"{q1:.3f}", f"{q3:.3f}", won))
     return 0
@@ -491,14 +450,12 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("value")
     narrow_sub.add_parser("table", help="print the can-narrow matrix")
 
-    bench = sub.add_parser("bench", help="time a checked path against its baseline")
+    bench = sub.add_parser("bench", help="time a checked path against its baseline, or two trees")
     bench.add_argument("scenario", choices=BENCH_SCENARIOS + ("all", "diff"))
-    bench.add_argument("reports", nargs="*", metavar="REPORT", help="diff only: OLD.json NEW.json")
-    bench.add_argument("--src", nargs="+", metavar=("OLD_SRC", "SCENARIO"),
-                       help="diff only: time these scenarios against the checked package in OLD_SRC")
+    bench.add_argument("operands", nargs="*", metavar="ARG", help="diff only: OLD_SRC SCENARIO...")
     bench.add_argument("--iters", type=int, default=1_000_000)
     bench.add_argument("--repeat", type=int, default=1,
-                       help="rounds of statement then baseline, or with --src of both trees; rows report the fastest")
+                       help="rounds, each timing both sides once, the first in turn; rows report the fastest")
     bench.add_argument("--json", metavar="PATH", help="also write min and median ns and ratios here")
 
     demo = sub.add_parser("demo", help="run a scripted transcript")
@@ -517,28 +474,19 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_narrow_check(args.from_type, args.to_type, args.value)
         return cmd_narrow_table()
     if args.command == "bench":
-        if args.scenario != "diff" and args.src is not None:
-            return _usage_error("--src is for bench diff")
-        if args.scenario == "diff" and args.src is not None:
-            src, *scenarios = args.src + args.reports
-            unknown = [name for name in scenarios if name not in BENCH_SCENARIOS]
-            if not scenarios or unknown:
-                listed = " ".join(unknown) or "none"
-                return _usage_error(f"bench diff --src OLD_SRC takes scenarios, not: {listed}")
-            if args.iters <= 0 or args.repeat <= 0:
-                return _usage_error("--iters and --repeat must be positive")
-            return cmd_bench_diff_src(src, scenarios, args.iters, args.repeat)
-        if args.scenario == "diff":
-            if len(args.reports) != 2:
-                return _usage_error("bench diff takes two reports: OLD.json NEW.json")
-            return cmd_bench_diff(*args.reports)
-        if args.reports:
-            return _usage_error(f"unexpected arguments: {' '.join(args.reports)}")
-        if args.iters <= 0:
-            return _usage_error("--iters must be positive")
-        if args.repeat <= 0:
-            return _usage_error("--repeat must be positive")
-        return cmd_bench(args.scenario, args.iters, args.repeat, args.json)
+        if args.iters <= 0 or args.repeat <= 0:
+            return _usage_error("--iters and --repeat must be positive")
+        if args.scenario != "diff":
+            if args.operands:
+                return _usage_error(f"unexpected arguments: {' '.join(args.operands)}")
+            return cmd_bench(args.scenario, args.iters, args.repeat, args.json)
+        if args.json is not None:
+            return _usage_error("bench diff writes no --json report")
+        src, *scenarios = args.operands or [""]
+        unknown = [name for name in scenarios if name not in BENCH_SCENARIOS]
+        if not scenarios or unknown:
+            return _usage_error(f"bench diff OLD_SRC takes scenarios, not: {' '.join(unknown) or 'none'}")
+        return cmd_bench_diff_src(src, scenarios, args.iters, args.repeat)
     if args.command == "demo":
         return cmd_demo(args.which)
     return cmd_layout(args.name)

@@ -39,8 +39,8 @@ the lattice).  Results that do not fit the common type raise
 ``CheckedOverflowError`` rather than wrapping or saturating.  Comparisons
 are mathematically correct for integer operands of any signedness mix, so
 ``Number(-1) < Number(2, "u32")`` is True.  Mixed float/integer comparisons
-happen in the float common type with its usual rounding, and float
-comparisons keep the host partial order for NaN.
+happen in the float common type with its usual rounding (a registered
+cast's refusal is ``NarrowError``); NaN keeps the host partial order.
 
 Registration builds each pair's ``plans`` entry ``(common, add, sub, mul,
 div, round_a, round_b)``: the common type, four operations on the raw
@@ -478,6 +478,14 @@ def _make_plans(pairs) -> None:
     type and operand converters share their operations: a builtin converter
     never refuses, so the operations cannot tell which type it converts
     from."""
+    def refusing(cast, t, c):  # a registered cast's own refusal is the operand's NarrowError, as in its converter
+        def rounded(value):
+            try:
+                return cast(value)
+            except (OverflowError, ValueError):
+                raise NarrowError(value, t, c) from None
+        return rounded
+
     shared = {}
     for a, b in pairs:
         c = _common_of(a, b)
@@ -486,6 +494,8 @@ def _make_plans(pairs) -> None:
             shared[key] = [_make_operation(a, b, c, *op) for op in _OPERATIONS]
         is_float = c.kind is NumericKind.FLOAT
         rounds = [c.cast if is_float and t.checks[c] is not None else None for t in (a, b)]
+        if c.cast is not _cast_f64 and not hasattr(c.cast, "normal"):  # not a built-in cast, which stays itself
+            rounds = [r and refusing(r, t, c) for r, t in zip(rounds, (a, b))]
         a.plans[b] = (c, *shared[key], *rounds)
 
 

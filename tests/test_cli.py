@@ -224,7 +224,9 @@ class TestBench:
         assert status == 0
         assert out == BENCH_CSV_HEADER + "\nnumber-arith,1000,200.000,100.000\n"
         assert built == ["x = a + b", "x = p + q"]  # each timer is built once
-        assert calls == [("x = a + b", 1000), ("x = p + q", 1000)] * 3  # rounds alternate
+        # each round times both once, and which runs first alternates
+        assert calls == [("x = a + b", 1000), ("x = p + q", 1000), ("x = p + q", 1000), ("x = a + b", 1000),
+                         ("x = a + b", 1000), ("x = p + q", 1000)]
         report = json.loads(path.read_text(encoding="utf-8"))
         assert report["python"] == platform.python_version()
         assert report["platform"] == platform.platform()
@@ -282,98 +284,22 @@ class TestBench:
         assert cli._source_commit() is None  # a branch in neither place
 
 
-def _report(path, **scenarios):
-    """A ``bench --json`` report holding ``name=(ratio, ns_min)`` or
-    ``name=(ratio, ns_min, ratio_median)`` rows."""
-    rows = {name: dict(zip(("ratio", "ns_min", "ratio_median"), row)) for name, row in scenarios.items()}
-    path.write_text(json.dumps({"python": "3", "scenarios": rows}), encoding="utf-8")
-    return str(path)
+SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding this checked package
 
 
 class TestBenchDiff:
-    def test_reports_ratios_and_the_ns_min_change(self, capsys, tmp_path):
-        old = _report(tmp_path / "old.json", **{"number-arith": (30.0, 400.0), "span-index": (6.5, 120.0),
-                                                "raw-arith": (1.0, 20.0), "gone": (2.0, 50.0),
-                                                "convert-same": (1.0, 0.0)})
-        new = _report(tmp_path / "new.json", **{"span-index": (6.0, 132.0), "number-arith": (27.25, 350.0),
-                                                "raw-arith": (1.0, 0.0), "layout-of": (3.125, 61.0),
-                                                "convert-same": (1.0, 9.0)})
-        status, out, err = run(capsys, "bench", "diff", old, new)
-        assert status == 0 and err == ""
-        assert out.splitlines() == [
-            cli.BENCH_DIFF_CSV_HEADER,
-            "number-arith,30.000,27.250,-12.5%,n/a,n/a",  # reports without ratio_median
-            "span-index,6.500,6.000,+10.0%,n/a,n/a",
-            "raw-arith,1.000,1.000,-100.0%,n/a,n/a",
-            "gone,2.000,missing,n/a,n/a,missing",
-            "convert-same,1.000,1.000,n/a,n/a,n/a",  # no change from a zero ns_min
-            "layout-of,missing,3.125,n/a,missing,n/a",
-        ]
-
-    def test_reports_both_ratio_medians(self, capsys, tmp_path):
-        old = _report(tmp_path / "old.json", **{"span-sort": (2.5, 3300.0, 2.4), "span-index": (6.5, 120.0),
-                                                "gone": (2.0, 50.0, 1.875)})
-        new = _report(tmp_path / "new.json", **{"span-sort": (2.25, 3000.0, 2.3), "span-index": (6.0, 132.0, 5.5),
-                                                "layout-of": (3.125, 61.0, 3.0)})
-        status, out, err = run(capsys, "bench", "diff", old, new)
-        assert status == 0 and err == ""
-        assert out.splitlines() == [
-            "scenario,old_ratio,new_ratio,ns_min_change,old_ratio_median,new_ratio_median",
-            "span-sort,2.500,2.250,-9.1%,2.400,2.300",
-            "span-index,6.500,6.000,+10.0%,n/a,5.500",  # only the new report has it
-            "gone,2.000,missing,n/a,1.875,missing",
-            "layout-of,missing,3.125,n/a,missing,3.000",
-        ]
-
-    def test_a_bench_json_file_diffs_against_itself(self, capsys, tmp_path):
-        path = tmp_path / "bench.json"
-        assert run(capsys, "bench", "raw-arith", "--iters", "100", "--json", str(path))[0] == 0
-        status, out, _ = run(capsys, "bench", "diff", str(path), str(path))
-        assert status == 0
-        assert out.splitlines()[1].startswith("raw-arith,1.000,1.000,+0.0%,")
-        old_median, new_median = out.splitlines()[1].split(",")[4:]
-        assert old_median == new_median and float(old_median) > 0
-
-    @pytest.mark.parametrize("text, problem", [
-        ("{", "not a bench --json report"),
-        ("[1, 2]", "not a bench --json report"),
-        ('{"python": "3"}', "no key 'scenarios'"),
-        ('{"scenarios": [1]}', "not a bench --json report"),
-        ('{"scenarios": {"raw-arith": {"ratio": 1.0}}}', "no key 'ns_min'"),
-        ('{"scenarios": {"raw-arith": {"ratio": "fast", "ns_min": 1.0}}}', "not a bench --json report"),
-        ('{"scenarios": {"raw-arith": {"ratio": 1.0, "ns_min": 1.0, "ratio_median": "fast"}}}',
-         "not a bench --json report"),
-    ])
-    def test_a_malformed_report_is_a_usage_error(self, capsys, tmp_path, text, problem):
-        bad = tmp_path / "bad.json"
-        bad.write_text(text, encoding="utf-8")
-        good = _report(tmp_path / "good.json", **{"raw-arith": (1.0, 20.0)})
-        for argv in ((good, str(bad)), (str(bad), good)):
-            status, out, err = run(capsys, "bench", "diff", *argv)
-            assert status == 2 and out == "" and problem in err and "bad.json" in err
-
-    def test_an_unreadable_report_is_a_usage_error(self, capsys, tmp_path):
-        good = _report(tmp_path / "good.json", **{"raw-arith": (1.0, 20.0)})
-        status, out, err = run(capsys, "bench", "diff", good, str(tmp_path / "missing.json"))
-        assert status == 2 and out == "" and "cannot read" in err
-        (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
-        status, _, err = run(capsys, "bench", "diff", good, str(tmp_path / "binary.json"))
-        assert status == 2 and "not a bench --json report" in err
-
-    @pytest.mark.parametrize("argv", [("bench", "diff"), ("bench", "diff", "a.json"),
-                                      ("bench", "diff", "a", "b", "c"), ("bench", "raw-arith", "extra"),
-                                      ("bench", "diff", "--src", "src"),
-                                      ("bench", "diff", "--src", "src", "nope"),
-                                      ("bench", "diff", "span-sort.json", "--src", "src", "span-sort"),
-                                      ("bench", "span-sort", "--src", "src", "span-sort"),
-                                      ("bench", "diff", "--src", "src", "span-sort", "--iters", "0"),
-                                      ("bench", "diff", "--src", "no-such-tree", "span-sort")])
-    def test_report_count_is_checked(self, capsys, argv):
-        status, out, _ = run(capsys, *argv)
-        assert status == 2 and out == ""
-
-
-SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding this checked package
+    @pytest.mark.parametrize("argv", [("diff",), ("diff", SRC), ("diff", SRC, "nope"),
+                                      ("diff", SRC, "span-sort", "all"), ("raw-arith", "extra"),
+                                      ("diff", SRC, "span-sort", "--iters", "0"),
+                                      ("diff", SRC, "span-sort", "--repeat", "0"),
+                                      ("diff", SRC, "span-sort", "--json", "{tmp}/diff.json"),
+                                      ("diff", "no-such-tree", "span-sort"),
+                                      ("diff", "{tmp}", "span-sort")])  # a tree whose import raises
+    def test_report_count_is_checked(self, capsys, tmp_path, argv):
+        (tmp_path / "checked").mkdir()
+        (tmp_path / "checked" / "__init__.py").write_text("raise RuntimeError('broken tree')\n", encoding="utf-8")
+        status, out, _ = run(capsys, "bench", *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+        assert status == 2 and out == "" and not (tmp_path / "diff.json").exists()
 
 
 class TestBenchDiffSrc:
@@ -395,7 +321,7 @@ class TestBenchDiffSrc:
                 return next(self.script[self.tree]) * number / 1e9
 
         monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
-        status, out, err = run(capsys, "bench", "diff", "--src", SRC, "span-sort",
+        status, out, err = run(capsys, "bench", "diff", SRC, "span-sort",
                                "--iters", "10", "--repeat", "4")
         assert status == 0 and err == ""
         assert calls == [("new", 10), ("old", 10), ("old", 10), ("new", 10)] * 2
@@ -409,12 +335,21 @@ class TestBenchDiffSrc:
         (tmp_path / "checked" / "__init__.py").write_text("", encoding="utf-8")
         if cli_source is not None:
             (tmp_path / "checked" / "cli.py").write_text(cli_source, encoding="utf-8")
-        status, out, err = run(capsys, "bench", "diff", "--src", str(tmp_path), "span-sort", "--iters", "10")
+        status, out, err = run(capsys, "bench", "diff", str(tmp_path), "span-sort", "--iters", "10")
         assert status == 2 and problem in err
         assert out == ("" if cli_source is None else cli.BENCH_SRC_DIFF_CSV_HEADER + "\n")
 
+    @pytest.mark.parametrize("init_source, problem", [("raise RuntimeError('broken tree')",
+                                                       "RuntimeError: broken tree"),
+                                                      ("def f(:\n", "SyntaxError: ")])
+    def test_a_tree_that_raises_on_import_is_a_usage_error(self, capsys, tmp_path, init_source, problem):
+        (tmp_path / "checked").mkdir()
+        (tmp_path / "checked" / "__init__.py").write_text(init_source, encoding="utf-8")
+        status, out, err = run(capsys, "bench", "diff", str(tmp_path), "span-sort", "--iters", "10")
+        assert status == 2 and out == "" and problem in err and str(tmp_path) in err
+
     def test_a_tree_against_itself_reads_about_one(self, capsys):
-        status, out, err = run(capsys, "bench", "diff", "--src", SRC, "span-sort", "sort-array-compared",
+        status, out, err = run(capsys, "bench", "diff", SRC, "span-sort", "sort-array-compared",
                                "--iters", "1000", "--repeat", "9")
         assert status == 0 and err == ""
         lines = out.splitlines()

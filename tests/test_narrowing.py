@@ -38,6 +38,7 @@ from checked import (
     can_narrow,
     can_narrow_to,
     common_type,
+    compare_lt,
     convert,
     convert_to,
     deduced_type,
@@ -1120,8 +1121,9 @@ def _picky_cast(value):
 
 class TestARegisteredCastsOwnErrors:
     """A registered float cast's own ``OverflowError`` or ``ValueError`` is a
-    refusal: ``NarrowError`` from a converter and from ``convert_to``'s source
-    rule, and ``CheckedOverflowError`` from a ``Number`` operation's result."""
+    refusal: ``NarrowError`` from a converter, from ``convert_to``'s source
+    rule and from a comparison's operand rounding, and ``CheckedOverflowError``
+    from a ``Number`` operation's result."""
 
     @pytest.fixture
     def f16(self, registry):
@@ -1145,9 +1147,27 @@ class TestARegisteredCastsOwnErrors:
         assert info.value.reason == "result not representable"
         assert (Number(6e4, f16) - Number(6e4, f16)).value == 0.0
 
+    @pytest.mark.parametrize("op", [operator.lt, operator.eq, operator.ge, compare_lt])
+    def test_comparisons_refuse(self, f16, op):
+        with pytest.raises(NarrowError) as info:
+            op(Number(2**40, I64), Number(1.0, f16))
+        assert info.value.args == (2**40, I64, f16)
+        assert op(Number(2**10, I64), Number(1.0, f16)) is (op is operator.ge)
+
+    def test_built_in_plans_round_with_the_casts_themselves(self):
+        rounded = 0
+        for a in ALL_TYPES:
+            for b in ALL_TYPES:
+                c, *_, round_a, round_b = a.plans[b]
+                want = [c.cast if c.kind is NumericKind.FLOAT and t.checks[c] is not None else None for t in (a, b)]
+                assert round_a is want[0] and round_b is want[1], (a, b)
+                rounded += (round_a is not None) + (round_b is not None)
+        assert rounded > 0
+
     def test_a_value_error_is_a_refusal(self, registry):
         picky = register_numeric_type("picky_test", NumericKind.FLOAT, 24, 4, cast=_picky_cast)
-        for call in (lambda: Number(2.0**21, picky), lambda: convert_to(2.0**21, picky, F64)):
+        for call in (lambda: Number(2.0**21, picky), lambda: convert_to(2.0**21, picky, F64),
+                     lambda: Number(2**21, I32) < Number(1.0, picky)):
             with pytest.raises(NarrowError):
                 call()
         with pytest.raises(CheckedOverflowError):
