@@ -191,6 +191,44 @@ class TestBench:
         with pytest.raises(ValueError, match="positive"):
             run_bench("raw-arith", iters)
 
+    def test_run_bench_times_one_round_of_each(self, monkeypatch):
+        calls = []
+
+        class ScriptedTimer:
+            def __init__(self, stmt, setup, globals):
+                self.stmt = stmt
+
+            def timeit(self, number):
+                calls.append(self.stmt)
+                return {"x = a + b": 300, "x = p + q": 100}[self.stmt] * number / 1e9
+
+        monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
+        record = run_bench("number-arith", 1000)
+        assert calls == ["x = a + b", "x = p + q"]
+        assert record.scenario == "number-arith" and record.iters == 1000
+        assert record.ns_per_op == pytest.approx(300) and record.baseline_ns_per_op == pytest.approx(100)
+
+    def test_a_scenario_without_a_baseline_is_timed_once_per_round(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        class ScriptedTimer:
+            ns = iter((50, 40, 60))
+
+            def __init__(self, stmt, setup, globals):
+                self.stmt = stmt
+
+            def timeit(self, number):
+                calls.append(self.stmt)
+                return next(self.ns) * number / 1e9
+
+        monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
+        path = tmp_path / "bench.json"
+        status, out, _ = run(capsys, "bench", "raw-arith", "--iters", "100", "--repeat", "3", "--json", str(path))
+        assert status == 0 and out == BENCH_CSV_HEADER + "\nraw-arith,100,40.000,40.000\n"
+        assert calls == ["x = p + q"] * 3  # its own baseline: one timing per round, not two
+        row = json.loads(path.read_text(encoding="utf-8"))["scenarios"]["raw-arith"]
+        assert row["ratio"] == 1.0 and row["ratio_median"] == 1.0
+
     def test_bad_iters(self, capsys):
         status, _, err = run(capsys, "bench", "raw-arith", "--iters", "0")
         assert status == 2 and "iters" in err
@@ -327,6 +365,23 @@ class TestBenchDiffSrc:
         assert calls == [("new", 10), ("old", 10), ("old", 10), ("new", 10)] * 2
         # the paired ratios are 0.9, 1.2, 1.0 and 0.8; two rounds are won
         assert out.splitlines() == [cli.BENCH_SRC_DIFF_CSV_HEADER, "span-sort,10,4,0.950,0.875,1.050,2"]
+
+    def test_one_round_reports_its_one_ratio(self, capsys, monkeypatch):
+        calls = []
+
+        class ScriptedTimer:
+            def __init__(self, stmt, setup, globals):
+                self.tree = "new" if globals is vars(cli) else "old"
+
+            def timeit(self, number):
+                calls.append(self.tree)
+                return {"new": 110, "old": 100}[self.tree] * number / 1e9
+
+        monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
+        status, out, err = run(capsys, "bench", "diff", SRC, "span-sort", "--iters", "10")
+        assert status == 0 and err == ""
+        assert calls == ["new", "old"]  # --repeat defaults to one round
+        assert out.splitlines() == [cli.BENCH_SRC_DIFF_CSV_HEADER, "span-sort,10,1,1.100,1.100,1.100,0"]
 
     @pytest.mark.parametrize("cli_source, problem", [(None, "No module named '_checked_old.cli'"),
                                                      ("", "span-sort does not run on the tree in")])

@@ -1147,12 +1147,21 @@ class TestARegisteredCastsOwnErrors:
         assert info.value.reason == "result not representable"
         assert (Number(6e4, f16) - Number(6e4, f16)).value == 0.0
 
-    @pytest.mark.parametrize("op", [operator.lt, operator.eq, operator.ge, compare_lt])
+    # ``!=`` is Python's inversion of ``__eq__``, so it refuses through it
+    @pytest.mark.parametrize("op", [operator.lt, operator.eq, operator.ge, compare_lt,
+                                    operator.gt, operator.le, operator.ne])
     def test_comparisons_refuse(self, f16, op):
         with pytest.raises(NarrowError) as info:
             op(Number(2**40, I64), Number(1.0, f16))
         assert info.value.args == (2**40, I64, f16)
-        assert op(Number(2**10, I64), Number(1.0, f16)) is (op is operator.ge)
+        assert op(Number(2**10, I64), Number(1.0, f16)) is (op in (operator.ge, operator.gt, operator.ne))
+
+    def test_a_right_hand_operand_is_refused_by_its_own_rounding(self, f16):
+        for other in (Number(2**40, I64), 2**40):  # a bare int is deduced i64 first
+            with pytest.raises(NarrowError) as info:
+                Number(1.0, f16) < other
+            assert info.value.args == (2**40, I64, f16)
+        assert (Number(1.0, f16) < Number(2**10, I64)) is True
 
     def test_built_in_plans_round_with_the_casts_themselves(self):
         rounded = 0
