@@ -4,11 +4,10 @@ Verbs:
 
 * ``narrow check FROM TO VALUE``: classify and attempt one conversion.
 * ``narrow table``: the full can-narrow matrix for the supported types.
-* ``bench SCENARIO --iters N [--repeat K] [--json PATH]``: CSV timing of a
-  checked path against its raw baseline (``all`` runs every scenario); each
-  row is the fastest of K rounds, each round timing the statement and its
-  baseline once, and ``--json`` also writes the medians and the median of
-  the per-round ratios.
+* ``bench SCENARIO --iters N [--repeat K]``: CSV timing of a checked path
+  against its raw baseline (``all`` runs every scenario); each row is the
+  fastest of K rounds, each round timing the statement and its baseline
+  once, and ends with the median of the per-round ratios.
 * ``bench diff OLD_SRC SCENARIO... [--iters N] [--repeat K]``: time each
   scenario's statement under this package and under the ``checked`` package
   in ``OLD_SRC`` (imported in the same process under another name); CSV of
@@ -33,8 +32,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
-import json
-import platform
 import statistics
 import struct
 import sys
@@ -75,7 +72,7 @@ from .reflectlayout import (
 
 __all__ = ["main", "run_bench", "BenchRecord", "BENCH_SCENARIOS"]
 
-BENCH_CSV_HEADER = "scenario,iters,ns_per_op,baseline_ns_per_op"
+BENCH_CSV_HEADER = "scenario,iters,ns_per_op,baseline_ns_per_op,ratio_median"
 
 
 class BenchRecord(NamedTuple):
@@ -168,11 +165,10 @@ _PLAIN_OFFSETS = (
 _RANDOM_BYTES = "import random\nrng = random.Random({0})\ndata = [rng.randrange(256) for _ in range({0})]"
 _RANDOM_BYTES_LIST = _RANDOM_BYTES.format(4096)
 
-# Per scenario: the set-up, the measured statement and the baseline statement
-# (None: the measured time is its own baseline), run in this module's globals.
-# The span data is 64 distinct values in a fixed scrambled order (37 is
-# coprime to 64).
-_BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
+# Per scenario: the set-up, the measured statement and the baseline statement,
+# run in this module's globals.  The span data is 64 distinct values in a
+# fixed scrambled order (37 is coprime to 64).
+_BENCHES: dict[str, tuple[str, str, str]] = {
     # The staged pattern: the set-up classifies the pair once.  A pair that
     # can never narrow has no checker, so the per-value work is the
     # assignment itself.
@@ -192,7 +188,6 @@ _BENCHES: dict[str, tuple[str, str, Optional[str]]] = {
     "number-arith": ("a, b = Number(3), Number(4)\np, q = 3, 4", "x = a + b", "x = p + q"),
     # A bare operand is checked into a Number(v) on every operation.
     "number-arith-bare": ("a = Number(3)\np, q = 3, 4", "x = a + 4", "x = p + q"),
-    "raw-arith": ("p, q = 3, 4", "x = p + q", None),
     "span-index": (
         "data = [(i * 37) % 64 for i in range(64)]\ns = Span(list(data))",
         "x = s[41]",
@@ -297,15 +292,13 @@ def _bench_times(scenario: str, iters: int, repeat: int, old: Optional[dict] = N
     that one.  Each round times both once, and which runs first alternates, so a drift of
     the host's speed falls on both alike.  ``main`` checks that both counts are positive."""
     setup, statement, baseline = _BENCHES[scenario]
-    if old is None:
-        timers = [timeit.Timer(stmt, setup, globals=globals()) for stmt in (statement, baseline) if stmt is not None]
-    else:
-        timers = [timeit.Timer(statement, setup, globals=space) for space in (globals(), old)]
-    times = [[] for _ in timers]
+    sides = [(statement, globals()), (baseline, globals()) if old is None else (statement, old)]
+    timers = [timeit.Timer(stmt, setup, globals=space) for stmt, space in sides]
+    times = ([], [])
     for k in range(repeat):
-        for i in reversed(range(len(timers))) if k % 2 else range(len(timers)):
+        for i in (1, 0) if k % 2 else (0, 1):
             times[i].append(timers[i].timeit(iters) * 1e9 / iters)
-    return times[0], times[-1]
+    return times
 
 
 def _ratio_quartiles(measured: list, baseline: list) -> list:
@@ -322,46 +315,12 @@ def run_bench(scenario: str, iters: int) -> BenchRecord:
     return BenchRecord(scenario, iters, measured, baseline)
 
 
-def _source_commit() -> Optional[str]:
-    """The commit checked out where this package's source lives, if readable:
-    a detached ``HEAD``, else its branch's loose ref, else the branch's line
-    in ``packed-refs`` (where ``git pack-refs`` and ``git gc`` move it)."""
-    git = Path(__file__).resolve().parents[2] / ".git"
-    try:
-        head = (git / "HEAD").read_text(encoding="ascii").strip()
-        if not head.startswith("ref: "):
-            return head
-        try:
-            return (git / head[5:]).read_text(encoding="ascii").strip()
-        except FileNotFoundError:
-            packed = (git / "packed-refs").read_text(encoding="ascii").splitlines()
-            return next((line.split()[0] for line in packed if line.split()[1:] == [head[5:]]), None)
-    except (OSError, UnicodeDecodeError):
-        return None
-
-
-def cmd_bench(scenario: str, iters: int, repeat: int, json_path: Optional[str]) -> int:
+def cmd_bench(scenario: str, iters: int, repeat: int) -> int:
     print(BENCH_CSV_HEADER)
-    results = {}
     for name in BENCH_SCENARIOS if scenario == "all" else (scenario,):
         measured, baseline = _bench_times(name, iters, repeat)
-        print(format_render("{},{},{},{}", name, iters, f"{min(measured):.3f}", f"{min(baseline):.3f}"))
-        results[name] = {
-            "iters": iters, "repeat": repeat,
-            "ns_min": min(measured), "ns_median": statistics.median(measured),
-            "baseline_ns_min": min(baseline), "baseline_ns_median": statistics.median(baseline),
-            "ratio": min(measured) / min(baseline),
-            "ratio_median": _ratio_quartiles(measured, baseline)[1],
-        }
-    if json_path is not None:
-        report = {"python": platform.python_version(), "platform": platform.platform(),
-                  "commit": _source_commit(), "scenarios": results}
-        try:
-            with open(json_path, "w", encoding="utf-8") as out:
-                json.dump(report, out, indent=2)
-                out.write("\n")
-        except OSError as exc:
-            return _usage_error(f"cannot write {json_path}: {exc.strerror}")
+        print(format_render("{},{},{},{},{}", name, iters, f"{min(measured):.3f}", f"{min(baseline):.3f}",
+                            f"{_ratio_quartiles(measured, baseline)[1]:.3f}"))
     return 0
 
 
@@ -393,8 +352,8 @@ def cmd_bench_diff_src(src: str, scenarios: list[str], iters: int, repeat: int) 
     for name in scenarios:
         try:
             new_ns, old_ns = _bench_times(name, iters, repeat, old)
-        except NameError as exc:  # this tree's statement names what the other tree's cli lacks
-            return _usage_error(f"{name} does not run on the tree in {src}: {exc}")
+        except Exception as exc:  # a name the other tree's cli lacks, or whatever either tree's code raises
+            return _usage_error(f"{name} does not run on the tree in {src}: {type(exc).__name__}: {exc}")
         q1, median, q3 = _ratio_quartiles(new_ns, old_ns)
         won = sum(new < old for new, old in zip(new_ns, old_ns))
         print(format_render("{},{},{},{},{},{},{}", name, iters, repeat,
@@ -456,7 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--iters", type=int, default=1_000_000)
     bench.add_argument("--repeat", type=int, default=1,
                        help="rounds, each timing both sides once, the first in turn; rows report the fastest")
-    bench.add_argument("--json", metavar="PATH", help="also write min and median ns and ratios here")
 
     demo = sub.add_parser("demo", help="run a scripted transcript")
     demo.add_argument("which", choices=DEMO_NAMES + ("all",))
@@ -479,9 +437,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.scenario != "diff":
             if args.operands:
                 return _usage_error(f"unexpected arguments: {' '.join(args.operands)}")
-            return cmd_bench(args.scenario, args.iters, args.repeat, args.json)
-        if args.json is not None:
-            return _usage_error("bench diff writes no --json report")
+            return cmd_bench(args.scenario, args.iters, args.repeat)
         src, *scenarios = args.operands or [""]
         unknown = [name for name in scenarios if name not in BENCH_SCENARIOS]
         if not scenarios or unknown:

@@ -628,11 +628,12 @@ def register_numeric_type(
 ) -> NumType:
     """Add a fixed-width numeric type to the supported set.
 
-    Integer kinds derive their range and wrap-around cast from the width;
-    float kinds must supply a ``cast`` that rounds an exact value into the
-    type.  The classification and the rows (converter, checker, arithmetic
-    plan) are filled for each pair involving the new type, so every row of
-    every type has the new type's column before this returns.
+    Integer kinds derive their range and wrap-around cast from the width,
+    and refuse a ``cast`` (``ConstraintError``); float kinds must supply one
+    that rounds an exact value into the type.  The classification and the
+    rows (converter, checker, arithmetic plan) are filled for each pair
+    involving the new type, so every row of every type has the new type's
+    column before this returns.
     """
     if not isinstance(name, str) or not name.isidentifier():
         raise ConstraintError(f"type name {name!r} is not an identifier")
@@ -642,6 +643,8 @@ def register_numeric_type(
         raise ConstraintError(f"{name}: kind {kind!r} is not a NumericKind")
     if type(digits) is not int or type(byte_size) is not int or byte_size < 1 or digits < 1:
         raise ConstraintError("digits and byte_size must be ints of at least 1")
+    if cast is not None and kind is not NumericKind.FLOAT:
+        raise ConstraintError(f"integer {name}: the cast is derived from the width; pass none")
     bits = 8 * byte_size
     if kind is NumericKind.SIGNED_INT:
         if digits != bits - 1:

@@ -1,6 +1,4 @@
 import gc
-import json
-import platform
 import sys
 from array import array
 from pathlib import Path
@@ -15,7 +13,10 @@ from checked.reflectlayout import register_record, registered_record_names
 
 
 def run(capsys, *argv):
-    status = main(list(argv))
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:  # the parser refuses the command line
+        status = exc.code
     captured = capsys.readouterr()
     return status, captured.out, captured.err
 
@@ -85,13 +86,14 @@ class TestNarrowTable:
 
 class TestBench:
     def test_csv_contract(self, capsys):
-        status, out, _ = run(capsys, "bench", "raw-arith", "--iters", "10000")
+        status, out, _ = run(capsys, "bench", "number-arith", "--iters", "10000")
         assert status == 0
         lines = out.strip().splitlines()
         assert lines[0] == BENCH_CSV_HEADER
-        scenario, iters, ns, baseline = lines[1].split(",")
-        assert scenario == "raw-arith" and int(iters) == 10000
+        scenario, iters, ns, baseline, ratio = lines[1].split(",")
+        assert scenario == "number-arith" and int(iters) == 10000
         assert float(ns) > 0 and float(baseline) > 0
+        assert float(ratio) == pytest.approx(float(ns) / float(baseline), rel=0.01, abs=0.001)
 
     # a sort of 4096 elements each, or 600
     SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide", "sort-array", "sort-view", "sort-linked",
@@ -125,8 +127,8 @@ class TestBench:
         exec(statement, space)
         assert baseline == "sorted(data)"
 
-    def test_all_scenarios_run(self):
-        scenarios = ("convert-same", "convert-narrowable", "number-arith", "number-arith-bare", "raw-arith",
+    def test_all_scenarios_run(self, capsys):
+        scenarios = ("convert-same", "convert-narrowable", "number-arith", "number-arith-bare",
                      "span-index", "span-sort", "convert-checked", "format-render",
                      "number-construct", "number-compare", "span-write", "sort-forward",
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
@@ -136,9 +138,11 @@ class TestBench:
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             iters = 200 if scenario in self.SORTS_4096 else 20000
-            record = run_bench(scenario, iters)
-            assert record.iters == iters
-            assert record.ns_per_op >= 0 and record.baseline_ns_per_op > 0
+            status, out, _ = run(capsys, "bench", scenario, "--iters", str(iters))
+            assert status == 0 and out.splitlines()[0] == BENCH_CSV_HEADER
+            [(name, row_iters, ns, baseline, ratio)] = [line.split(",") for line in out.splitlines()[1:]]
+            assert (name, row_iters) == (scenario, str(iters))
+            assert float(ns) >= 0 and float(baseline) > 0 and float(ratio) >= 0
 
     def test_record_register_leaves_the_registry_as_it_was(self):
         names = registered_record_names()
@@ -160,7 +164,7 @@ class TestBench:
         else:
             gc.disable()
         try:
-            run_bench("raw-arith", 1000)
+            run_bench("number-arith", 1000)
             assert gc.isenabled() is enabled
         finally:
             if was_enabled:
@@ -189,7 +193,7 @@ class TestBench:
     @pytest.mark.parametrize("iters", [0, -1])
     def test_run_bench_refuses_no_iterations(self, iters):
         with pytest.raises(ValueError, match="positive"):
-            run_bench("raw-arith", iters)
+            run_bench("number-arith", iters)
 
     def test_run_bench_times_one_round_of_each(self, monkeypatch):
         calls = []
@@ -208,37 +212,16 @@ class TestBench:
         assert record.scenario == "number-arith" and record.iters == 1000
         assert record.ns_per_op == pytest.approx(300) and record.baseline_ns_per_op == pytest.approx(100)
 
-    def test_a_scenario_without_a_baseline_is_timed_once_per_round(self, capsys, monkeypatch, tmp_path):
-        calls = []
-
-        class ScriptedTimer:
-            ns = iter((50, 40, 60))
-
-            def __init__(self, stmt, setup, globals):
-                self.stmt = stmt
-
-            def timeit(self, number):
-                calls.append(self.stmt)
-                return next(self.ns) * number / 1e9
-
-        monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
-        path = tmp_path / "bench.json"
-        status, out, _ = run(capsys, "bench", "raw-arith", "--iters", "100", "--repeat", "3", "--json", str(path))
-        assert status == 0 and out == BENCH_CSV_HEADER + "\nraw-arith,100,40.000,40.000\n"
-        assert calls == ["x = p + q"] * 3  # its own baseline: one timing per round, not two
-        row = json.loads(path.read_text(encoding="utf-8"))["scenarios"]["raw-arith"]
-        assert row["ratio"] == 1.0 and row["ratio_median"] == 1.0
-
     def test_bad_iters(self, capsys):
-        status, _, err = run(capsys, "bench", "raw-arith", "--iters", "0")
+        status, _, err = run(capsys, "bench", "number-arith", "--iters", "0")
         assert status == 2 and "iters" in err
 
     @pytest.mark.parametrize("repeat", ["0", "-2"])
     def test_bad_repeat(self, capsys, repeat):
-        status, out, err = run(capsys, "bench", "raw-arith", "--iters", "10", "--repeat", repeat)
+        status, out, err = run(capsys, "bench", "number-arith", "--iters", "10", "--repeat", repeat)
         assert status == 2 and "repeat" in err and out == ""
 
-    def test_repeat_rows_are_the_fastest_loop_and_json_adds_the_median(self, capsys, monkeypatch, tmp_path):
+    def test_repeat_rows_are_the_fastest_loop_and_the_median_ratio(self, capsys, monkeypatch):
         built, calls = [], []
 
         class ScriptedTimer:
@@ -256,70 +239,25 @@ class TestBench:
                 return next(self.ns) * number / 1e9
 
         monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
-        path = tmp_path / "bench.json"
-        status, out, _ = run(capsys, "bench", "number-arith", "--iters", "1000",
-                             "--repeat", "3", "--json", str(path))
+        status, out, _ = run(capsys, "bench", "number-arith", "--iters", "1000", "--repeat", "3")
         assert status == 0
-        assert out == BENCH_CSV_HEADER + "\nnumber-arith,1000,200.000,100.000\n"
+        # the fastest rounds are 200 and 100 ns; the per-round ratios are 2.4,
+        # 2 and 2.5, so their median is neither min over min nor median over median
+        assert out == BENCH_CSV_HEADER + "\nnumber-arith,1000,200.000,100.000,2.400\n"
         assert built == ["x = a + b", "x = p + q"]  # each timer is built once
         # each round times both once, and which runs first alternates
         assert calls == [("x = a + b", 1000), ("x = p + q", 1000), ("x = p + q", 1000), ("x = a + b", 1000),
                          ("x = a + b", 1000), ("x = p + q", 1000)]
-        report = json.loads(path.read_text(encoding="utf-8"))
-        assert report["python"] == platform.python_version()
-        assert report["platform"] == platform.platform()
-        assert report["commit"] == cli._source_commit()
-        assert list(report["scenarios"]) == ["number-arith"]
-        row = report["scenarios"]["number-arith"]
-        assert row["iters"] == 1000 and row["repeat"] == 3
-        assert row["ns_min"] == pytest.approx(200) and row["ns_median"] == pytest.approx(400)
-        assert row["baseline_ns_min"] == pytest.approx(100) and row["baseline_ns_median"] == pytest.approx(160)
-        assert row["ratio"] == pytest.approx(2)
-        # the per-round ratios are 2.4, 2 and 2.5: neither min over min nor
-        # median over median
-        assert row["ratio_median"] == pytest.approx(2.4)
 
-    def test_all_runs_every_scenario_under_one_header(self, capsys, tmp_path):
-        path = tmp_path / "bench.json"
-        status, out, _ = run(capsys, "bench", "all", "--iters", "200", "--repeat", "2", "--json", str(path))
+    def test_all_runs_every_scenario_under_one_header(self, capsys):
+        status, out, _ = run(capsys, "bench", "all", "--iters", "200", "--repeat", "2")
         assert status == 0
         lines = out.strip().splitlines()
         assert lines[0] == BENCH_CSV_HEADER
-        assert [line.split(",")[0] for line in lines[1:]] == list(BENCH_SCENARIOS)
-        scenarios = json.loads(path.read_text(encoding="utf-8"))["scenarios"]
-        assert list(scenarios) == list(BENCH_SCENARIOS)
-        for row in scenarios.values():
-            assert row["repeat"] == 2 and 0 <= row["ns_min"] <= row["ns_median"]
-            assert row["ratio"] == row["ns_min"] / row["baseline_ns_min"]
-            assert row["ratio_median"] > 0
-
-    def test_unwritable_json_path_is_a_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "missing" / "bench.json"
-        status, _, err = run(capsys, "bench", "raw-arith", "--iters", "10", "--json", str(path))
-        assert status == 2 and "cannot write" in err and not path.exists()
-
-    def test_source_commit_reads_git_head(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "checked" / "cli.py"))
-        assert cli._source_commit() is None  # no checkout
-        git = tmp_path / ".git"
-        (git / "refs" / "heads").mkdir(parents=True)
-        (git / "HEAD").write_text("ref: refs/heads/main\n", encoding="ascii")
-        assert cli._source_commit() is None  # a ref with no commit yet
-        (git / "refs" / "heads" / "main").write_text("ab" * 20 + "\n", encoding="ascii")
-        assert cli._source_commit() == "ab" * 20
-        (git / "HEAD").write_text("cd" * 20 + "\n", encoding="ascii")  # detached
-        assert cli._source_commit() == "cd" * 20
-        # after ``git pack-refs``: the branch is a line of packed-refs only
-        (git / "HEAD").write_text("ref: refs/heads/main\n", encoding="ascii")
-        (git / "refs" / "heads" / "main").unlink()
-        assert cli._source_commit() is None  # no loose ref and no packed-refs
-        (git / "packed-refs").write_text(
-            "# pack-refs with: peeled fully-peeled sorted \n"
-            f"{'12' * 20} refs/heads/mainline\n{'ef' * 20} refs/heads/main\n^{'34' * 20}\n",
-            encoding="ascii")
-        assert cli._source_commit() == "ef" * 20
-        (git / "HEAD").write_text("ref: refs/heads/other\n", encoding="ascii")
-        assert cli._source_commit() is None  # a branch in neither place
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == list(BENCH_SCENARIOS)
+        for _, iters, ns, baseline, ratio in rows:
+            assert iters == "200" and float(ns) >= 0 and float(baseline) > 0 and float(ratio) > 0
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding this checked package
@@ -327,17 +265,19 @@ SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding this
 
 class TestBenchDiff:
     @pytest.mark.parametrize("argv", [("diff",), ("diff", SRC), ("diff", SRC, "nope"),
-                                      ("diff", SRC, "span-sort", "all"), ("raw-arith", "extra"),
+                                      ("diff", SRC, "span-sort", "all"), ("number-arith", "extra"),
                                       ("diff", SRC, "span-sort", "--iters", "0"),
                                       ("diff", SRC, "span-sort", "--repeat", "0"),
                                       ("diff", SRC, "span-sort", "--json", "{tmp}/diff.json"),
                                       ("diff", "no-such-tree", "span-sort"),
-                                      ("diff", "{tmp}", "span-sort")])  # a tree whose import raises
+                                      ("diff", "{tmp}", "span-sort"),  # a tree whose import raises
+                                      ("raw-arith",), ("number-arith", "--json", "{tmp}/bench.json")])
     def test_report_count_is_checked(self, capsys, tmp_path, argv):
         (tmp_path / "checked").mkdir()
         (tmp_path / "checked" / "__init__.py").write_text("raise RuntimeError('broken tree')\n", encoding="utf-8")
         status, out, _ = run(capsys, "bench", *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
-        assert status == 2 and out == "" and not (tmp_path / "diff.json").exists()
+        assert status == 2 and out == ""
+        assert not (tmp_path / "diff.json").exists() and not (tmp_path / "bench.json").exists()
 
 
 class TestBenchDiffSrc:
@@ -383,8 +323,11 @@ class TestBenchDiffSrc:
         assert calls == ["new", "old"]  # --repeat defaults to one round
         assert out.splitlines() == [cli.BENCH_SRC_DIFF_CSV_HEADER, "span-sort,10,1,1.100,1.100,1.100,0"]
 
-    @pytest.mark.parametrize("cli_source, problem", [(None, "No module named '_checked_old.cli'"),
-                                                     ("", "span-sort does not run on the tree in")])
+    @pytest.mark.parametrize("cli_source, problem", [
+        (None, "No module named '_checked_old.cli'"),
+        ("", "span-sort does not run on the tree in"),
+        ("Span = list\ndef sort(span):\n    raise RuntimeError('no sort here')\n", "RuntimeError: no sort here"),
+    ])
     def test_a_tree_that_cannot_run_a_scenario_is_a_usage_error(self, capsys, tmp_path, cli_source, problem):
         (tmp_path / "checked").mkdir()
         (tmp_path / "checked" / "__init__.py").write_text("", encoding="utf-8")
@@ -392,6 +335,8 @@ class TestBenchDiffSrc:
             (tmp_path / "checked" / "cli.py").write_text(cli_source, encoding="utf-8")
         status, out, err = run(capsys, "bench", "diff", str(tmp_path), "span-sort", "--iters", "10")
         assert status == 2 and problem in err
+        if cli_source is not None:  # the scenario, the tree and the exception
+            assert f"span-sort does not run on the tree in {tmp_path}: " in err and "Error: " in err
         assert out == ("" if cli_source is None else cli.BENCH_SRC_DIFF_CSV_HEADER + "\n")
 
     @pytest.mark.parametrize("init_source, problem", [("raise RuntimeError('broken tree')",

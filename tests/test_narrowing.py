@@ -1463,6 +1463,8 @@ class TestRegistration:
         (NumericKind.UNSIGNED_INT, 8, 1.0, None, "must be ints"),
         (NumericKind.SIGNED_INT, 7, True, None, "must be ints"),
         (NumericKind.FLOAT, 8, 2, 2.0, "rounding cast is required"),
+        (NumericKind.SIGNED_INT, 127, 16, round, "cast is derived from the width"),
+        (NumericKind.UNSIGNED_INT, 8, 1, int, "cast is derived from the width"),
     ], ids=repr)
     def test_bad_arguments_touch_no_registry(self, registry, kind, digits, byte_size, cast, problem):
         old, matrix = supported_types(), dict(NARROWING_MATRIX)
