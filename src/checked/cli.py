@@ -281,6 +281,11 @@ _BENCHES: dict[str, tuple[str, str, str]] = {
                             "sort(Span(array('i', data)))", "sorted(data)"),
     # i32 + f32: the i32 operand is converted into f32 and the sum rounded into f32.
     "number-arith-f32": ("a, b = Number(3, I32), Number(0.5, F32)\np, q = 3, 0.5", "x = a + b", "x = p + q"),
+    # i32 < f32: 123456 is inside f32's exact-int lane, so no rounding runs.
+    "number-compare-f32": ("a, b = Number(123456, I32), Number(0.5, F32)\np, q = 123456, 0.5",
+                           "x = a < b", "x = p < q"),
+    # i32 / i16 in i32: a negative quotient, truncated toward zero.
+    "number-div": ("a, b = Number(-12345, I32), Number(67, I16)\np, q = -12345, 67", "x = a / b", "x = p // q"),
 }
 
 BENCH_SCENARIOS = tuple(_BENCHES)
@@ -348,7 +353,7 @@ def cmd_bench_diff_src(src: str, scenarios: list[str], iters: int, repeat: int) 
         old = _load_tree(package)
     except Exception as exc:  # whatever the tree's own import raises
         return _usage_error(f"cannot import the checked package in {src}: {type(exc).__name__}: {exc}")
-    print(BENCH_SRC_DIFF_CSV_HEADER)
+    rows = []  # printed once every scenario has run, so a usage error leaves stdout empty
     for name in scenarios:
         try:
             new_ns, old_ns = _bench_times(name, iters, repeat, old)
@@ -356,8 +361,9 @@ def cmd_bench_diff_src(src: str, scenarios: list[str], iters: int, repeat: int) 
             return _usage_error(f"{name} does not run on the tree in {src}: {type(exc).__name__}: {exc}")
         q1, median, q3 = _ratio_quartiles(new_ns, old_ns)
         won = sum(new < old for new, old in zip(new_ns, old_ns))
-        print(format_render("{},{},{},{},{},{},{}", name, iters, repeat,
-                            f"{median:.3f}", f"{q1:.3f}", f"{q3:.3f}", won))
+        rows.append(format_render("{},{},{},{},{},{},{}", name, iters, repeat,
+                                  f"{median:.3f}", f"{q1:.3f}", f"{q3:.3f}", won))
+    print(BENCH_SRC_DIFF_CSV_HEADER, *rows, sep="\n")
     return 0
 
 

@@ -43,11 +43,14 @@ happen in the float common type with its usual rounding (a registered
 cast's refusal is ``NarrowError``); NaN keeps the host partial order.
 
 Registration builds each pair's ``plans`` entry ``(common, add, sub, mul,
-div, round_a, round_b)``: the common type, four operations on the raw
-values, and the comparison roundings (``None`` where the identity).  A
-``Number`` operation is one row lookup and one call.  No plan converts or
-rounds an operand that the common type holds exactly, nor casts a result
-into f64; it rounds a normal f32 or sf16 result as the converters do.  The
+div, rounding)``: the common type, four operations on the raw values, and
+the comparison roundings, ``None`` where no operand is rounded (every
+integer pair), else ``(round_a, lane_a, round_b, lane_b)``.  A ``Number``
+operation is one row lookup and one call.  No plan converts or rounds an
+operand that the common type holds exactly, nor casts a result into f64;
+it rounds a normal f32 or sf16 result as the converters do.  An int within
+the exact-int lane that the float common type's cast publishes (2**53, or
+2**digits for f32 and sf16) costs one range test and no conversion.  The
 f32 and sf16 casts round once, from the exact value.
 
 The supported set is the 8/16/32/64-bit signed and unsigned integers, the
@@ -206,6 +209,9 @@ def _cast_f64(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+_cast_f64.lane = 2**53  # every int of at most this magnitude it returns unchanged
+
+
 def _round_int(value: int, digits: int) -> int:
     """``value`` (beyond 2**digits) rounded to ``digits`` significant bits,
     to nearest, ties to even."""
@@ -250,6 +256,8 @@ def _rounding_cast(digits: int, min_exp: int, max_exp: int):
         return d if d != d else math.copysign(math.inf, d)
 
     cast.normal = split, tiny, huge  # the converters and plans round this range themselves
+    if tiny <= 1.0 and 2.0**digits < huge:  # every int up to 2**digits is normal, so it holds them exactly
+        cast.lane = 1 << digits
     return cast
 
 
@@ -401,13 +409,6 @@ def _common_of(a: NumType, b: NumType) -> NumType:
     return a if a.digits > b.digits else b
 
 
-def _trunc_div(x: int, y: int) -> int:
-    q = x // y
-    if (x % y) and ((x < 0) != (y < 0)):
-        q += 1
-    return q
-
-
 def _refuse(name: str, x, y):
     """Raise the error of an operation on operands ``x`` and ``y`` converted
     into the common type: a zero divisor, else an unrepresentable result."""
@@ -416,47 +417,55 @@ def _refuse(name: str, x, y):
     raise CheckedOverflowError(name, (x, y))
 
 
-# name, then the operator for an integer and for a float common type
+# name, then the operator for an integer (division is its own closure) and for a float common type
 _OPERATIONS = (
     ("add", operator.add, operator.add),
     ("sub", operator.sub, operator.sub),
     ("mul", operator.mul, operator.mul),
-    ("div", _trunc_div, operator.truediv),
+    ("div", None, operator.truediv),
 )
 
 
-def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float_op):
+def _make_operation(a: NumType, b: NumType, c: NumType, lane_a: int, lane_b: int, name: str, int_op, float_op):
     """One operation on a value of ``a`` and one of ``b``: the result in the
     common type ``c``, or the errors, in order, of converting both operands
-    first (an integer slow path re-runs the converters), then of the operation."""
+    first (an integer slow path re-runs the converters), then of the operation.
+    An operand within its lane needs no conversion into a float ``c``."""
     convert_a, convert_b = a.to[c], b.to[c]
     if c.kind is not NumericKind.FLOAT:
         lo, hi = c.min, c.max
         # Where neither converter can refuse, every operand is in range.
         exact = a.checks[c] is None and b.checks[c] is None
 
+        if int_op is None:
+            def in_integers(x, y):
+                if y:
+                    r = x // y
+                    r += r < 0 and r * y != x  # the floor is one below the quotient truncated toward zero
+                    if lo <= r <= hi and (exact or lo <= x <= hi and lo <= y <= hi):
+                        return r
+                _refuse(name, convert_a(x), convert_b(y))
+
+            return in_integers
+
         def in_integers(x, y):
-            try:
-                r = int_op(x, y)
-            except ZeroDivisionError:
-                pass
-            else:
-                if lo <= r <= hi and (exact or lo <= x <= hi and lo <= y <= hi):
-                    return r
+            r = int_op(x, y)
+            if lo <= r <= hi and (exact or lo <= x <= hi and lo <= y <= hi):
+                return r
             _refuse(name, convert_a(x), convert_b(y))
 
         return in_integers
 
-    # A pair that cannot narrow needs no operand conversion: Python mixes an
-    # exact int with a float exactly.  f64 arithmetic already rounds into f64.
+    # No operand is converted where its pair cannot narrow, nor an int in its lane:
+    # Python mixes an exact int with a float exactly.  f64 arithmetic rounds into f64.
     check_a = None if a.checks[c] is None else convert_a
     check_b = None if b.checks[c] is None else convert_b
     cast = None if c.cast is _cast_f64 else c.cast
     split, tiny, huge = getattr(cast, "normal", (None, math.inf, math.inf))  # a rounding cast's, to round in frame
 
     def in_floats(x, y):
-        u = x if check_a is None else check_a(x)
-        v = y if check_b is None else check_b(y)
+        u = x if check_a is None or -lane_a <= x <= lane_a else check_a(x)
+        v = y if check_b is None or -lane_b <= y <= lane_b else check_b(y)
         try:
             r = float_op(u, v)
             if cast is not None:
@@ -474,10 +483,10 @@ def _make_operation(a: NumType, b: NumType, c: NumType, name: str, int_op, float
 
 def _make_plans(pairs) -> None:
     """Fill ``a.plans[b]`` with each pair's plan; an operand is rounded only
-    into a float common type that can change it.  Pairs with the same common
-    type and operand converters share their operations: a builtin converter
-    never refuses, so the operations cannot tell which type it converts
-    from."""
+    into a float common type that can change it, and then only outside its
+    lane.  Pairs with the same common type and operand converters share their
+    operations: a builtin converter never refuses, so the operations cannot
+    tell which type it converts from."""
     def refusing(cast, t, c):  # a registered cast's own refusal is the operand's NarrowError, as in its converter
         def rounded(value):
             try:
@@ -490,13 +499,16 @@ def _make_plans(pairs) -> None:
     for a, b in pairs:
         c = _common_of(a, b)
         key = (c, a.to[c], b.to[c])
+        # an int up to the cast's lane is exact in the float ``c``; -1 admits no value, as for a float operand
+        lanes = [getattr(c.cast, "lane", -1) if t.kind is not NumericKind.FLOAT else -1 for t in (a, b)]
         if key not in shared:
-            shared[key] = [_make_operation(a, b, c, *op) for op in _OPERATIONS]
+            shared[key] = [_make_operation(a, b, c, *lanes, *op) for op in _OPERATIONS]
         is_float = c.kind is NumericKind.FLOAT
         rounds = [c.cast if is_float and t.checks[c] is not None else None for t in (a, b)]
         if c.cast is not _cast_f64 and not hasattr(c.cast, "normal"):  # not a built-in cast, which stays itself
             rounds = [r and refusing(r, t, c) for r, t in zip(rounds, (a, b))]
-        a.plans[b] = (c, *shared[key], *rounds)
+        rounding = None if rounds == [None, None] else (rounds[0], lanes[0], rounds[1], lanes[1])
+        a.plans[b] = (c, *shared[key], rounding)
 
 
 def narrow_checker(source: TypeSpec, target: TypeSpec) -> Optional[Callable]:
@@ -741,19 +753,21 @@ def _arithmetic(index: int):
 def _comparison(op):
     """The comparison operator ``op``.  Python compares integers exactly
     whatever their signs, so only an operand that a float common type
-    rounds changes first."""
+    rounds changes first, and only outside its exact-int lane."""
 
     def compare(self, other):
         if type(other) is not Number:
             other = _as_number(other)
             if other is None:
                 return NotImplemented
-        _, _, _, _, _, round_a, round_b = self._type.plans[other._type]
         x, y = self._value, other._value
-        if round_a is not None:
-            x = round_a(x)
-        if round_b is not None:
-            y = round_b(y)
+        rounding = self._type.plans[other._type][5]
+        if rounding is not None:
+            round_a, lane_a, round_b, lane_b = rounding
+            if round_a is not None and not -lane_a <= x <= lane_a:
+                x = round_a(x)
+            if round_b is not None and not -lane_b <= y <= lane_b:
+                y = round_b(y)
         return op(x, y)
 
     return compare

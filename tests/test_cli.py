@@ -134,7 +134,7 @@ class TestBench:
                      "convert-f32", "layout-of", "span-bounds", "convert-to", "cast-f32", "span-iter",
                      "span-nested", "record-register", "convert-refused", "sort-bytes", "sort-ints",
                      "sort-wide", "sort-array", "sort-view", "sort-linked", "sort-array-compared",
-                     "number-arith-f32")
+                     "number-arith-f32", "number-compare-f32", "number-div")
         assert BENCH_SCENARIOS == scenarios
         for scenario in scenarios:
             iters = 200 if scenario in self.SORTS_4096 else 20000
@@ -323,21 +323,26 @@ class TestBenchDiffSrc:
         assert calls == ["new", "old"]  # --repeat defaults to one round
         assert out.splitlines() == [cli.BENCH_SRC_DIFF_CSV_HEADER, "span-sort,10,1,1.100,1.100,1.100,0"]
 
-    @pytest.mark.parametrize("cli_source, problem", [
-        (None, "No module named '_checked_old.cli'"),
-        ("", "span-sort does not run on the tree in"),
-        ("Span = list\ndef sort(span):\n    raise RuntimeError('no sort here')\n", "RuntimeError: no sort here"),
+    @pytest.mark.parametrize("cli_source, scenarios, problem", [
+        (None, ["span-sort"], "No module named '_checked_old.cli'"),
+        ("", ["span-sort"], "span-sort does not run on the tree in"),
+        ("Span = list\ndef sort(span):\n    raise RuntimeError('no sort here')\n", ["span-sort"],
+         "RuntimeError: no sort here"),
+        # the first scenario runs on the old tree, the second does not
+        ("I32 = None\ndef narrow_checker(source, target):\n    return None\n", ["convert-same", "span-sort"],
+         "NameError: name 'sort' is not defined"),
     ])
-    def test_a_tree_that_cannot_run_a_scenario_is_a_usage_error(self, capsys, tmp_path, cli_source, problem):
+    def test_a_tree_that_cannot_run_a_scenario_is_a_usage_error(self, capsys, tmp_path, cli_source, scenarios,
+                                                                 problem):
         (tmp_path / "checked").mkdir()
         (tmp_path / "checked" / "__init__.py").write_text("", encoding="utf-8")
         if cli_source is not None:
             (tmp_path / "checked" / "cli.py").write_text(cli_source, encoding="utf-8")
-        status, out, err = run(capsys, "bench", "diff", str(tmp_path), "span-sort", "--iters", "10")
+        status, out, err = run(capsys, "bench", "diff", str(tmp_path), *scenarios, "--iters", "10")
         assert status == 2 and problem in err
         if cli_source is not None:  # the scenario, the tree and the exception
             assert f"span-sort does not run on the tree in {tmp_path}: " in err and "Error: " in err
-        assert out == ("" if cli_source is None else cli.BENCH_SRC_DIFF_CSV_HEADER + "\n")
+        assert out == ""  # no header and no row of a scenario that ran: a redirected CSV is empty
 
     @pytest.mark.parametrize("init_source, problem", [("raise RuntimeError('broken tree')",
                                                        "RuntimeError: broken tree"),

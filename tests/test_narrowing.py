@@ -1103,6 +1103,15 @@ class TestInlineRounding:
         assert all(t.to[targets[2]].__code__ is t.to[SF16].__code__ for t in (I32, U64, F32, F64))
         assert not hasattr(F64.cast, "normal")
 
+    def test_each_cast_publishes_its_exact_int_lane(self):
+        """Every int up to the lane is a normal value of the cast's type; a
+        rounding cast whose 1 or 2**digits is not normal publishes none."""
+        from checked.narrowing import _rounding_cast
+
+        assert (F32.cast.lane, SF16.cast.lane, F64.cast.lane) == (2**24, 2**8, 2**53)
+        assert hasattr(_rounding_cast(8, 0, 8), "lane")
+        assert not hasattr(_rounding_cast(8, 0, 7), "lane") and not hasattr(_rounding_cast(8, 1, 127), "lane")
+
 
 _F16_STRUCT = struct.Struct("<e")
 
@@ -1167,7 +1176,10 @@ class TestARegisteredCastsOwnErrors:
         rounded = 0
         for a in ALL_TYPES:
             for b in ALL_TYPES:
-                c, *_, round_a, round_b = a.plans[b]
+                c, *_, rounding = a.plans[b]
+                if c.kind is not NumericKind.FLOAT:
+                    assert rounding is None, (a, b)
+                round_a, _, round_b, _ = rounding or (None, -1, None, -1)
                 want = [c.cast if c.kind is NumericKind.FLOAT and t.checks[c] is not None else None for t in (a, b)]
                 assert round_a is want[0] and round_b is want[1], (a, b)
                 rounded += (round_a is not None) + (round_b is not None)

@@ -3,6 +3,7 @@ import math
 import operator
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -674,3 +675,101 @@ class TestComparisons:
             Number(1) < "one"
         with pytest.raises(ConstraintError):
             compare_lt(Number(1), "one")
+
+
+_LANE_FLOATS = (F32, SF16, F64)
+# 0, and each float's exact-int lane edge 2**d with its neighbours, both signs
+_LANE_INTS = (0,) + tuple(s * (2**d + k) for d in (8, 24, 53) for k in (-1, 0, 1) for s in (1, -1))
+_LANE_FLOAT_OPERANDS = (0.0, -0.0, 0.5, -3.0, 2.0**24, 2.0**-140, 3.4028234663852886e38,
+                        1.7976931348623157e308, math.inf, math.nan)
+_LANE_COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq)
+
+
+def _args_outcome(fn, x, y):
+    """``fn(x, y)`` with an error's type and ``args``, as text so that NaN
+    and the sign of a zero compare; a result as the oracle writes it."""
+    try:
+        r = fn(x, y)
+    except (NarrowError, CheckedOverflowError) as e:
+        return ("refused", type(e).__name__, repr(e.args))
+    return r if type(r) is bool else ("ok", r.numtype.name, r.value)
+
+
+class TestExactIntLane:
+    """An int operand in the float common type's exact-int lane is used as it
+    is, and one outside it goes through the converter or the rounding, so the
+    lane changes no result, error or error argument."""
+
+    def test_lane_edges_match_the_oracle(self):
+        cases = 0
+        for ti in INT_TYPES:
+            ints = sorted({v for v in _LANE_INTS + (ti.min, ti.max) if ti.min <= v <= ti.max})
+            for tf in _LANE_FLOATS:
+                floats = _boundary_numbers(tf, (), _LANE_FLOAT_OPERANDS)
+                for i in ints:
+                    for f in floats:
+                        for (x, tx), (y, ty) in (((i, ti), (f.value, tf)), ((f.value, tf), (i, ti))):
+                            a, b = Number(x, tx), Number(y, ty)
+                            for name, fn in ARITH_OPS.items():
+                                want = oracle.arith(name, x, tx.name, y, ty.name)
+                                if want[1] == "NarrowError":  # the int operand, checked into the float type
+                                    want = ("refused", "NarrowError", repr((i, ti, tf)))
+                                elif want[0] == "refused":  # the operands converted into the float type
+                                    args = (name, (float(x), float(y))) + (("divide-by-zero",) if want[2] == "divide-by-zero" else ())
+                                    want = ("refused", "CheckedOverflowError", repr(args))
+                                got = _args_outcome(fn, a, b)
+                                assert _same_outcome(got, want), (name, a, b, got, want)
+                                cases += 1
+                            for op in _LANE_COMPARISONS:
+                                want = oracle.compare(op, x, tx.name, y, ty.name)
+                                assert _args_outcome(op, a, b) is want, (op.__name__, a, b)
+                                cases += 1
+        assert cases > 8 * 3 * 2 * 9 * 50
+
+    def test_only_an_operand_outside_the_lane_is_converted_or_rounded(self, registry):
+        """Counted by the code object a call enters: sf16's converters (one code
+        for every rounding cast's) and its cast.  A counting cast that publishes
+        ``normal`` and no lane sees every checked int operand it compares."""
+        counted = []
+
+        def counting(value):
+            counted.append(value)
+            return SF16.cast(value)
+
+        counting.normal = SF16.cast.normal
+        tc = register_numeric_type("counted_test", NumericKind.FLOAT, 8, 2, cast=counting)
+        codes = {I32.to[SF16].__code__: "converter", SF16.cast.__code__: "cast"}
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                entered.append(codes[frame.f_code])
+
+        def calls(op, a, b):
+            entered.clear()
+            sys.setprofile(profile)
+            try:
+                try:
+                    op(a, b)
+                except NarrowError:  # 257 is no sf16 value
+                    pass
+            finally:
+                sys.setprofile(None)
+            return list(entered)
+
+        checked = [t for t in INT_TYPES if t.checks[SF16] is not None]
+        assert checked == [I16, U16, I32, U32, I64, U64]
+        for t in checked:
+            for v in (0, 1, -1, 255, 256, -256, 257, -257, 258):
+                if not t.min <= v <= t.max:
+                    continue
+                a, f, g = Number(v, t), Number(0.5, SF16), Number(0.5, tc)
+                inside = abs(v) <= SF16.cast.lane
+                for x, y in ((a, f), (f, a)):
+                    assert calls(operator.add, x, y) == ([] if inside else ["converter"]), (v, t)
+                    assert calls(operator.lt, x, y) == ([] if inside else ["cast"]), (v, t)
+                for x, y in ((a, g), (g, a)):
+                    assert calls(operator.add, x, y).count("converter") == 1, (v, t)
+                    counted.clear()
+                    calls(operator.eq, x, y)
+                    assert counted == [v], (v, t)
