@@ -4,27 +4,23 @@ Verbs:
 
 * ``narrow check FROM TO VALUE``: classify and attempt one conversion.
 * ``narrow table``: the full can-narrow matrix for the supported types.
-* ``bench SCENARIO --iters N [--repeat K]``: CSV timing of a checked path
-  against its raw baseline (``all`` runs every scenario); each row is the
-  fastest of K rounds, each round timing the statement and its baseline
-  once, and ends with the median of the per-round ratios.
-* ``bench diff OLD_SRC SCENARIO... [--iters N] [--repeat K]``: time each
-  scenario's statement under this package and under the ``checked`` package
-  in ``OLD_SRC`` (imported in the same process under another name); CSV of
-  the median new/old ratio of the K rounds, its quartiles, and the rounds
-  the new tree won.
+* ``bench [diff OLD_SRC] SCENARIO... [--iters N] [--repeat K]``: time each
+  scenario's checked statement (``all`` runs every one) against its raw
+  baseline or, under ``diff``, against the same statement under the ``checked``
+  package in ``OLD_SRC``, imported in this process under another name.  Each
+  of K rounds times both sides once for N loops, the first in turn; without
+  ``--iters``, N is what ``timeit.Timer.autorange`` finds for the statement.
+  One CSV: a ``BenchRecord`` per scenario under the header of its fields.
 * ``demo WHICH``: run a scripted transcript against its recorded
   expectations.
 * ``layout NAME``: print a registered record's member descriptors.
 
 Exit status: 0 on success, 1 when a contract violation was demonstrated
 (a failed conversion, a demo deviation), 2 for usage errors.  All output is
-plain UTF-8 text; bench output is CSV with a fixed header.  Commands are
-single-threaded.  Bench times each statement with ``timeit`` on whatever core
-the host gives us: the set-up runs once, outside the timed loop, and the
-collector is paused while timing.  Both bench forms share one timing loop:
-which side runs first alternates from round to round, so a drift of the
-host's speed falls on both.
+plain UTF-8 text.  Commands are single-threaded.  Bench times each statement
+with ``timeit`` on whatever core the host gives us: the set-up runs once,
+outside the timed loop, and the collector is paused while timing.  It times
+every scenario before it prints, so a usage error leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -72,16 +68,20 @@ from .reflectlayout import (
 
 __all__ = ["main", "run_bench", "BenchRecord", "BENCH_SCENARIOS"]
 
-BENCH_CSV_HEADER = "scenario,iters,ns_per_op,baseline_ns_per_op,ratio_median"
-
 
 class BenchRecord(NamedTuple):
-    """One timing row: the measured path and its raw baseline."""
+    """This tree's statement against its baseline or another tree's: each side's fastest
+    round, and the quartiles of the per-round ratios and the rounds won by this tree."""
 
     scenario: str
     iters: int
+    rounds: int
     ns_per_op: float
     baseline_ns_per_op: float
+    ratio_median: float
+    ratio_q1: float
+    ratio_q3: float
+    rounds_won: int
 
 
 def _usage_error(message: str) -> int:
@@ -291,45 +291,49 @@ _BENCHES: dict[str, tuple[str, str, str]] = {
 BENCH_SCENARIOS = tuple(_BENCHES)
 
 
-def _bench_times(scenario: str, iters: int, repeat: int, old: Optional[dict] = None) -> tuple[list, list]:
-    """ns per operation, one per round, of the scenario's statement and of its baseline, or
-    with ``old`` (another tree's ``cli`` globals) of the statement under this tree and under
-    that one.  Each round times both once, and which runs first alternates, so a drift of
-    the host's speed falls on both alike.  ``main`` checks that both counts are positive."""
+def _bench_record(scenario: str, iters: Optional[int], repeat: int, old: Optional[dict] = None) -> BenchRecord:
+    """``repeat`` rounds of the scenario's statement against its baseline or, with ``old``
+    (another tree's ``cli`` globals), against the statement under that tree.  Each round times
+    both once for ``iters`` loops (by default what ``autorange`` finds for the statement, at
+    least 0.2 s), and the first alternates, so a drift of the host's speed falls on both."""
     setup, statement, baseline = _BENCHES[scenario]
     sides = [(statement, globals()), (baseline, globals()) if old is None else (statement, old)]
     timers = [timeit.Timer(stmt, setup, globals=space) for stmt, space in sides]
+    iters = timers[0].autorange()[0] if iters is None else iters
     times = ([], [])
     for k in range(repeat):
         for i in (1, 0) if k % 2 else (0, 1):
             times[i].append(timers[i].timeit(iters) * 1e9 / iters)
-    return times
-
-
-def _ratio_quartiles(measured: list, baseline: list) -> list:
-    """The quartiles of the per-round ratios, inclusive method: the middle one is their median."""
-    ratios = [m / b for m, b in zip(measured, baseline)]
-    return statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    ratios = [new / other for new, other in zip(*times)]
+    # the quartiles by the inclusive method: the middle one is the median
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if repeat > 1 else ratios * 3
+    return BenchRecord(scenario, iters, repeat, min(times[0]), min(times[1]), median, q1, q3,
+                       sum(ratio < 1 for ratio in ratios))
 
 
 def run_bench(scenario: str, iters: int) -> BenchRecord:
-    """Time one scenario and its baseline; usable directly from tests."""
+    """Time one round of a scenario and its baseline; usable directly from tests."""
     if iters <= 0:
         raise ValueError("iters must be positive")
-    (measured,), (baseline,) = _bench_times(scenario, iters, 1)
-    return BenchRecord(scenario, iters, measured, baseline)
+    return _bench_record(scenario, iters, 1)
 
 
-def cmd_bench(scenario: str, iters: int, repeat: int) -> int:
-    print(BENCH_CSV_HEADER)
-    for name in BENCH_SCENARIOS if scenario == "all" else (scenario,):
-        measured, baseline = _bench_times(name, iters, repeat)
-        print(format_render("{},{},{},{},{}", name, iters, f"{min(measured):.3f}", f"{min(baseline):.3f}",
-                            f"{_ratio_quartiles(measured, baseline)[1]:.3f}"))
+def cmd_bench(scenarios: list[str], iters: Optional[int], repeat: int, old: Optional[dict] = None,
+              tree: str = "") -> int:
+    """Time every scenario, then print their records under one header, so that after a usage
+    error stdout is empty and a redirected CSV holds no header."""
+    records = []
+    for name in scenarios:
+        try:
+            records.append(_bench_record(name, iters, repeat, old))
+        except Exception as exc:  # a name the other tree's cli lacks, or whatever either tree's code raises
+            return _usage_error(f"{name} does not run{tree}: {type(exc).__name__}: {exc}")
+    print(",".join(BenchRecord._fields))
+    for record in records:
+        print(",".join(f"{field:.3f}" if type(field) is float else str(field) for field in record))
     return 0
 
 
-BENCH_SRC_DIFF_CSV_HEADER = "scenario,iters,rounds,ratio_median,ratio_q1,ratio_q3,rounds_won"
 _OLD_TREE = "_checked_old"  # the package name the other tree is imported under
 
 
@@ -345,7 +349,7 @@ def _load_tree(package: Path) -> dict:
     return vars(importlib.import_module(f"{_OLD_TREE}.cli"))
 
 
-def cmd_bench_diff_src(src: str, scenarios: list[str], iters: int, repeat: int) -> int:
+def cmd_bench_diff_src(src: str, scenarios: list[str], iters: Optional[int], repeat: int) -> int:
     package = Path(src) / "checked"
     if not (package / "__init__.py").is_file():
         return _usage_error(f"no checked package in {src}")
@@ -353,18 +357,7 @@ def cmd_bench_diff_src(src: str, scenarios: list[str], iters: int, repeat: int) 
         old = _load_tree(package)
     except Exception as exc:  # whatever the tree's own import raises
         return _usage_error(f"cannot import the checked package in {src}: {type(exc).__name__}: {exc}")
-    rows = []  # printed once every scenario has run, so a usage error leaves stdout empty
-    for name in scenarios:
-        try:
-            new_ns, old_ns = _bench_times(name, iters, repeat, old)
-        except Exception as exc:  # a name the other tree's cli lacks, or whatever either tree's code raises
-            return _usage_error(f"{name} does not run on the tree in {src}: {type(exc).__name__}: {exc}")
-        q1, median, q3 = _ratio_quartiles(new_ns, old_ns)
-        won = sum(new < old for new, old in zip(new_ns, old_ns))
-        rows.append(format_render("{},{},{},{},{},{},{}", name, iters, repeat,
-                                  f"{median:.3f}", f"{q1:.3f}", f"{q3:.3f}", won))
-    print(BENCH_SRC_DIFF_CSV_HEADER, *rows, sep="\n")
-    return 0
+    return cmd_bench(scenarios, iters, repeat, old, f" on the tree in {src}")
 
 
 # --- demo and layout ---------------------------------------------------------
@@ -416,9 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
     narrow_sub.add_parser("table", help="print the can-narrow matrix")
 
     bench = sub.add_parser("bench", help="time a checked path against its baseline, or two trees")
-    bench.add_argument("scenario", choices=BENCH_SCENARIOS + ("all", "diff"))
-    bench.add_argument("operands", nargs="*", metavar="ARG", help="diff only: OLD_SRC SCENARIO...")
-    bench.add_argument("--iters", type=int, default=1_000_000)
+    bench.add_argument("scenarios", nargs="+", metavar="SCENARIO",
+                       help=f"{', '.join(BENCH_SCENARIOS)}, or all; after diff OLD_SRC, the same")
+    bench.add_argument("--iters", type=int,
+                       help="loops per round (default: what timeit's autorange finds for the statement)")
     bench.add_argument("--repeat", type=int, default=1,
                        help="rounds, each timing both sides once, the first in turn; rows report the fastest")
 
@@ -438,16 +432,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_narrow_check(args.from_type, args.to_type, args.value)
         return cmd_narrow_table()
     if args.command == "bench":
-        if args.iters <= 0 or args.repeat <= 0:
+        if args.iters is not None and args.iters <= 0 or args.repeat <= 0:
             return _usage_error("--iters and --repeat must be positive")
-        if args.scenario != "diff":
-            if args.operands:
-                return _usage_error(f"unexpected arguments: {' '.join(args.operands)}")
-            return cmd_bench(args.scenario, args.iters, args.repeat)
-        src, *scenarios = args.operands or [""]
+        src, scenarios = None, args.scenarios
+        if scenarios[0] == "diff":
+            src, *scenarios = scenarios[1:] or [""]
+        if scenarios == ["all"]:
+            scenarios = list(BENCH_SCENARIOS)
         unknown = [name for name in scenarios if name not in BENCH_SCENARIOS]
         if not scenarios or unknown:
-            return _usage_error(f"bench diff OLD_SRC takes scenarios, not: {' '.join(unknown) or 'none'}")
+            return _usage_error(f"bench takes scenarios or all, not: {' '.join(unknown) or 'none'}")
+        if src is None:
+            return cmd_bench(scenarios, args.iters, args.repeat)
         return cmd_bench_diff_src(src, scenarios, args.iters, args.repeat)
     if args.command == "demo":
         return cmd_demo(args.which)

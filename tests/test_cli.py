@@ -1,15 +1,19 @@
 import gc
 import sys
+import timeit
 from array import array
 from pathlib import Path
 
 import pytest
 
 from checked import LinkedList, cli, less, rangealg
-from checked.cli import BENCH_CSV_HEADER, BENCH_SCENARIOS, main, run_bench
+from checked.cli import BENCH_SCENARIOS, BenchRecord, main, run_bench
 from checked.demos import DEMO_NAMES, demo_cases, run_demo
 from checked.narrowing import I32, ConstraintError, NarrowError
 from checked.reflectlayout import register_record, registered_record_names
+
+
+HEADER = ",".join(BenchRecord._fields)  # the one header of both bench verbs
 
 
 def run(capsys, *argv):
@@ -89,11 +93,41 @@ class TestBench:
         status, out, _ = run(capsys, "bench", "number-arith", "--iters", "10000")
         assert status == 0
         lines = out.strip().splitlines()
-        assert lines[0] == BENCH_CSV_HEADER
-        scenario, iters, ns, baseline, ratio = lines[1].split(",")
-        assert scenario == "number-arith" and int(iters) == 10000
+        assert lines[0] == HEADER == "scenario,iters,rounds,ns_per_op,baseline_ns_per_op,ratio_median,ratio_q1," \
+                                     "ratio_q3,rounds_won"
+        scenario, iters, rounds, ns, baseline, ratio, q1, q3, won = lines[1].split(",")
+        assert (scenario, iters, rounds) == ("number-arith", "10000", "1") and won in ("0", "1")
         assert float(ns) > 0 and float(baseline) > 0
         assert float(ratio) == pytest.approx(float(ns) / float(baseline), rel=0.01, abs=0.001)
+        assert q1 == ratio == q3
+
+    def test_without_iters_each_scenario_takes_the_count_autorange_finds(self, capsys, monkeypatch):
+        found = []
+
+        def autorange(timer, callback=None):
+            found.append(timer)
+            return 7, 0.2
+
+        monkeypatch.setattr(timeit.Timer, "autorange", autorange)
+        status, out, err = run(capsys, "bench", "all", "--repeat", "2")
+        assert status == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == HEADER and len(found) == len(BENCH_SCENARIOS)  # once per scenario
+        rows = [dict(zip(BenchRecord._fields, line.split(","))) for line in lines[1:]]
+        assert [row["scenario"] for row in rows] == list(BENCH_SCENARIOS)
+        assert all(row["iters"] == "7" and row["rounds"] == "2" for row in rows)
+
+    def test_rows_come_in_the_named_order(self, capsys):
+        status, out, _ = run(capsys, "bench", "number-div", "span-sort", "number-arith", "--iters", "10")
+        assert status == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == ["scenario", "number-div", "span-sort",
+                                                                     "number-arith"]
+
+    def test_a_scenario_that_raises_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(I32.checks, I32, lambda value: False)  # convert-same's set-up refuses it
+        status, out, err = run(capsys, "bench", "number-arith", "convert-same", "--iters", "10")
+        assert status == 2 and out == ""  # not even number-arith's row, which ran
+        assert "convert-same does not run: RuntimeError: i32 -> i32 has a per-value test" in err
 
     # a sort of 4096 elements each, or 600
     SORTS_4096 = ("sort-bytes", "sort-ints", "sort-wide", "sort-array", "sort-view", "sort-linked",
@@ -139,9 +173,9 @@ class TestBench:
         for scenario in scenarios:
             iters = 200 if scenario in self.SORTS_4096 else 20000
             status, out, _ = run(capsys, "bench", scenario, "--iters", str(iters))
-            assert status == 0 and out.splitlines()[0] == BENCH_CSV_HEADER
-            [(name, row_iters, ns, baseline, ratio)] = [line.split(",") for line in out.splitlines()[1:]]
-            assert (name, row_iters) == (scenario, str(iters))
+            assert status == 0 and out.splitlines()[0] == HEADER
+            [(name, row_iters, rounds, ns, baseline, ratio, *_)] = [line.split(",") for line in out.splitlines()[1:]]
+            assert (name, row_iters, rounds) == (scenario, str(iters), "1")
             assert float(ns) >= 0 and float(baseline) > 0 and float(ratio) >= 0
 
     def test_record_register_leaves_the_registry_as_it_was(self):
@@ -211,6 +245,8 @@ class TestBench:
         assert calls == ["x = a + b", "x = p + q"]
         assert record.scenario == "number-arith" and record.iters == 1000
         assert record.ns_per_op == pytest.approx(300) and record.baseline_ns_per_op == pytest.approx(100)
+        assert record.rounds == 1 and record.rounds_won == 0
+        assert record.ratio_q1 == record.ratio_median == record.ratio_q3 == pytest.approx(3)
 
     def test_bad_iters(self, capsys):
         status, _, err = run(capsys, "bench", "number-arith", "--iters", "0")
@@ -238,26 +274,32 @@ class TestBench:
                 calls.append((self.stmt, number))
                 return next(self.ns) * number / 1e9
 
+            def autorange(self):
+                calls.append(("autorange", self.stmt))
+                return 1000, 0.2
+
         monkeypatch.setattr(cli.timeit, "Timer", ScriptedTimer)
-        status, out, _ = run(capsys, "bench", "number-arith", "--iters", "1000", "--repeat", "3")
+        status, out, _ = run(capsys, "bench", "number-arith", "--repeat", "3")
         assert status == 0
         # the fastest rounds are 200 and 100 ns; the per-round ratios are 2.4,
         # 2 and 2.5, so their median is neither min over min nor median over median
-        assert out == BENCH_CSV_HEADER + "\nnumber-arith,1000,200.000,100.000,2.400\n"
+        assert out == HEADER + "\nnumber-arith,1000,3,200.000,100.000,2.400,2.200,2.450,0\n"
         assert built == ["x = a + b", "x = p + q"]  # each timer is built once
-        # each round times both once, and which runs first alternates
-        assert calls == [("x = a + b", 1000), ("x = p + q", 1000), ("x = p + q", 1000), ("x = a + b", 1000),
-                         ("x = a + b", 1000), ("x = p + q", 1000)]
+        # the count is calibrated on the statement; each round times both once,
+        # and which runs first alternates
+        assert calls == [("autorange", "x = a + b"), ("x = a + b", 1000), ("x = p + q", 1000),
+                         ("x = p + q", 1000), ("x = a + b", 1000), ("x = a + b", 1000), ("x = p + q", 1000)]
 
     def test_all_runs_every_scenario_under_one_header(self, capsys):
         status, out, _ = run(capsys, "bench", "all", "--iters", "200", "--repeat", "2")
         assert status == 0
         lines = out.strip().splitlines()
-        assert lines[0] == BENCH_CSV_HEADER
+        assert lines[0] == HEADER
         rows = [line.split(",") for line in lines[1:]]
         assert [row[0] for row in rows] == list(BENCH_SCENARIOS)
-        for _, iters, ns, baseline, ratio in rows:
-            assert iters == "200" and float(ns) >= 0 and float(baseline) > 0 and float(ratio) > 0
+        for _, iters, rounds, ns, baseline, ratio, q1, q3, won in rows:
+            assert (iters, rounds) == ("200", "2") and float(ns) >= 0 and float(baseline) > 0
+            assert 0 < float(q1) <= float(ratio) <= float(q3) and 0 <= int(won) <= 2
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding this checked package
@@ -304,7 +346,7 @@ class TestBenchDiffSrc:
         assert status == 0 and err == ""
         assert calls == [("new", 10), ("old", 10), ("old", 10), ("new", 10)] * 2
         # the paired ratios are 0.9, 1.2, 1.0 and 0.8; two rounds are won
-        assert out.splitlines() == [cli.BENCH_SRC_DIFF_CSV_HEADER, "span-sort,10,4,0.950,0.875,1.050,2"]
+        assert out.splitlines() == [HEADER, "span-sort,10,4,80.000,100.000,0.950,0.875,1.050,2"]
 
     def test_one_round_reports_its_one_ratio(self, capsys, monkeypatch):
         calls = []
@@ -321,7 +363,7 @@ class TestBenchDiffSrc:
         status, out, err = run(capsys, "bench", "diff", SRC, "span-sort", "--iters", "10")
         assert status == 0 and err == ""
         assert calls == ["new", "old"]  # --repeat defaults to one round
-        assert out.splitlines() == [cli.BENCH_SRC_DIFF_CSV_HEADER, "span-sort,10,1,1.100,1.100,1.100,0"]
+        assert out.splitlines() == [HEADER, "span-sort,10,1,110.000,100.000,1.100,1.100,1.100,0"]
 
     @pytest.mark.parametrize("cli_source, scenarios, problem", [
         (None, ["span-sort"], "No module named '_checked_old.cli'"),
@@ -353,15 +395,23 @@ class TestBenchDiffSrc:
         status, out, err = run(capsys, "bench", "diff", str(tmp_path), "span-sort", "--iters", "10")
         assert status == 2 and out == "" and problem in err and str(tmp_path) in err
 
+    def test_all_runs_every_scenario_at_the_count_autorange_finds(self, capsys, monkeypatch):
+        monkeypatch.setattr(timeit.Timer, "autorange", lambda timer, callback=None: (7, 0.2))
+        status, out, err = run(capsys, "bench", "diff", SRC, "all")
+        assert status == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == HEADER  # the header of plain bench too
+        assert [line.split(",")[:3] for line in lines[1:]] == [[name, "7", "1"] for name in BENCH_SCENARIOS]
+
     def test_a_tree_against_itself_reads_about_one(self, capsys):
         status, out, err = run(capsys, "bench", "diff", SRC, "span-sort", "sort-array-compared",
                                "--iters", "1000", "--repeat", "9")
         assert status == 0 and err == ""
         lines = out.splitlines()
-        assert lines[0] == cli.BENCH_SRC_DIFF_CSV_HEADER
+        assert lines[0] == HEADER
         assert [line.split(",")[0] for line in lines[1:]] == ["span-sort", "sort-array-compared"]
         for line in lines[1:]:
-            _, iters, rounds, median, q1, q3, won = line.split(",")
+            _, iters, rounds, _, _, median, q1, q3, won = line.split(",")
             assert (iters, rounds) == ("1000", "9") and 0 <= int(won) <= 9
             assert float(q1) <= float(median) <= float(q3)
             assert 0.9 <= float(median) <= 1.1, line
